@@ -5,9 +5,10 @@
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the entire evaluation in one run. The per-figure mapping is
-// listed in DESIGN.md's experiment index; measured-vs-paper numbers live
-// in EXPERIMENTS.md.
+// reproduces the entire evaluation in one run. The benchmark names follow
+// the figures; the same experiments, in registry order, are
+// bench.PaperExperiments, and `go run ./cmd/kernelbench -headline`
+// prints their speedups and utilizations to set beside the paper's.
 package repro
 
 import (

@@ -2,8 +2,8 @@
 // paper: Fig. 8 (IPC and stall breakdowns for FFT, MMM and Cholesky on
 // MemPool and TeraPool), Fig. 9a-b (speedups and cycle counts against a
 // serial single-core baseline), the cluster-scaling curve, and the
-// design ablations called out in DESIGN.md (MMM window shapes, FFT data
-// layout).
+// design ablations selected by -ablate (MMM window shapes, FFT data
+// layout, Cholesky pipelining).
 //
 // Results are typed telemetry records (internal/report); -json emits
 // them as a deterministic benchmark document that cmd/benchgate diffs

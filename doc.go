@@ -85,7 +85,8 @@
 // command-line tools — is docs/ARCHITECTURE.md.
 //
 // The benchmarks in bench_test.go wrap the same experiments as testing.B
-// benchmarks; see EXPERIMENTS.md for measured-versus-paper numbers and
-// README.md for the quickstart, the campaign-mode walkthrough and the
-// perf-telemetry / regression-gate guide.
+// benchmarks; `go run ./cmd/kernelbench -headline` prints the measured
+// speedups to set beside the paper's, and README.md has the quickstart,
+// the campaign-mode walkthrough and the perf-telemetry / regression-gate
+// guide.
 package repro

@@ -226,8 +226,12 @@ func RunMMM(cfg *arch.Config, mc MMMConfig) (*Result, error) {
 	if err := sp.WriteB(b); err != nil {
 		return nil, err
 	}
-	// The serial pass is expensive (tens of millions of instructions);
-	// one cold pass suffices since the icache refill is negligible.
+	// The serial pass runs tens of millions of instructions; one cold
+	// pass suffices since the icache refill is negligible. Its bank
+	// accesses all book above their banks' frontiers, so the reservation
+	// table keeps them in its frontier log (8 bytes each) rather than
+	// claiming a bitmap page per access (see docs/ARCHITECTURE.md,
+	// "Frontier log").
 	mark := ms.Mark()
 	if err := sp.Run(); err != nil {
 		return nil, err

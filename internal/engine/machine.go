@@ -70,7 +70,8 @@ type Machine struct {
 
 	// RotatePriority approximates round-robin bank arbitration by
 	// rotating the core replay order every phase (the default fixed
-	// order gives strict core-ID priority; see DESIGN.md section 2).
+	// order gives strict core-ID priority; see docs/ARCHITECTURE.md,
+	// "Bank arbitration").
 	RotatePriority bool
 	phaseCounter   int
 

@@ -265,29 +265,45 @@ func TestUntracedRunAllocsNothing(t *testing.T) {
 // machine-reuse path: once warmed, a full Run -> TrimReservations ->
 // Reset cycle — including memory-touching work, barrier retirement and
 // the epoch-based reservation/icache reset — performs no allocation, so
-// campaign loops can reuse one Machine indefinitely.
+// campaign loops can reuse one Machine indefinitely. The single-core
+// job is a serial baseline: every access books above its bank's
+// frontier and the idle cores hold the retire horizon at 0, so its
+// bookings live in the reservation's frontier log, whose storage must
+// survive Reset.
 func TestResetAndTrimAllocsNothing(t *testing.T) {
-	m := NewMachine(arch.MemPool())
-	cores := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	work := func(p *Proc) {
-		base := arch.Addr(p.Lane * 64)
-		var buf [16]W
-		p.LoadSpan(base, buf[:])
-		p.Tick(9000) // push clocks past the retire window so Trim fires
-		p.StoreVec(base, 2, buf[:8])
-	}
-	job := Job{Name: "j", Cores: cores, Phases: []Phase{
-		{Name: "p", Kernel: "t/k", Work: work},
+	parallel := Job{Name: "j", Cores: []int{0, 1, 2, 3, 4, 5, 6, 7}, Phases: []Phase{
+		{Name: "p", Kernel: "t/k", Work: func(p *Proc) {
+			base := arch.Addr(p.Lane * 64)
+			var buf [16]W
+			p.LoadSpan(base, buf[:])
+			p.Tick(9000) // push clocks past the retire window so Trim fires
+			p.StoreVec(base, 2, buf[:8])
+		}},
 	}}
-	cycle := func() {
-		if err := m.Run(job); err != nil {
-			t.Fatal(err)
+	stream := func(p *Proc) {
+		var buf [64]W
+		for i := 0; i < 32; i++ { // two sweeps over all 1024 banks
+			p.LoadSpan(arch.Addr(i*len(buf)), buf[:])
+			p.StoreSpan(arch.Addr(4096+i*len(buf)), buf[:])
 		}
-		m.TrimReservations()
-		m.Reset()
 	}
-	cycle() // warm scratch buffers, icache sets and reservation rings
-	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
-		t.Fatalf("Run+Trim+Reset allocates %.1f objects/op, want 0", avg)
+	serial := Job{Name: "s", Cores: []int{0}, Phases: []Phase{
+		{Name: "a", Kernel: "t/a", Work: stream},
+		{Name: "b", Kernel: "t/b", Work: func(p *Proc) { p.Tick(5000) }},
+		{Name: "c", Kernel: "t/c", Work: stream},
+	}}
+	for _, job := range []Job{parallel, serial} {
+		m := NewMachine(arch.MemPool())
+		cycle := func() {
+			if err := m.Run(job); err != nil {
+				t.Fatal(err)
+			}
+			m.TrimReservations()
+			m.Reset()
+		}
+		cycle() // warm scratch buffers, icache sets, reservation rings and log
+		if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
+			t.Fatalf("job %s: Run+Trim+Reset allocates %.1f objects/op, want 0", job.Name, avg)
+		}
 	}
 }

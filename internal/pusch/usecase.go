@@ -30,9 +30,8 @@ type UseCaseConfig struct {
 	CholPerRound int // decompositions per core between barriers (4 green, 16 red)
 	// FullMIMO times the complete MIMO stage (Gramian, Cholesky, matched
 	// filter, triangular solves) per data symbol instead of the bare
-	// decompositions the figure's label names. EXPERIMENTS.md uses this
-	// to test the hypothesis that the paper's use-case bar includes the
-	// surrounding work.
+	// decompositions the figure's label names, to test the hypothesis
+	// that the paper's use-case bar includes the surrounding work.
 	FullMIMO   bool
 	WithSerial bool // also measure the serial single-core baseline (slow)
 	DeepBanks  int  // multiply bank depth by this factor (0/1 = physical); lets

@@ -7,7 +7,7 @@
 // core-ID order, so reservation implements a fixed-priority arbiter:
 // core i never waits for core j > i. Under the paper's conflict-free data
 // placements this coincides with MemPool's round-robin arbiter (see
-// DESIGN.md, Section 2).
+// docs/ARCHITECTURE.md, "Bank arbitration").
 package tcdm
 
 import "math/bits"
@@ -40,8 +40,13 @@ type pageSlot struct {
 // spills to the ext slice.
 type bankRes struct {
 	mask int64
-	ext  []pageSlot // nil while the inline ring suffices
-	ring [ringSlots]pageSlot
+	// logHi bounds the bank's cycles in the frontier log from above
+	// while logEpoch matches the reservation's epoch; otherwise the bank
+	// has nothing logged.
+	logHi    int64
+	logEpoch uint32
+	ext      []pageSlot // nil while the inline ring suffices
+	ring     [ringSlots]pageSlot
 }
 
 // slot returns the ring slot for page idx.
@@ -69,6 +74,17 @@ func (b *bankRes) all() []pageSlot {
 // in place the next time its ring slot is claimed, so steady-state
 // operation — including Machine.Reset between runs and barrier
 // retirement inside runs — performs no allocation at all.
+//
+// A request whose page is not live and that lies above every cycle its
+// bank has in the frontier log cannot conflict: it is appended to the
+// log and no page is claimed. The log is flushed into pages before any
+// other page claim or bitmap scan, before Retire changes the liveness
+// labels, and before Busy reads the bitmaps, so logged bookings only
+// ever target pages that are not live, every live bitmap is complete,
+// and every answer — and every page label — is the one an eager table
+// would give. A single core's requests to one bank strictly increase, so
+// a serial stream never leaves the log: it pays 8 bytes per access
+// instead of a 512-byte page.
 type Reservation struct {
 	banks []bankRes
 
@@ -86,6 +102,12 @@ type Reservation struct {
 	// free recycles page arrays displaced by ring growth.
 	free []*page
 
+	// log holds frontier bookings not yet written to pages, each packed
+	// as bank<<logCycleBits | cycle. Its storage survives Reset. epoch
+	// labels the log's contents: it advances whenever the log empties.
+	log   []int64
+	epoch uint32
+
 	conflicts int64 // total cycles of delay handed out
 	accesses  int64
 }
@@ -94,9 +116,15 @@ type Reservation struct {
 // ringSlots<<pageBits unretired cycles before the first growth.
 const ringSlots = 4
 
-// NewReservation creates tables for nBanks banks.
+// logCycleBits is the width of the cycle field of a log entry; bookings
+// at later cycles (beyond any realistic run) claim their page directly.
+const logCycleBits = 40
+
+// NewReservation creates tables for nBanks banks. The log starts with
+// room for one booking per bank, so a fresh table does not grow it step
+// by step through its first phase.
 func NewReservation(nBanks int) *Reservation {
-	r := &Reservation{banks: make([]bankRes, nBanks)}
+	r := &Reservation{banks: make([]bankRes, nBanks), log: make([]int64, 0, nBanks), epoch: 1}
 	for i := range r.banks {
 		r.banks[i].mask = ringSlots - 1
 	}
@@ -110,6 +138,7 @@ func NewReservation(nBanks int) *Reservation {
 // when its slot is claimed again.
 func (r *Reservation) Reset() {
 	r.gen++
+	r.truncateLog()
 	r.seq = 0
 	r.cutoff = 0
 	r.conflicts = 0
@@ -120,6 +149,43 @@ func (r *Reservation) Reset() {
 // epoch labels.
 func (r *Reservation) live(s *pageSlot) bool {
 	return s.p != nil && s.gen == r.gen && (s.idx >= r.cutoff || s.seq == r.seq)
+}
+
+// lookup returns the live page idx of bank b, or nil.
+func (r *Reservation) lookup(b *bankRes, idx int64) *page {
+	if s := b.slot(idx); s.idx == idx && r.live(s) {
+		return s.p
+	}
+	return nil
+}
+
+// pageFor returns the live page idx of bank b, claiming it if needed.
+func (r *Reservation) pageFor(b *bankRes, idx int64) *page {
+	if p := r.lookup(b, idx); p != nil {
+		return p
+	}
+	return r.claimPage(b, idx)
+}
+
+// flush writes the logged bookings whose page index is at least from
+// into pages and empties the log; entries below from are dropped.
+func (r *Reservation) flush(from int64) {
+	for _, e := range r.log {
+		t := e & (1<<logCycleBits - 1)
+		if idx := t >> pageBits; idx >= from {
+			off := t & (1<<pageBits - 1)
+			r.pageFor(&r.banks[e>>logCycleBits], idx)[off>>6] |= 1 << uint(off&63)
+		}
+	}
+	r.truncateLog()
+}
+
+// truncateLog empties the log; a new epoch disowns every bank's logHi.
+func (r *Reservation) truncateLog() {
+	if len(r.log) > 0 {
+		r.log = r.log[:0]
+		r.epoch++
+	}
 }
 
 // claimPage returns cleared page storage for page idx of bank b,
@@ -193,63 +259,73 @@ func (r *Reservation) Acquire(bank int, t int64) int64 {
 	}
 	b := &r.banks[bank]
 	r.accesses++
-	for {
-		idx := t >> pageBits
-		s := b.slot(idx)
-		var p *page
-		if s.idx == idx && s.p != nil && s.gen == r.gen && (idx >= r.cutoff || s.seq == r.seq) {
-			p = s.p
-		} else {
-			p = r.claimPage(b, idx)
-		}
-		off := t & (1<<pageBits - 1)
-		w := off >> 6
-		bit := uint(off & 63)
-		// Uncontended fast path: the requested cycle itself is free.
-		if p[w]&(1<<bit) == 0 {
-			p[w] |= 1 << bit
+	idx := t >> pageBits
+	p := r.lookup(b, idx)
+	if p == nil {
+		if (b.logEpoch != r.epoch || t > b.logHi) && t < 1<<logCycleBits {
+			// Nothing live on this page and nothing logged at or after
+			// t on this bank, so t is free: log it.
+			b.logHi, b.logEpoch = t, r.epoch
+			r.log = append(r.log, int64(bank)<<logCycleBits|t)
 			return t
 		}
-		// Scan the current page word by word for a free bit.
-		for w < pageWords {
-			free := ^p[w] >> bit << bit // mask off bits below the start position
-			if free != 0 {
+		r.flush(0)
+		p = r.pageFor(b, idx)
+	}
+	off := t & (1<<pageBits - 1)
+	w := off >> 6
+	bit := uint(off & 63)
+	// Uncontended fast path: the requested cycle itself is free.
+	if p[w]&(1<<bit) == 0 {
+		p[w] |= 1 << bit
+		return t
+	}
+	// Scan word by word, page by page, for the first free bit. Later
+	// pages may have logged bookings, so flush first.
+	if len(r.log) > 0 {
+		r.flush(0)
+	}
+	for {
+		for ; w < pageWords; w, bit = w+1, 0 {
+			if free := ^p[w] >> bit << bit; free != 0 { // bits below the start masked off
 				pos := int64(bits.TrailingZeros64(free))
 				p[w] |= 1 << uint(pos)
 				slot := idx<<pageBits | w<<6 | pos
 				r.conflicts += slot - t
 				return slot
 			}
-			w++
-			bit = 0
 		}
 		// Page exhausted: continue at the start of the next page.
-		t = (idx + 1) << pageBits
+		idx++
+		p = r.pageFor(b, idx)
+		w = 0
 	}
 }
 
 // Busy reports whether cycle t is already booked on bank (test helper).
 func (r *Reservation) Busy(bank int, t int64) bool {
-	b := &r.banks[bank]
-	idx := t >> pageBits
-	s := b.slot(idx)
-	if s.idx != idx || !r.live(s) {
+	r.flush(0)
+	p := r.lookup(&r.banks[bank], t>>pageBits)
+	if p == nil {
 		return false
 	}
 	off := t & (1<<pageBits - 1)
-	return s.p[off>>6]&(1<<uint(off&63)) != 0
+	return p[off>>6]&(1<<uint(off&63)) != 0
 }
 
 // Retire drops all reservation pages that end strictly before cycle t.
 // The engine calls it at cluster-wide barriers to bound memory use.
 // Within one epoch its cutoffs must be non-decreasing; the engine
 // derives them from the slowest core's clock, which only moves forward.
+//
+// Logged bookings are flushed under the old labels first, exactly as if
+// they had been written eagerly; those below the new cutoff would be
+// dead after the bump, so they are dropped instead.
 func (r *Reservation) Retire(t int64) {
-	cutoff := t >> pageBits // pages with idx < cutoff end before t
+	cutoff := max(r.cutoff, t>>pageBits) // pages with idx < cutoff end before t
+	r.flush(cutoff)
 	r.seq++
-	if cutoff > r.cutoff {
-		r.cutoff = cutoff
-	}
+	r.cutoff = cutoff
 }
 
 // ConflictCycles returns the total delay (in bank-cycles) attributed to

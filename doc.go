@@ -46,9 +46,9 @@
 //     slot throughput must stay at or above the sequential layout's on
 //     the small-allocation gate slot), enforces the calibration gate
 //     (the analytic timing model's held-out error must stay under the
-//     committed budget), and enforces the fleet gate (a 1-cell fleet
-//     byte-identical to the plain scheduler; multi-cell streams
-//     byte-identical across worker counts and under the cache).
+//     committed budget), and enforces the fleet gate (multi-cell
+//     streams byte-identical across worker counts and under the
+//     cache).
 //
 // Observability is deterministic too (internal/obs, re-exported via
 // pusch): a virtual-time span tracer exports every stage window,

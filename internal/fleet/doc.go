@@ -6,7 +6,7 @@
 // least-queue, SINR-aware).
 //
 // Determinism is the package contract, inherited from sched's
-// two-phase discipline and kept through the multi-cell promotion:
+// two-phase serving loop, which runs every cell of the fleet:
 //
 //   - Phase 1 measures every job under every distinct cell serving
 //     class (cluster fingerprint × layout × timing mode) across the
@@ -25,8 +25,10 @@
 // cell under the SINR-aware policy follows CellGainDB, a pure function
 // of (UE fading seed, cell index, channel time), and the UE's channel
 // time rides in the job itself (stamped by the sched generators), so
-// its fading process continues coherently across the handover. A
+// its fading process continues coherently across the handover. The
+// fleet owns only what is fleet-specific — serving classes, per-cell
+// disciplines, the policy's route, the fleet summary and metrics — and
+// serves through sched.ServeCells, the scheduler's own loop, so a
 // single-cell fleet is byte-identical to the plain scheduler on the
-// same trace — the degenerate wire format is exactly sched's — which
-// the benchgate fleet gate enforces.
+// same trace (TestSingleCellFleetMatchesScheduler pins it).
 package fleet

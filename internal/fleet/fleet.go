@@ -1,17 +1,9 @@
 package fleet
 
 import (
-	"encoding/json"
 	"io"
-	"runtime"
-	"sort"
-	"strconv"
-	"sync"
-	"time"
 
 	"repro/internal/arch"
-	"repro/internal/campaign"
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/pusch"
 	"repro/internal/report"
@@ -114,412 +106,141 @@ type Fleet struct {
 	measure sched.MeasureFunc
 }
 
-// measured is one (serving class, job) phase-1 outcome.
-type measured struct {
-	rec report.SlotRecord
-	err error
-}
-
-// cellState is one cell's replay state: per-server next-free cycles
-// and the FIFO wait queue (arrival-order positions).
-type cellState struct {
-	free  []int64
-	queue []int
-}
-
 // Serve runs the whole trace across the fleet and returns per-job
 // results in arrival order plus the fleet summary (with every cell's
-// ServiceSummary in PerCell). Individual job failures are reported per
-// job; Serve itself never fails.
+// ServiceSummary in PerCell). The cells become sched.ServeCells' cells,
+// their deduplicated serving classes its classes and the policy its
+// route. Individual job failures are reported per job; Serve itself
+// never fails.
 func (f *Fleet) Serve(jobs []sched.Job) ([]sched.JobResult, report.FleetSummary) {
-	start := time.Now()
-	var before timecache.Stats
-	if f.Cfg.Cache != nil {
-		before = f.Cfg.Cache.Stats()
-	}
-
 	cells := f.Cfg.Cells
 	if len(cells) == 0 {
 		cells = []Cell{{}}
 	}
-	order := arrivalOrder(jobs)
-	meas, classOf, pool := f.measureAll(cells, jobs, order)
-	results, handoversTo := f.replay(cells, jobs, order, meas, classOf)
-	handovers := 0
-	for _, h := range handoversTo {
-		handovers += h
-	}
-	sum := f.summarize(cells, jobs, results, handovers)
-
-	stats := pool.Stats()
-	sum.Pool = &stats
-	host := report.HostStats{WallSeconds: time.Since(start).Seconds()}
-	if host.WallSeconds > 0 {
-		host.SlotsPerSec = float64(len(jobs)) / host.WallSeconds
-	}
-	if f.Cfg.Cache != nil {
-		after := f.Cfg.Cache.Stats()
-		host.CacheHits = after.Hits - before.Hits
-		host.CacheMisses = after.Misses - before.Misses
-		if total := host.CacheHits + host.CacheMisses; total > 0 {
-			host.CacheHitRate = float64(host.CacheHits) / float64(total)
-		}
-	}
-	sum.Host = &host
+	classes, queues := serving(cells)
+	shared := sched.Config{Workers: f.Cfg.Workers, Seed: f.Cfg.Seed, Cache: f.Cfg.Cache, Model: f.Cfg.Model}
+	run := sched.ServeCells(shared, f.measure, jobs, classes, queues, f.route(len(cells)))
+	handoversTo := handovers(jobs, &run, len(cells))
+	sum := f.summarize(cells, jobs, &run, handoversTo)
 	if reg := f.Cfg.Metrics; reg != nil {
-		f.recordMetrics(reg, results, &sum, handoversTo, &host)
+		f.recordMetrics(reg, &run, &sum, handoversTo)
 	}
-	return results, sum
+	return run.Results, sum
 }
 
 // WriteJSONL serves the trace and streams one JobRecord JSON line per
 // served job (arrival order), then one summary line per cell, then the
 // fleet summary line (kind="fleet-summary"). A single-cell fleet
 // degenerates to the plain scheduler's wire format — one kind="summary"
-// line, no fleet line — byte-identical to sched.Scheduler.WriteJSONL on
-// the same trace. Output is byte-identical across runs and worker
+// line, no fleet line. Output is byte-identical across runs and worker
 // counts for the same trace and configuration.
 func (f *Fleet) WriteJSONL(w io.Writer, jobs []sched.Job) (report.FleetSummary, error) {
 	results, sum := f.Serve(jobs)
-	enc := json.NewEncoder(w)
-	for i := range results {
-		if results[i].Outcome != Served {
-			continue
-		}
-		if err := enc.Encode(&results[i].Record); err != nil {
-			return sum, err
-		}
-	}
-	// Pool and host stats vary with the host worker count and wall
-	// clock; the stream's byte-determinism contract excludes them
-	// (callers read them off the returned summary instead).
+	trailer := make([]any, 0, len(sum.PerCell)+1)
 	for c := range sum.PerCell {
-		wire := sum.PerCell[c]
-		wire.Pool = nil
-		wire.Host = nil
-		if err := enc.Encode(&wire); err != nil {
-			return sum, err
-		}
+		trailer = append(trailer, &sum.PerCell[c])
 	}
 	if sum.Cells > 1 {
+		// Pool and host stats vary with the host worker count and wall
+		// clock; the stream's byte-determinism contract excludes them
+		// (callers read them off the returned summary instead).
 		wire := sum
-		wire.PerCell = nil
-		wire.Pool = nil
-		wire.Host = nil
-		if err := enc.Encode(&wire); err != nil {
-			return sum, err
-		}
+		wire.PerCell, wire.Pool, wire.Host = nil, nil, nil
+		trailer = append(trailer, &wire)
 	}
-	return sum, nil
+	return sum, sched.WriteServed(w, results, trailer...)
 }
 
-// Served re-exports the sched outcome for fleet callers.
-const Served = sched.Served
-
-// arrivalOrder returns job indices sorted by arrival cycle, stable in
-// input order for simultaneous arrivals (sched's discipline).
-func arrivalOrder(jobs []sched.Job) []int {
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return jobs[order[a]].Arrival < jobs[order[b]].Arrival
-	})
-	return order
-}
-
-// measureAll runs phase 1: every job measured under every distinct
-// serving class across one sharded machine pool. meas is indexed
-// [class][arrival-order position]; classOf maps cell index to class.
-// Identical cells share a class, so a homogeneous N-cell fleet costs
-// exactly one measurement pass — and each class resolves through the
-// cache and the analytic model exactly like a standalone scheduler.
-func (f *Fleet) measureAll(cells []Cell, jobs []sched.Job, order []int) ([][]measured, []int, *engine.Sharded) {
-	classOf := make([]int, len(cells))
-	classCell := []int{}
+// serving turns the cells into sched's serving classes and queues.
+// Cells with equal class keys share one class, so a homogeneous N-cell
+// fleet costs exactly one measurement pass.
+func serving(cells []Cell) ([]sched.Class, []sched.Queue) {
+	var classes []sched.Class
 	keys := map[string]int{}
+	queues := make([]sched.Queue, len(cells))
 	for c := range cells {
 		key := cells[c].classKey()
 		cls, ok := keys[key]
 		if !ok {
-			cls = len(classCell)
+			cls = len(classes)
 			keys[key] = cls
-			classCell = append(classCell, c)
+			classes = append(classes, cells[c].apply)
 		}
-		classOf[c] = cls
+		queues[c] = sched.Queue{Class: cls, Servers: cells[c].Servers, QueueDepth: cells[c].QueueDepth}
 	}
-
-	base := f.Cfg.Seed
-	if base == 0 {
-		base = 1
-	}
-	total := len(classCell) * len(jobs)
-	workers := f.Cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > total {
-		workers = total
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	sharded := engine.NewSharded(workers)
-	meas := make([][]measured, len(classCell))
-	for cls := range meas {
-		meas[cls] = make([]measured, len(jobs))
-	}
-	run := func(pool *engine.Machines, k int) {
-		cls, pos := k/len(jobs), k%len(jobs)
-		cfg := cells[classCell[cls]].apply(jobs[order[pos]].Chain)
-		if cfg.Seed == 0 {
-			cfg.Seed = campaign.DeriveSeed(base, pos)
-		}
-		rec, err := sched.Resolve(pool, cfg, f.Cfg.Cache, f.Cfg.Model, f.measure)
-		meas[cls][pos] = measured{rec: rec, err: err}
-	}
-	if workers == 1 {
-		pool := sharded.Shard(0)
-		for k := 0; k < total; k++ {
-			run(pool, k)
-		}
-		return meas, classOf, sharded
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pool := sharded.Shard(w)
-			for k := range idx {
-				run(pool, k)
-			}
-		}(w)
-	}
-	for k := 0; k < total; k++ {
-		idx <- k
-	}
-	close(idx)
-	wg.Wait()
-	return meas, classOf, sharded
+	return classes, queues
 }
 
-// replay runs phase 2: one serial virtual-time event loop over every
-// cell's queue. At each arrival all completions up to that instant are
-// drained (so the policy sees the true backlog), the policy routes the
-// job, and the chosen cell admits it under sched's G/D/c/K discipline:
-// earliest free server (lowest index on ties), FIFO bounded queue,
-// drop on overflow. Routing reads only replay state and the job itself,
-// so results are independent of measurement order and worker count.
-// The second return value counts handovers by destination cell.
-func (f *Fleet) replay(cells []Cell, jobs []sched.Job, order []int, meas [][]measured, classOf []int) ([]sched.JobResult, []int) {
-	n := len(cells)
-	states := make([]cellState, n)
-	queueCap := make([]int, n)
-	for c := range cells {
-		servers := cells[c].Servers
-		if servers < 1 {
-			servers = 1
-		}
-		states[c].free = make([]int64, servers)
-		switch q := cells[c].QueueDepth; {
-		case q == 0:
-			queueCap[c] = sched.DefaultQueueDepth
-		case q < 0:
-			queueCap[c] = 0
-		default:
-			queueCap[c] = q
-		}
-	}
-
-	base := f.Cfg.Seed
-	if base == 0 {
-		base = 1
-	}
-	results := make([]sched.JobResult, len(jobs))
-
-	// Per-cell queue depth sampled at each routed arrival (nil registry:
-	// no handles, no observations).
-	var depthH []*obs.Histogram
-	if reg := f.Cfg.Metrics; reg != nil {
-		depthH = make([]*obs.Histogram, n)
-		for c := range depthH {
-			depthH[c] = reg.Histogram(sched.MetricQueueDepth,
-				"wait-queue depth sampled at each admission decision, over virtual time",
-				obs.DepthBuckets, "cell", strconv.Itoa(c))
-		}
-	}
-
-	// earliest returns cell c's first-free server (lowest index ties).
-	earliest := func(c int) (srv int, at int64) {
-		free := states[c].free
-		srv, at = 0, free[0]
-		for i := 1; i < len(free); i++ {
-			if free[i] < at {
-				srv, at = i, free[i]
-			}
-		}
-		return srv, at
-	}
-	// assign starts job pos on cell c's server srv at cycle start.
-	assign := func(c, pos, srv int, start int64) {
-		r := &results[pos]
-		svc := r.ServiceCycles
-		finish := start + svc
-		states[c].free[srv] = finish
-		r.Outcome = sched.Served
-		r.Record = report.JobRecord{
-			Job:           pos,
-			Name:          r.Name,
-			Cell:          c,
-			SlotRecord:    meas[classOf[c]][pos].rec,
-			ArrivalCycle:  r.Arrival,
-			StartCycle:    start,
-			FinishCycle:   finish,
-			WaitCycles:    start - r.Arrival,
-			LatencyCycles: finish - r.Arrival,
-		}
-	}
-	// drain completes cell c's queued work up to the arrival instant.
-	drain := func(c int, arrival int64) {
-		for len(states[c].queue) > 0 {
-			srv, at := earliest(c)
-			if at > arrival {
-				break
-			}
-			assign(c, states[c].queue[0], srv, at)
-			states[c].queue = states[c].queue[1:]
-		}
-	}
-
-	rr := 0
-	pick := func(pos int, job *sched.Job) int {
-		switch f.Cfg.Policy {
-		case LeastQueue:
-			best, bestLoad := 0, int(^uint(0)>>1)
-			for c := 0; c < n; c++ {
-				load := len(states[c].queue)
-				for _, at := range states[c].free {
-					if at > job.Arrival {
-						load++
-					}
-				}
-				if load < bestLoad {
-					best, bestLoad = c, load
-				}
-			}
-			return best
-		case SINRAware:
-			// The UE's identity is its fading seed; legacy jobs fall back
-			// to their (stamped) payload seed so they still route
-			// deterministically. Channel time is the UE's own clock.
-			ueSeed := job.Chain.Channel.Seed
-			if ueSeed == 0 {
-				if ueSeed = job.Chain.Seed; ueSeed == 0 {
-					ueSeed = campaign.DeriveSeed(base, pos)
-				}
-			}
-			tMs := job.Chain.Channel.TimeMs
-			if tMs == 0 {
-				tMs = float64(job.Arrival) / sched.CyclesPerMs
-			}
-			best, bestSINR, found := 0, 0.0, false
-			for c := 0; c < n; c++ {
-				// Only admissible cells — classes whose measurement of this
-				// job succeeded — compete; if none did, cell 0 reports the
-				// failure.
-				if meas[classOf[c]][pos].err != nil {
-					continue
-				}
-				sinr := EffectiveSINRdB(job.Chain.SNRdB, ueSeed, c, tMs)
-				if !found || sinr > bestSINR {
-					best, bestSINR, found = c, sinr, true
-				}
-			}
-			return best
-		default: // RoundRobin
-			c := rr % n
-			rr++
-			return c
-		}
-	}
-
-	handoversTo := make([]int, n)
-	lastCell := make(map[uint64]int)
-	for pos, ji := range order {
-		job := &jobs[ji]
-		r := &results[pos]
-		r.Job, r.Name, r.Arrival = pos, job.Name, job.Arrival
-		// Drain every cell first: completions are global events in
-		// virtual time, and the policy must see the post-drain backlog.
-		for c := 0; c < n; c++ {
-			drain(c, job.Arrival)
-		}
-		cell := pick(pos, job)
-		r.Cell = cell
-		m := &meas[classOf[cell]][pos]
-		if m.err != nil {
-			r.Outcome = sched.Failed
-			r.Error = m.err.Error()
+// handovers counts, by destination cell, the served slots of mobile UEs
+// that land on a different cell than the UE's previous served slot.
+// Dropped and failed slots never occupied a cell, so they never move the
+// UE.
+func handovers(jobs []sched.Job, run *sched.Run, n int) []int {
+	to := make([]int, n)
+	last := make(map[uint64]int)
+	for pos, ji := range run.Order {
+		r := &run.Results[pos]
+		seed := jobs[ji].Chain.Channel.Seed
+		if r.Outcome != sched.Served || seed == 0 {
 			continue
 		}
-		r.ServiceCycles = m.rec.TotalCycles
-		r.OfferedBits = m.rec.PayloadBits
-
-		if srv, at := earliest(cell); len(states[cell].queue) == 0 && at <= job.Arrival {
-			assign(cell, pos, srv, job.Arrival)
-		} else if len(states[cell].queue) < queueCap[cell] {
-			states[cell].queue = append(states[cell].queue, pos)
-		} else {
-			r.Outcome = sched.Dropped
+		if prev, ok := last[seed]; ok && prev != r.Cell {
+			to[r.Cell]++
 		}
-		if depthH != nil {
-			depthH[cell].Observe(int64(len(states[cell].queue)))
-		}
-		// A mobile UE hands over when an admitted slot lands on a
-		// different cell than its previous one (dropped slots never
-		// occupied the cell, so they don't move the UE).
-		if r.Outcome != sched.Dropped {
-			if seed := job.Chain.Channel.Seed; seed != 0 {
-				if prev, ok := lastCell[seed]; ok && prev != cell {
-					handoversTo[cell]++
-				}
-				lastCell[seed] = cell
-			}
-		}
+		last[seed] = r.Cell
 	}
-	for c := 0; c < n; c++ {
-		for len(states[c].queue) > 0 {
-			srv, at := earliest(c)
-			assign(c, states[c].queue[0], srv, at)
-			states[c].queue = states[c].queue[1:]
-		}
-	}
-	return results, handoversTo
+	return to
 }
 
-// summarize aggregates the replayed fleet: one ServiceSummary per cell
-// (each over exactly its routed jobs, so per-cell counters sum to the
-// fleet's) plus the fleet-wide traffic picture.
-func (f *Fleet) summarize(cells []Cell, jobs []sched.Job, results []sched.JobResult, handovers int) report.FleetSummary {
+// summarize aggregates the served fleet: the per-cell summaries of the
+// run (each over exactly its routed jobs, so per-cell counters sum to
+// the fleet's) plus the fleet-wide traffic picture over every job and
+// every cell's servers.
+func (f *Fleet) summarize(cells []Cell, jobs []sched.Job, run *sched.Run, handoversTo []int) report.FleetSummary {
 	n := len(cells)
-	perCell := make([][]sched.JobResult, n)
-	for i := range results {
-		c := results[i].Cell
-		perCell[c] = append(perCell[c], results[i])
+	servers := 0
+	for c := range run.Cells {
+		cs := &run.Cells[c]
+		if n > 1 {
+			cs.Kind = "cell-summary"
+			cs.Cell = c
+		}
+		cs.Name = cells[c].Name
+		servers += cs.Servers
 	}
-
+	all := sched.Summarize(run.Results, servers, 0)
 	sum := report.FleetSummary{
-		Kind:      "fleet-summary",
-		Cells:     n,
-		Policy:    string(f.Cfg.Policy),
-		Jobs:      len(results),
-		Handovers: handovers,
+		Kind:             "fleet-summary",
+		Cells:            n,
+		Policy:           string(f.Cfg.Policy),
+		Timing:           all.Timing,
+		Jobs:             all.Jobs,
+		Served:           all.Served,
+		Dropped:          all.Dropped,
+		Failed:           all.Failed,
+		HorizonCycles:    all.HorizonCycles,
+		HorizonMs:        all.HorizonMs,
+		OfferedBits:      all.OfferedBits,
+		ServedBits:       all.ServedBits,
+		OfferedGbps:      all.OfferedGbps,
+		ServedGbps:       all.ServedGbps,
+		Utilization:      all.Utilization,
+		DropRate:         all.DropRate,
+		WaitP50Cycles:    all.WaitP50Cycles,
+		WaitP95Cycles:    all.WaitP95Cycles,
+		WaitP99Cycles:    all.WaitP99Cycles,
+		LatencyP50Cycles: all.LatencyP50Cycles,
+		LatencyP95Cycles: all.LatencyP95Cycles,
+		LatencyP99Cycles: all.LatencyP99Cycles,
+		PerCell:          run.Cells,
+		Pool:             run.Pool,
+		Host:             run.Host,
 	}
 	if sum.Policy == "" {
 		sum.Policy = string(RoundRobin)
+	}
+	for _, h := range handoversTo {
+		sum.Handovers += h
 	}
 	ues := make(map[uint64]struct{})
 	for i := range jobs {
@@ -528,82 +249,5 @@ func (f *Fleet) summarize(cells []Cell, jobs []sched.Job, results []sched.JobRes
 		}
 	}
 	sum.MobileUEs = len(ues)
-
-	totalServers := 0
-	var busy int64
-	analytic := 0
-	var firstArrival, lastEvent int64
-	var waits, lats []int64
-	for i := range results {
-		r := &results[i]
-		if i == 0 || r.Arrival < firstArrival {
-			firstArrival = r.Arrival
-		}
-		if r.Arrival > lastEvent {
-			lastEvent = r.Arrival
-		}
-		if r.Outcome == sched.Served {
-			busy += r.ServiceCycles
-			if r.Record.Timing == string(pusch.TimingAnalytic) {
-				analytic++
-			}
-			if r.Record.FinishCycle > lastEvent {
-				lastEvent = r.Record.FinishCycle
-			}
-			waits = append(waits, r.Record.WaitCycles)
-			lats = append(lats, r.Record.LatencyCycles)
-		}
-	}
-	if len(waits) > 0 {
-		sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		sum.WaitP50Cycles = obs.PercentileInt64(waits, 50)
-		sum.WaitP95Cycles = obs.PercentileInt64(waits, 95)
-		sum.WaitP99Cycles = obs.PercentileInt64(waits, 99)
-		sum.LatencyP50Cycles = obs.PercentileInt64(lats, 50)
-		sum.LatencyP95Cycles = obs.PercentileInt64(lats, 95)
-		sum.LatencyP99Cycles = obs.PercentileInt64(lats, 99)
-	}
-
-	sum.PerCell = make([]report.ServiceSummary, n)
-	for c := 0; c < n; c++ {
-		servers := cells[c].Servers
-		if servers < 1 {
-			servers = 1
-		}
-		totalServers += servers
-		queueCap := cells[c].QueueDepth
-		switch {
-		case queueCap == 0:
-			queueCap = sched.DefaultQueueDepth
-		case queueCap < 0:
-			queueCap = 0
-		}
-		cs := sched.Summarize(perCell[c], servers, queueCap)
-		if n > 1 {
-			cs.Kind = "cell-summary"
-			cs.Cell = c
-		}
-		cs.Name = cells[c].Name
-		sum.PerCell[c] = cs
-		sum.Served += cs.Served
-		sum.Dropped += cs.Dropped
-		sum.Failed += cs.Failed
-		sum.OfferedBits += cs.OfferedBits
-		sum.ServedBits += cs.ServedBits
-	}
-	if sum.Served > 0 && analytic == sum.Served {
-		sum.Timing = string(pusch.TimingAnalytic)
-	}
-	sum.HorizonCycles = lastEvent - firstArrival
-	sum.HorizonMs = float64(sum.HorizonCycles) / sched.CyclesPerMs
-	if sum.HorizonCycles > 0 {
-		sum.OfferedGbps = report.Gbps(sum.OfferedBits, sum.HorizonCycles)
-		sum.ServedGbps = report.Gbps(sum.ServedBits, sum.HorizonCycles)
-		sum.Utilization = float64(busy) / (float64(totalServers) * float64(sum.HorizonCycles))
-	}
-	if sum.Jobs > 0 {
-		sum.DropRate = float64(sum.Dropped) / float64(sum.Jobs)
-	}
 	return sum
 }

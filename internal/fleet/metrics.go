@@ -23,24 +23,13 @@ const (
 // the shared cache/pool host families. Handover counters are registered
 // for every cell even when zero, so the family always appears in the
 // exposition.
-func (f *Fleet) recordMetrics(reg *obs.Registry, results []sched.JobResult, sum *report.FleetSummary, handoversTo []int, host *report.HostStats) {
-	n := len(sum.PerCell)
-	perCell := make([][]sched.JobResult, n)
-	for i := range results {
-		c := results[i].Cell
-		perCell[c] = append(perCell[c], results[i])
-	}
-	for c := 0; c < n; c++ {
+func (f *Fleet) recordMetrics(reg *obs.Registry, run *sched.Run, sum *report.FleetSummary, handoversTo []int) {
+	for c := range sum.PerCell {
 		cell := strconv.Itoa(c)
-		sched.RecordServiceMetrics(reg, cell, perCell[c], &sum.PerCell[c])
-		h := reg.Counter(MetricHandovers, "mobile-UE handovers by destination cell", "cell", cell)
-		h.Add(int64(handoversTo[c]))
+		sched.RecordServiceMetrics(reg, cell, run.PerCell[c], &sum.PerCell[c])
+		reg.Counter(MetricHandovers, "mobile-UE handovers by destination cell", "cell", cell).Add(int64(handoversTo[c]))
 	}
-	reg.Gauge(MetricCells, "cells in the fleet deployment").SetInt(int64(n))
+	reg.Gauge(MetricCells, "cells in the fleet deployment").SetInt(int64(len(sum.PerCell)))
 	reg.Gauge(MetricMobileUEs, "distinct mobile-UE fading identities in the served trace").SetInt(int64(sum.MobileUEs))
-	entries := 0
-	if f.Cfg.Cache != nil {
-		entries = f.Cfg.Cache.Stats().Entries
-	}
-	sched.RecordHostMetrics(reg, host, sum.Pool, entries)
+	sched.RecordHostMetrics(reg, run.Host, run.Pool, run.CacheEntries)
 }

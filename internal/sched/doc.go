@@ -17,16 +17,21 @@
 // grounded in the same cycle counts as every other figure in the repo.
 //
 // Execution is two-phase so host parallelism never perturbs the
-// virtual-time discipline:
+// virtual-time discipline. ServeCells is the one loop that does both;
+// Scheduler.Serve is its one-class, one-cell case, and internal/fleet
+// runs N cells through it:
 //
-//  1. Measurement: every job's chain run is dispatched across
-//     Config.Workers host goroutines over a sharded engine machine pool
-//     (one engine.Machines shard per worker, so each worker recycles
-//     one multi-MiB cluster arena per configuration, contention-free).
-//     Each run is a pure function of its ChainConfig and seed.
-//  2. Replay: a serial event loop replays arrivals in virtual time,
-//     assigning measured service times to servers, accumulating
-//     queue-wait cycles and deciding drops.
+//  1. Measurement: every job's chain run, once per serving class, is
+//     dispatched across Config.Workers host goroutines over a sharded
+//     engine machine pool (one engine.Machines shard per worker, so
+//     each worker recycles one multi-MiB cluster arena per
+//     configuration, contention-free). Each run is a pure function of
+//     its ChainConfig and seed.
+//  2. Replay: a serial event loop replays arrivals in virtual time over
+//     N cells: every cell completes its work up to the arrival, a route
+//     picks the admitting cell, and that cell assigns measured service
+//     times to its servers, accumulates queue-wait cycles and decides
+//     drops.
 //
 // Because admission is decided in phase 2, a dropped job's measurement
 // is discarded — the price of measuring in parallel — but its payload

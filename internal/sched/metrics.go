@@ -45,10 +45,10 @@ func withLabels(base []string, extra ...string) []string {
 
 // RecordServiceMetrics folds one run's per-job outcomes and aggregate
 // summary into the registry: outcome counters, wait/sojourn histograms
-// over served jobs, payload counters and the utilization gauge. cell
-// labels the series inside a fleet ("" for a standalone scheduler). The
-// fleet layer reuses it per cell, so fleet and standalone runs expose
-// the same families.
+// over served jobs, the queue depth after each admission decision,
+// payload counters and the utilization gauge. cell labels the series
+// inside a fleet ("" for a standalone scheduler). The fleet layer reuses
+// it per cell, so fleet and standalone runs expose the same families.
 func RecordServiceMetrics(reg *obs.Registry, cell string, results []JobResult, sum *report.ServiceSummary) {
 	if reg == nil {
 		return
@@ -56,8 +56,14 @@ func RecordServiceMetrics(reg *obs.Registry, cell string, results []JobResult, s
 	lb := cellLabels(cell)
 	waitH := reg.Histogram(MetricWaitCycles, "queue wait of served jobs in simulated cycles", obs.DefaultCycleBuckets, lb...)
 	latH := reg.Histogram(MetricLatencyCycles, "arrival-to-finish sojourn of served jobs in simulated cycles", obs.DefaultCycleBuckets, lb...)
+	depthH := reg.Histogram(MetricQueueDepth, "wait-queue depth sampled at each admission decision, over virtual time", obs.DepthBuckets, lb...)
 	for i := range results {
-		if r := &results[i]; r.Outcome == Served {
+		r := &results[i]
+		if r.Outcome == Failed {
+			continue
+		}
+		depthH.Observe(int64(r.QueueDepth))
+		if r.Outcome == Served {
 			waitH.Observe(r.Record.WaitCycles)
 			latH.Observe(r.Record.LatencyCycles)
 		}

@@ -106,6 +106,10 @@ type JobResult struct {
 	// offered load still counts toward the summary (zero for Failed
 	// jobs, which carry no measurement).
 	OfferedBits int64
+	// QueueDepth is the admitting cell's wait-queue length right after
+	// the job's admission decision (zero for Failed jobs, which never
+	// reach a queue).
+	QueueDepth int
 	// Record is the service-level telemetry record of a served job.
 	Record report.JobRecord
 }

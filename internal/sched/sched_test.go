@@ -555,3 +555,46 @@ func TestStampMobileOnScenarioTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestReadJobsArrivalBounds: arrival cycles outside [0, 1<<62] are
+// rejected with the offending line number; the bounds themselves pass.
+func TestReadJobsArrivalBounds(t *testing.T) {
+	for _, tc := range []struct {
+		arrival string
+		ok      bool
+	}{
+		{"0", true},
+		{"4611686018427387904", true}, // 1<<62
+		{"4611686018427387905", false},
+		{"9223372036854775000", false}, // overflowed finish_cycle before the bound
+		{"-1", false},
+		{"-9223372036854775808", false},
+	} {
+		stream := "{\"arrival_cycle\": 0}\n{\"arrival_cycle\": " + tc.arrival + "}\n"
+		jobs, err := ReadJobs(strings.NewReader(stream), tinyChain())
+		if tc.ok {
+			if err != nil || len(jobs) != 2 {
+				t.Errorf("arrival %s: %d jobs, err %v; want accepted", tc.arrival, len(jobs), err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "arrival_cycle") {
+			t.Errorf("arrival %s: err %v; want a line-2 arrival_cycle error", tc.arrival, err)
+		}
+	}
+}
+
+// TestServersBoundedByTrace: a server count far beyond the trace serves
+// without allocating it, exactly as with one server per job, and the
+// summary still echoes the configured count.
+func TestServersBoundedByTrace(t *testing.T) {
+	jobs := []Job{stubJob("a", 0, 100), stubJob("b", 0, 100), stubJob("c", 10, 50), stubJob("d", 500, 10)}
+	huge, hugeSum := stubScheduler(Config{Servers: 1 << 50, Workers: 1}).Serve(jobs)
+	exact, _ := stubScheduler(Config{Servers: len(jobs), Workers: 1}).Serve(jobs)
+	if !reflect.DeepEqual(huge, exact) {
+		t.Fatalf("results with 1<<50 servers %+v, with %d servers %+v", huge, len(jobs), exact)
+	}
+	if hugeSum.Servers != 1<<50 || hugeSum.Served != len(jobs) {
+		t.Fatalf("summary %+v", hugeSum)
+	}
+}

@@ -53,12 +53,6 @@ func measureChain(pool *engine.Machines, cfg pusch.ChainConfig) (report.SlotReco
 	return rec, err
 }
 
-// measured is one job's phase-1 outcome.
-type measured struct {
-	rec report.SlotRecord
-	err error
-}
-
 // Resolve measures one fully stamped slot configuration through the
 // service fast paths, in precedence order: the calibrated analytic
 // model (for jobs whose Timing asks for it), the service-time cache,
@@ -101,39 +95,18 @@ func Resolve(pool *engine.Machines, cfg pusch.ChainConfig, cache *timecache.Cach
 }
 
 // Serve runs the whole trace and returns per-job results in arrival
-// order plus the aggregate service summary. Individual job failures are
-// reported per job; Serve itself never fails.
+// order plus the aggregate service summary: the one-class, one-cell case
+// of ServeCells. Individual job failures are reported per job; Serve
+// itself never fails.
 func (s *Scheduler) Serve(jobs []Job) ([]JobResult, report.ServiceSummary) {
-	start := time.Now()
-	var before timecache.Stats
-	if s.Cfg.Cache != nil {
-		before = s.Cfg.Cache.Stats()
-	}
-	order := arrivalOrder(jobs)
-	meas, pool := s.measureAll(jobs, order)
-	results, sum := s.replay(jobs, order, meas, pool)
-	host := report.HostStats{WallSeconds: time.Since(start).Seconds()}
-	if host.WallSeconds > 0 {
-		host.SlotsPerSec = float64(len(jobs)) / host.WallSeconds
-	}
-	if s.Cfg.Cache != nil {
-		after := s.Cfg.Cache.Stats()
-		host.CacheHits = after.Hits - before.Hits
-		host.CacheMisses = after.Misses - before.Misses
-		if total := host.CacheHits + host.CacheMisses; total > 0 {
-			host.CacheHitRate = float64(host.CacheHits) / float64(total)
-		}
-	}
-	sum.Host = &host
+	run := ServeCells(s.Cfg, s.measure, jobs, nil, []Queue{{Servers: s.Cfg.Servers, QueueDepth: s.Cfg.QueueDepth}}, nil)
+	sum := run.Cells[0]
+	sum.Pool, sum.Host = run.Pool, run.Host
 	if reg := s.Cfg.Metrics; reg != nil {
-		RecordServiceMetrics(reg, "", results, &sum)
-		entries := 0
-		if s.Cfg.Cache != nil {
-			entries = s.Cfg.Cache.Stats().Entries
-		}
-		RecordHostMetrics(reg, &host, sum.Pool, entries)
+		RecordServiceMetrics(reg, "", run.Results, &sum)
+		RecordHostMetrics(reg, run.Host, run.Pool, run.CacheEntries)
 	}
-	return results, sum
+	return run.Results, sum
 }
 
 // WriteJSONL serves the trace and streams one JobRecord JSON line per
@@ -142,25 +115,271 @@ func (s *Scheduler) Serve(jobs []Job) ([]JobResult, report.ServiceSummary) {
 // counts for the same trace and configuration.
 func (s *Scheduler) WriteJSONL(w io.Writer, jobs []Job) (report.ServiceSummary, error) {
 	results, sum := s.Serve(jobs)
+	// The pool and host stats vary with the host worker count and wall
+	// clock; the stream's byte-determinism contract excludes them
+	// (callers read them off the returned summary instead).
+	wire := sum
+	wire.Pool, wire.Host = nil, nil
+	return sum, WriteServed(w, results, &wire)
+}
+
+// WriteServed streams one JobRecord JSON line per served result, in
+// result order, then one line per trailer value (the summaries). It is
+// the wire encoder of every serving stack.
+func WriteServed(w io.Writer, results []JobResult, trailer ...any) error {
 	enc := json.NewEncoder(w)
 	for i := range results {
 		if results[i].Outcome != Served {
 			continue
 		}
 		if err := enc.Encode(&results[i].Record); err != nil {
-			return sum, err
+			return err
 		}
 	}
-	// The pool and host stats vary with the host worker count and wall
-	// clock; the stream's byte-determinism contract excludes them
-	// (callers read them off the returned summary instead).
-	wire := sum
-	wire.Pool = nil
-	wire.Host = nil
-	if err := enc.Encode(&wire); err != nil {
-		return sum, err
+	for _, line := range trailer {
+		if err := enc.Encode(line); err != nil {
+			return err
+		}
 	}
-	return sum, nil
+	return nil
+}
+
+// Class is a serving class: the coordinates a cell stamps onto a job's
+// chain before it is resolved (nil keeps the chain as it is). Every job
+// is measured once per class, however many cells share the class.
+type Class func(pusch.ChainConfig) pusch.ChainConfig
+
+// Queue is one cell of a serve: the index of its serving class and its
+// service discipline, defaulted as in Config (Servers <= 0 means 1;
+// QueueDepth 0 means DefaultQueueDepth, negative means no queue).
+type Queue struct {
+	Class, Servers, QueueDepth int
+}
+
+// Route picks the cell that admits the job at arrival-order position
+// pos, reading the replay only through r. It is called once per job in
+// arrival order, failing jobs included, after every cell has completed
+// its work up to the job's arrival. A nil Route admits every job to
+// cell 0.
+type Route func(r *Replay, pos int, job *Job) int
+
+// Run is the outcome of ServeCells.
+type Run struct {
+	// Results holds every job's fate in arrival order; Order[pos] is the
+	// input index of the job at arrival-order position pos.
+	Results []JobResult
+	Order   []int
+	// PerCell splits Results by admitting cell (arrival order within
+	// each), and Cells summarizes each split under its cell's discipline.
+	PerCell [][]JobResult
+	Cells   []report.ServiceSummary
+	// The host side of the serve: machine-pool occupancy, wall clock and
+	// cache traffic, and the cache's resident entries afterwards. These
+	// vary with the host and the worker count, never with the results.
+	Pool         *engine.PoolStats
+	Host         *report.HostStats
+	CacheEntries int
+}
+
+// measured is one (serving class, job) phase-1 outcome.
+type measured struct {
+	rec report.SlotRecord
+	err error
+}
+
+// cellState is one cell's replay state.
+type cellState struct {
+	class, servers, queueCap int
+	// free holds each server's next-free cycle. Only min(servers, jobs)
+	// servers exist: the lowest-index server among those free earliest
+	// always wins, so a server whose index is the job count or higher is
+	// never chosen.
+	free  []int64
+	queue []int // waiting jobs, arrival-order positions
+}
+
+// earliest returns the server that frees first (lowest index on ties).
+func (st *cellState) earliest() (srv int, at int64) {
+	srv, at = 0, st.free[0]
+	for i := 1; i < len(st.free); i++ {
+		if st.free[i] < at {
+			srv, at = i, st.free[i]
+		}
+	}
+	return srv, at
+}
+
+// Replay is the virtual-time state of a serve in progress, read by a
+// Route through Backlog and Failed.
+type Replay struct {
+	cells   []cellState
+	meas    [][]measured // [class][arrival-order position]
+	results []JobResult
+}
+
+// Backlog is cell c's load at cycle at: its queued jobs plus its
+// servers still busy then.
+func (r *Replay) Backlog(c int, at int64) int {
+	st := &r.cells[c]
+	load := len(st.queue)
+	for _, t := range st.free {
+		if t > at {
+			load++
+		}
+	}
+	return load
+}
+
+// Failed reports whether cell c's serving class failed to measure the
+// job at arrival-order position pos.
+func (r *Replay) Failed(c, pos int) bool {
+	return r.meas[r.cells[c].class][pos].err != nil
+}
+
+// start runs job pos on cell c's server srv from cycle at.
+func (r *Replay) start(c, pos, srv int, at int64) {
+	st := &r.cells[c]
+	res := &r.results[pos]
+	finish := at + res.ServiceCycles
+	st.free[srv] = finish
+	res.Outcome = Served
+	res.Record = report.JobRecord{
+		Job:           pos,
+		Name:          res.Name,
+		Cell:          c,
+		SlotRecord:    r.meas[st.class][pos].rec,
+		ArrivalCycle:  res.Arrival,
+		StartCycle:    at,
+		FinishCycle:   finish,
+		WaitCycles:    at - res.Arrival,
+		LatencyCycles: finish - res.Arrival,
+	}
+}
+
+// drain starts cell c's queued jobs as its servers free: those whose
+// server frees by cycle until, or every one of them when final is set.
+func (r *Replay) drain(c int, until int64, final bool) {
+	st := &r.cells[c]
+	for len(st.queue) > 0 {
+		srv, at := st.earliest()
+		if !final && at > until {
+			return
+		}
+		r.start(c, st.queue[0], srv, at)
+		st.queue = st.queue[1:]
+	}
+}
+
+// ServeCells is the one serving loop, behind Scheduler and fleet.Fleet.
+// Phase 1 measures every job under every serving class across
+// cfg.Workers goroutines over a sharded machine pool, each through
+// Resolve (cfg.Cache, cfg.Model, then measure; nil measure runs the
+// chain). Phase 2 replays the arrivals serially in virtual time: at each
+// arrival every cell completes its work up to that instant, route picks
+// a cell, and the cell admits the job under a G/D/c/K discipline —
+// earliest free server (lowest index on ties), FIFO bounded queue, drop
+// on overflow. Routing reads only the replay and the job, so results
+// never depend on measurement order or worker count.
+//
+// cfg supplies the shared machinery (Workers, Seed, Cache, Model); each
+// cell carries its own discipline and the caller folds metrics from the
+// Run, so cfg.Servers, cfg.QueueDepth and cfg.Metrics are not read.
+// cells must be non-empty; empty classes means one class that keeps
+// every job as it is.
+func ServeCells(cfg Config, measure MeasureFunc, jobs []Job, classes []Class, cells []Queue, route Route) Run {
+	start := time.Now()
+	var before timecache.Stats
+	if cfg.Cache != nil {
+		before = cfg.Cache.Stats()
+	}
+	if len(classes) == 0 {
+		classes = []Class{nil}
+	}
+	order := arrivalOrder(jobs)
+	meas, pool := measureAll(cfg, measure, jobs, order, classes)
+
+	r := &Replay{cells: make([]cellState, len(cells)), meas: meas, results: make([]JobResult, len(jobs))}
+	for c, q := range cells {
+		st := &r.cells[c]
+		st.class, st.servers, st.queueCap = q.Class, max(q.Servers, 1), q.QueueDepth
+		switch {
+		case q.QueueDepth == 0:
+			st.queueCap = DefaultQueueDepth
+		case q.QueueDepth < 0:
+			st.queueCap = 0
+		}
+		st.free = make([]int64, min(st.servers, len(jobs)))
+	}
+	for pos, ji := range order {
+		job := &jobs[ji]
+		res := &r.results[pos]
+		res.Job, res.Name, res.Arrival = pos, job.Name, job.Arrival
+		// Completions are global events in virtual time: every cell
+		// drains first, so the route sees the true backlog.
+		for c := range r.cells {
+			r.drain(c, job.Arrival, false)
+		}
+		c := 0
+		if route != nil {
+			c = route(r, pos, job)
+		}
+		res.Cell = c
+		st := &r.cells[c]
+		m := &meas[st.class][pos]
+		if m.err != nil {
+			res.Outcome = Failed
+			res.Error = m.err.Error()
+			continue
+		}
+		res.ServiceCycles = m.rec.TotalCycles
+		res.OfferedBits = m.rec.PayloadBits
+		if srv, at := st.earliest(); len(st.queue) == 0 && at <= job.Arrival {
+			r.start(c, pos, srv, job.Arrival)
+		} else if len(st.queue) < st.queueCap {
+			st.queue = append(st.queue, pos)
+		} else {
+			res.Outcome = Dropped
+		}
+		res.QueueDepth = len(st.queue)
+	}
+	for c := range r.cells {
+		r.drain(c, 0, true)
+	}
+	// Every served record now holds its measurement; let the collector
+	// have the trace-sized table before the per-cell split below.
+	r.meas = nil
+
+	stats := pool.Stats()
+	run := Run{Results: r.results, Order: order, Pool: &stats}
+	if len(cells) == 1 {
+		run.PerCell = [][]JobResult{r.results}
+	} else {
+		run.PerCell = make([][]JobResult, len(cells))
+		for i := range r.results {
+			c := r.results[i].Cell
+			run.PerCell[c] = append(run.PerCell[c], r.results[i])
+		}
+	}
+	run.Cells = make([]report.ServiceSummary, len(cells))
+	for c := range r.cells {
+		run.Cells[c] = Summarize(run.PerCell[c], r.cells[c].servers, r.cells[c].queueCap)
+	}
+
+	host := report.HostStats{WallSeconds: time.Since(start).Seconds()}
+	if host.WallSeconds > 0 {
+		host.SlotsPerSec = float64(len(jobs)) / host.WallSeconds
+	}
+	if cfg.Cache != nil {
+		after := cfg.Cache.Stats()
+		host.CacheHits = after.Hits - before.Hits
+		host.CacheMisses = after.Misses - before.Misses
+		if total := host.CacheHits + host.CacheMisses; total > 0 {
+			host.CacheHitRate = float64(host.CacheHits) / float64(total)
+		}
+		run.CacheEntries = after.Entries
+	}
+	run.Host = &host
+	return run
 }
 
 // arrivalOrder returns job indices sorted by arrival cycle, stable in
@@ -176,43 +395,42 @@ func arrivalOrder(jobs []Job) []int {
 	return order
 }
 
-// measureAll runs phase 1: every job's chain measured across the
-// sharded machine pool. meas is indexed by arrival-order position.
-func (s *Scheduler) measureAll(jobs []Job, order []int) ([]measured, *engine.Sharded) {
-	measure := s.measure
-	if measure == nil {
-		measure = measureChain
-	}
-	base := s.Cfg.Seed
+// measureAll runs phase 1: every job measured under every serving class
+// across one sharded machine pool. meas is indexed [class][arrival-order
+// position]. A job that does not pin its payload seed gets one derived
+// from cfg.Seed and its arrival-order position, the same in every class.
+func measureAll(cfg Config, measure MeasureFunc, jobs []Job, order []int, classes []Class) ([][]measured, *engine.Sharded) {
+	base := cfg.Seed
 	if base == 0 {
 		base = 1
 	}
-	workers := s.Cfg.Workers
+	total := len(classes) * len(jobs)
+	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, total), 1)
 	sharded := engine.NewSharded(workers)
-	meas := make([]measured, len(jobs))
-	cache := s.Cfg.Cache
-	model := s.Cfg.Model
-	run := func(pool *engine.Machines, pos int) {
-		cfg := jobs[order[pos]].Chain
-		if cfg.Seed == 0 {
-			cfg.Seed = jobSeed(base, pos)
+	meas := make([][]measured, len(classes))
+	for cls := range meas {
+		meas[cls] = make([]measured, len(jobs))
+	}
+	run := func(pool *engine.Machines, k int) {
+		cls, pos := k/len(jobs), k%len(jobs)
+		chain := jobs[order[pos]].Chain
+		if classes[cls] != nil {
+			chain = classes[cls](chain)
 		}
-		rec, err := Resolve(pool, cfg, cache, model, measure)
-		meas[pos] = measured{rec: rec, err: err}
+		if chain.Seed == 0 {
+			chain.Seed = jobSeed(base, pos)
+		}
+		rec, err := Resolve(pool, chain, cfg.Cache, cfg.Model, measure)
+		meas[cls][pos] = measured{rec: rec, err: err}
 	}
 	if workers == 1 {
 		pool := sharded.Shard(0)
-		for pos := range jobs {
-			run(pool, pos)
+		for k := 0; k < total; k++ {
+			run(pool, k)
 		}
 		return meas, sharded
 	}
@@ -223,114 +441,17 @@ func (s *Scheduler) measureAll(jobs []Job, order []int) ([]measured, *engine.Sha
 		go func(w int) {
 			defer wg.Done()
 			pool := sharded.Shard(w)
-			for pos := range idx {
-				run(pool, pos)
+			for k := range idx {
+				run(pool, k)
 			}
 		}(w)
 	}
-	for pos := range jobs {
-		idx <- pos
+	for k := 0; k < total; k++ {
+		idx <- k
 	}
 	close(idx)
 	wg.Wait()
 	return meas, sharded
-}
-
-// replay runs phase 2: the serial virtual-time event loop over the
-// measured service times — a G/D/c/K queue with FIFO order, earliest
-// free server first (lowest index on ties).
-func (s *Scheduler) replay(jobs []Job, order []int, meas []measured, pool *engine.Sharded) ([]JobResult, report.ServiceSummary) {
-	servers := s.Cfg.Servers
-	if servers < 1 {
-		servers = 1
-	}
-	queueCap := s.Cfg.QueueDepth
-	switch {
-	case queueCap == 0:
-		queueCap = DefaultQueueDepth
-	case queueCap < 0:
-		queueCap = 0
-	}
-
-	results := make([]JobResult, len(jobs))
-	free := make([]int64, servers) // each server's next-free cycle
-	var queue []int                // waiting jobs, arrival-order positions
-
-	// Queue depth sampled at each arrival event over virtual time (nil
-	// registry: nil handle, no-op observations).
-	depthH := s.Cfg.Metrics.Histogram(MetricQueueDepth,
-		"wait-queue depth sampled at each admission decision, over virtual time", obs.DepthBuckets)
-
-	// earliest returns the server that frees first (lowest index ties).
-	earliest := func() (srv int, at int64) {
-		srv, at = 0, free[0]
-		for i := 1; i < servers; i++ {
-			if free[i] < at {
-				srv, at = i, free[i]
-			}
-		}
-		return srv, at
-	}
-	// assign starts job pos on srv at cycle start and fills its record.
-	assign := func(pos, srv int, start int64) {
-		r := &results[pos]
-		svc := r.ServiceCycles
-		finish := start + svc
-		free[srv] = finish
-		r.Outcome = Served
-		r.Record = report.JobRecord{
-			Job:           pos,
-			Name:          r.Name,
-			SlotRecord:    meas[pos].rec,
-			ArrivalCycle:  r.Arrival,
-			StartCycle:    start,
-			FinishCycle:   finish,
-			WaitCycles:    start - r.Arrival,
-			LatencyCycles: finish - r.Arrival,
-		}
-	}
-
-	for pos, ji := range order {
-		job := &jobs[ji]
-		r := &results[pos]
-		r.Job, r.Name, r.Arrival = pos, job.Name, job.Arrival
-		if meas[pos].err != nil {
-			r.Outcome = Failed
-			r.Error = meas[pos].err.Error()
-			continue
-		}
-		r.ServiceCycles = meas[pos].rec.TotalCycles
-		r.OfferedBits = meas[pos].rec.PayloadBits
-
-		// Drain completions up to this arrival: queued jobs start as
-		// servers free.
-		for len(queue) > 0 {
-			srv, at := earliest()
-			if at > job.Arrival {
-				break
-			}
-			assign(queue[0], srv, at)
-			queue = queue[1:]
-		}
-		if srv, at := earliest(); len(queue) == 0 && at <= job.Arrival {
-			assign(pos, srv, job.Arrival)
-		} else if len(queue) < queueCap {
-			queue = append(queue, pos)
-		} else {
-			r.Outcome = Dropped
-		}
-		depthH.Observe(int64(len(queue)))
-	}
-	for len(queue) > 0 {
-		srv, at := earliest()
-		assign(queue[0], srv, at)
-		queue = queue[1:]
-	}
-
-	sum := Summarize(results, servers, queueCap)
-	stats := pool.Stats()
-	sum.Pool = &stats
-	return results, sum
 }
 
 // Summarize computes the aggregate service picture from per-job

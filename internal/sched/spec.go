@@ -91,8 +91,17 @@ func ParseCluster(name string) (*arch.Config, error) {
 	}
 }
 
-// Job materializes the spec over the server's defaults.
+// maxArrival bounds a spec's arrival cycle (about 146 years at 1 GHz):
+// it leaves the replay's start + service and finish - arrival
+// arithmetic ample int64 headroom.
+const maxArrival = 1 << 62
+
+// Job materializes the spec over the server's defaults. Arrival cycles
+// outside [0, 1<<62] are rejected.
 func (sp Spec) Job(defaults pusch.ChainConfig) (Job, error) {
+	if sp.Arrival < 0 || sp.Arrival > maxArrival {
+		return Job{}, fmt.Errorf("sched: arrival_cycle %d outside [0, %d]", sp.Arrival, int64(maxArrival))
+	}
 	cfg := defaults
 	if sp.Cluster != "" {
 		cl, err := ParseCluster(sp.Cluster)

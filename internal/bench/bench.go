@@ -79,20 +79,23 @@ func deepen(cfg *arch.Config, need int) *arch.Config {
 	return &c
 }
 
-// measureWarm runs fn twice and reports the warm second pass over the
-// given cores (nil = the whole cluster; serial baselines pass core0 so
-// idle cores do not dilute the wall window or the stall totals).
-func measureWarm(m *engine.Machine, name string, cores []int, fn func() error) (engine.Report, error) {
-	if err := fn(); err != nil {
-		return engine.Report{}, err
+// withSerial runs the serial baseline on a second goroutine while the
+// parallel pass runs on this one, and returns both reports, the parallel
+// pass's error first. The two build and measure separate machines and
+// share only inputs drawn beforehand, so each report is the one a
+// sequential run gives.
+func withSerial(parallel, serial func() (engine.Report, error)) (par, ser engine.Report, err error) {
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		ser, err = serial()
+		done <- err
+	}()
+	par, err = parallel()
+	if serErr := <-done; err == nil {
+		err = serErr
 	}
-	m.ClusterBarrier()
-	mark := m.Mark()
-	if err := fn(); err != nil {
-		return engine.Report{}, err
-	}
-	rep := m.ReportSince(mark, name, cores)
-	return rep, nil
+	return par, ser, err
 }
 
 // core0 scopes a serial-baseline measurement to the core actually
@@ -129,7 +132,7 @@ func PaperFFTConfigs(cfg *arch.Config) []FFTConfig {
 }
 
 // RunFFT measures one FFT configuration: warm parallel pass plus a
-// scaled serial baseline.
+// scaled serial baseline, run side by side.
 func RunFFT(cfg *arch.Config, fc FFTConfig) (*Result, error) {
 	rng := rand.New(rand.NewPCG(uint64(fc.N), uint64(fc.Count)))
 	// Working set: folded buffers live in tile rows; outputs and
@@ -147,20 +150,20 @@ func RunFFT(cfg *arch.Config, fc FFTConfig) (*Result, error) {
 			}
 		}
 	}
-	par, err := measureWarm(mach, "fft", nil, pl.Run)
-	if err != nil {
-		return nil, err
-	}
-
-	ms := engine.NewMachine(cfg)
-	sp, err := fft.NewSerialPlan(ms, 0, fc.N, 1)
-	if err != nil {
-		return nil, err
-	}
-	if err := sp.WriteInput(randC15(rng, fc.N)); err != nil {
-		return nil, err
-	}
-	ser, err := measureWarm(ms, "fft-serial", core0, sp.Run)
+	serialIn := randC15(rng, fc.N)
+	par, ser, err := withSerial(
+		func() (engine.Report, error) { return mach.RunWarm("fft", nil, pl.JobsList()...) },
+		func() (engine.Report, error) {
+			ms := engine.NewMachine(cfg)
+			sp, err := fft.NewSerialPlan(ms, 0, fc.N, 1)
+			if err != nil {
+				return engine.Report{}, err
+			}
+			if err := sp.WriteInput(serialIn); err != nil {
+				return engine.Report{}, err
+			}
+			return ms.RunWarm("fft-serial", core0, sp.Job())
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +194,7 @@ func PaperMMMConfigs() []MMMConfig {
 }
 
 // RunMMM measures one MMM configuration on the whole cluster plus the
-// serial baseline.
+// serial baseline, run side by side.
 func RunMMM(cfg *arch.Config, mc MMMConfig) (*Result, error) {
 	rng := rand.New(rand.NewPCG(uint64(mc.M), uint64(mc.P)))
 	need := 2 * (mc.M*mc.N + mc.N*mc.P + mc.M*mc.P)
@@ -210,33 +213,35 @@ func RunMMM(cfg *arch.Config, mc MMMConfig) (*Result, error) {
 	if err := pl.WriteB(b); err != nil {
 		return nil, err
 	}
-	par, err := measureWarm(mach, "mmm", nil, pl.Run)
+	par, ser, err := withSerial(
+		func() (engine.Report, error) { return mach.RunWarm("mmm", nil, pl.Job()) },
+		func() (engine.Report, error) {
+			ms := engine.NewMachine(cluster)
+			sp, err := mmm.NewPlan(ms, mc.M, mc.N, mc.P, 1, mmm.Options{})
+			if err != nil {
+				return engine.Report{}, err
+			}
+			if err := sp.WriteA(a); err != nil {
+				return engine.Report{}, err
+			}
+			if err := sp.WriteB(b); err != nil {
+				return engine.Report{}, err
+			}
+			// The serial pass runs millions of instructions, so it stays
+			// one cold pass: the refill of its 10 I$ lines is noise. Its
+			// bank accesses all book above their banks' frontiers, so the
+			// reservation table keeps them in its frontier log (8 bytes
+			// each) rather than claiming a bitmap page per access (see
+			// docs/ARCHITECTURE.md, "Frontier log").
+			mark := ms.Mark()
+			if err := sp.Run(); err != nil {
+				return engine.Report{}, err
+			}
+			return ms.ReportSince(mark, "mmm-serial", core0), nil
+		})
 	if err != nil {
 		return nil, err
 	}
-
-	ms := engine.NewMachine(cluster)
-	sp, err := mmm.NewPlan(ms, mc.M, mc.N, mc.P, 1, mmm.Options{})
-	if err != nil {
-		return nil, err
-	}
-	if err := sp.WriteA(a); err != nil {
-		return nil, err
-	}
-	if err := sp.WriteB(b); err != nil {
-		return nil, err
-	}
-	// The serial pass runs tens of millions of instructions; one cold
-	// pass suffices since the icache refill is negligible. Its bank
-	// accesses all book above their banks' frontiers, so the reservation
-	// table keeps them in its frontier log (8 bytes each) rather than
-	// claiming a bitmap page per access (see docs/ARCHITECTURE.md,
-	// "Frontier log").
-	mark := ms.Mark()
-	if err := sp.Run(); err != nil {
-		return nil, err
-	}
-	ser := ms.ReportSince(mark, "mmm-serial", core0)
 	return &Result{
 		Label:      mc.Label,
 		Kernel:     "mmm",
@@ -283,15 +288,18 @@ func testGramian(rng *rand.Rand, n int) []fixed.C15 {
 	return phy.Gramian(h, nb, n, shift+1, fixed.FloatToQ15(0.05))
 }
 
-// RunChol measures one Cholesky configuration.
+// RunChol measures one Cholesky configuration: warm parallel pass plus a
+// scaled serial baseline, run side by side.
 func RunChol(cfg *arch.Config, cc CholConfig) (*Result, error) {
 	rng := rand.New(rand.NewPCG(uint64(cc.Size), uint64(cc.PerRound+cc.Pairs)))
-	var par engine.Report
+	var mach *engine.Machine
+	var name string
+	var jobs []engine.Job
 	var coresUsed, totalDecs int
 	switch {
 	case cc.Pairs > 0:
 		need := 2 * cc.Pairs * (2*cc.Size*cc.Size + cc.Size*cc.Size)
-		mach := engine.NewMachine(deepen(cfg, need))
+		mach = engine.NewMachine(deepen(cfg, need))
 		pl, err := chol.NewPairPlan(mach, cc.Size, cc.Pairs)
 		if err != nil {
 			return nil, err
@@ -303,16 +311,13 @@ func RunChol(cfg *arch.Config, cc CholConfig) (*Result, error) {
 				}
 			}
 		}
-		par, err = measureWarm(mach, "chol-pair", nil, pl.Run)
-		if err != nil {
-			return nil, err
-		}
+		name, jobs = "chol-pair", pl.JobsList()
 		coresUsed = cc.Pairs * pl.Lanes
 		totalDecs = 2 * cc.Pairs
 	default:
 		cores := cfg.NumCores()
 		need := 2 * cores * cc.PerRound * cc.Size * cc.Size
-		mach := engine.NewMachine(deepen(cfg, need))
+		mach = engine.NewMachine(deepen(cfg, need))
 		pl, err := chol.NewReplicatedPlan(mach, cc.Size, cores, 1, cc.PerRound)
 		if err != nil {
 			return nil, err
@@ -324,10 +329,7 @@ func RunChol(cfg *arch.Config, cc CholConfig) (*Result, error) {
 				}
 			}
 		}
-		par, err = measureWarm(mach, "chol-rep", nil, pl.Run)
-		if err != nil {
-			return nil, err
-		}
+		name, jobs = "chol-rep", pl.JobsList()
 		coresUsed = cores
 		totalDecs = cores * cc.PerRound
 	}
@@ -335,17 +337,25 @@ func RunChol(cfg *arch.Config, cc CholConfig) (*Result, error) {
 	// Serial baseline: a small batch, scaled to the total decomposition
 	// count.
 	const serialBatch = 8
-	ms := engine.NewMachine(cfg)
-	sp, err := chol.NewSerialPlan(ms, 0, cc.Size, serialBatch)
-	if err != nil {
-		return nil, err
+	serialIn := make([][]fixed.C15, serialBatch)
+	for rep := range serialIn {
+		serialIn[rep] = testGramian(rng, cc.Size)
 	}
-	for rep := 0; rep < serialBatch; rep++ {
-		if err := sp.WriteG(rep, testGramian(rng, cc.Size)); err != nil {
-			return nil, err
-		}
-	}
-	ser, err := measureWarm(ms, "chol-serial", core0, sp.Run)
+	par, ser, err := withSerial(
+		func() (engine.Report, error) { return mach.RunWarm(name, nil, jobs...) },
+		func() (engine.Report, error) {
+			ms := engine.NewMachine(cfg)
+			sp, err := chol.NewSerialPlan(ms, 0, cc.Size, serialBatch)
+			if err != nil {
+				return engine.Report{}, err
+			}
+			for rep, g := range serialIn {
+				if err := sp.WriteG(rep, g); err != nil {
+					return engine.Report{}, err
+				}
+			}
+			return ms.RunWarm("chol-serial", core0, sp.Job())
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +392,7 @@ func RunMMMWindow(cfg *arch.Config, idx int) (*Result, error) {
 	if err := pl.WriteB(randC15(rng, n*p)); err != nil {
 		return nil, err
 	}
-	par, err := measureWarm(mach, "mmm-window", nil, pl.Run)
+	par, err := mach.RunWarm("mmm-window", nil, pl.Job())
 	if err != nil {
 		return nil, err
 	}

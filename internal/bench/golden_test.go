@@ -41,7 +41,9 @@ func TestGoldenBaselineCycles(t *testing.T) {
 
 // TestDeterministicReplay runs one experiment per kernel family twice
 // and requires byte-identical records, the property the whole gate
-// rests on.
+// rests on. Each serial baseline runs beside its parallel pass on a
+// second goroutine, so under -race this also checks that the two share
+// nothing.
 func TestDeterministicReplay(t *testing.T) {
 	cfg := arch.TeraPool()
 	runs := []struct {
@@ -49,6 +51,7 @@ func TestDeterministicReplay(t *testing.T) {
 		run  func() (*Result, error)
 	}{
 		{"fft", func() (*Result, error) { return RunFFT(cfg, PaperFFTConfigs(cfg)[0]) }},
+		{"mmm", func() (*Result, error) { return RunMMM(cfg, PaperMMMConfigs()[0]) }},
 		{"chol", func() (*Result, error) { return RunChol(cfg, PaperCholConfigs(cfg)[0]) }},
 	}
 	for _, rr := range runs {

@@ -78,13 +78,12 @@ func genOps(rng *rand.Rand, limit int) []bulkOp {
 	return ops
 }
 
-// runProg interprets per-lane programs on m, either through the bulk
-// ops or through the equivalent scalar loops. Store operands reuse
-// previously loaded values (exercising in-flight waits) and fall back
-// to immediates before the first load.
-func runProg(t *testing.T, m *Machine, cores []int, progs [][]bulkOp, bulk bool) {
-	t.Helper()
-	work := func(p *Proc) {
+// progWork interprets per-lane programs as a phase body, either through
+// the bulk ops or through the equivalent scalar loops. Store operands
+// reuse previously loaded values (exercising in-flight waits) and fall
+// back to immediates before the first load.
+func progWork(progs [][]bulkOp, bulk bool) func(p *Proc) {
+	return func(p *Proc) {
 		var vals []W
 		pick := func(i int) W {
 			if len(vals) == 0 {
@@ -151,9 +150,15 @@ func runProg(t *testing.T, m *Machine, cores []int, progs [][]bulkOp, bulk bool)
 			}
 		}
 	}
-	// Three identical phases under rotating priority, so the same
-	// program replays at every lane rotation (different bank-conflict
-	// winners, still required to match scalar exactly).
+}
+
+// runProg interprets per-lane programs on m as three identical phases
+// under rotating priority, so the same program replays at every lane
+// rotation (different bank-conflict winners, still required to match
+// scalar exactly).
+func runProg(t *testing.T, m *Machine, cores []int, progs [][]bulkOp, bulk bool) {
+	t.Helper()
+	work := progWork(progs, bulk)
 	ph := func(name string) Phase {
 		return Phase{Name: name, Kernel: "prop/" + name, Work: work}
 	}

@@ -263,6 +263,21 @@ func (m *Machine) icacheCost(tile int, kernel string, lines int) int64 {
 	return int64(lines) * m.Cfg.ICache.RefillLatency
 }
 
+// icacheKey returns the instruction-cache residency key and footprint of
+// one phase, applying the Kernel and Lines defaults. Run and the warm-up
+// replay of RunWarm both take them from here, so the two cannot drift.
+func icacheKey(job *Job, ph *Phase) (kernel string, lines int) {
+	kernel = ph.Kernel
+	if kernel == "" {
+		kernel = job.Name + "/" + ph.Name
+	}
+	lines = ph.Lines
+	if lines == 0 {
+		lines = DefaultKernelLines
+	}
+	return kernel, lines
+}
+
 // validateJobs checks that jobs use disjoint, in-range core sets.
 func (m *Machine) validateJobs(jobs []Job) error {
 	clear(m.claim)
@@ -409,14 +424,7 @@ func (m *Machine) Run(jobs ...Job) error {
 		barSlot := ji % m.Cfg.BanksPerTile()
 		for pi := range job.Phases {
 			ph := &job.Phases[pi]
-			kernel := ph.Kernel
-			if kernel == "" {
-				kernel = job.Name + "/" + ph.Name
-			}
-			lines := ph.Lines
-			if lines == 0 {
-				lines = DefaultKernelLines
-			}
+			kernel, lines := icacheKey(job, ph)
 			fetchEvery := ph.FetchEvery
 			if fetchEvery == 0 {
 				fetchEvery = DefaultFetchEvery
@@ -517,6 +525,47 @@ func (m *Machine) Run(jobs ...Job) error {
 		}
 	}
 	return nil
+}
+
+// RunWarm measures jobs warm: it returns the report over cores (nil
+// means every core) that Run(jobs...), ClusterBarrier, then a timed
+// Run(jobs...) would give, but simulates the jobs once. It aligns every
+// core with a cluster barrier, applies the instruction-cache residency
+// and RotatePriority phase-counter advance the cold pass would leave,
+// then runs and reports the timed pass.
+//
+// The replay is exact when no phase's instruction stream depends on
+// loaded values and no job waits on NotBefore (see docs/ARCHITECTURE.md,
+// "Warm-pass replay"). The skipped cold pass records no Tracer events
+// and writes no memory.
+func (m *Machine) RunWarm(name string, cores []int, jobs ...Job) (Report, error) {
+	if err := m.validateJobs(jobs); err != nil {
+		return Report{}, err
+	}
+	for ji := range jobs {
+		if jobs[ji].NotBefore > 0 {
+			return Report{}, fmt.Errorf("engine: RunWarm: job %q waits on NotBefore", jobs[ji].Name)
+		}
+	}
+	m.ClusterBarrier()
+	// The cold pass's effect on the timed one: Run's icacheCost calls in
+	// its job and phase order. Every call of one phase names the same
+	// kernel, so the core order inside a phase cannot matter.
+	for ji := range jobs {
+		job := &jobs[ji]
+		for pi := range job.Phases {
+			kernel, lines := icacheKey(job, &job.Phases[pi])
+			m.phaseCounter++
+			for _, core := range job.Cores {
+				m.icacheCost(m.Cfg.TileOfCore(core), kernel, lines)
+			}
+		}
+	}
+	mark := m.Mark()
+	if err := m.Run(jobs...); err != nil {
+		return Report{}, err
+	}
+	return m.ReportSince(mark, name, cores), nil
 }
 
 // ClusterBarrier synchronizes every core in the cluster to a common

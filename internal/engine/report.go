@@ -33,10 +33,7 @@ type Report struct {
 // cores (nil means every core in the cluster).
 func (m *Machine) ReportSince(mark Mark, name string, cores []int) Report {
 	if cores == nil {
-		cores = make([]int, m.Cfg.NumCores())
-		for i := range cores {
-			cores[i] = i
-		}
+		cores = m.allCores
 	}
 	var start, end int64
 	start = int64(1)<<62 - 1

@@ -192,7 +192,8 @@ func (pl *PairPlan) phaseWork(pair, t int) func(p *engine.Proc) {
 		for q := 0; q < 2; q++ {
 			if j := t - 1; j >= 0 {
 				// Rows this lane owns with i > j.
-				var rows []int
+				var rows [4]int
+				n := 0
 				for r := 0; r < 4; r++ {
 					var i int
 					if q == 0 {
@@ -201,12 +202,13 @@ func (pl *PairPlan) phaseWork(pair, t int) func(p *engine.Proc) {
 						i = (pl.Lanes-1-p.Lane)*4 + r
 					}
 					if i > j {
-						rows = append(rows, i)
+						rows[n] = i
+						n++
 					}
 				}
-				if len(rows) > 0 {
+				if n > 0 {
 					den := p.Load(pl.lAddr(pair, q, j, j))
-					for _, i := range rows {
+					for _, i := range rows[:n] {
 						pl.subDiag(p, pair, q, i, j, den)
 					}
 				}

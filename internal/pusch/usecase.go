@@ -16,8 +16,9 @@ import (
 
 // UseCaseConfig parameterizes the Fig. 9c experiment: the Section II
 // reference slot (14 symbols, 64 antennas, 32 beams, 4 UEs, 4096-point
-// FFT) mapped onto one cluster. Each kernel pass is timed once with warm
-// caches and scaled by its per-slot repetition count, exactly how the
+// FFT) mapped onto one cluster. Each kernel pass is timed as a warm pass
+// (engine.Machine.RunWarm: instruction caches hold what a cold pass
+// leaves) and scaled by its per-slot repetition count, exactly how the
 // figure composes its cycle budget.
 type UseCaseConfig struct {
 	Cluster      *arch.Config
@@ -158,23 +159,6 @@ func (c *UseCaseConfig) clusterFor() *arch.Config {
 	return &cfg
 }
 
-// measure runs fn twice (cold then warm) between marks and returns the
-// warm-pass report, so the per-slot scaling is not polluted by one-time
-// instruction-cache refills.
-func measure(m *engine.Machine, name string, fn func() error) (engine.Report, error) {
-	if err := fn(); err != nil {
-		return engine.Report{}, err
-	}
-	m.ClusterBarrier()
-	mark := m.Mark()
-	if err := fn(); err != nil {
-		return engine.Report{}, err
-	}
-	rep := m.ReportSince(mark, name, nil)
-	m.ClusterBarrier()
-	return rep, nil
-}
-
 // RunUseCase executes the Fig. 9c experiment on freshly built machines.
 func RunUseCase(cfg UseCaseConfig) (*UseCaseResult, error) {
 	return RunUseCaseOn(nil, cfg)
@@ -238,11 +222,11 @@ func RunUseCaseOn(pool *engine.Machines, cfg UseCaseConfig) (*UseCaseResult, err
 		return nil, err
 	}
 
-	fftRep, err := measure(mA, "fft", fftPlan.Run)
+	fftRep, err := mA.RunWarm("fft", nil, fftPlan.JobsList()...)
 	if err != nil {
 		return nil, err
 	}
-	mmmRep, err := measure(mA, "mmm", bfPlan.Run)
+	mmmRep, err := mA.RunWarm("mmm", nil, bfPlan.Job())
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +256,7 @@ func RunUseCaseOn(pool *engine.Machines, cfg UseCaseConfig) (*UseCaseResult, err
 				}
 			}
 		}
-		rep, err := measure(mB, "chol", cholPlan.Run)
+		rep, err := mB.RunWarm("chol", nil, cholPlan.JobsList()...)
 		if err != nil {
 			return nil, err
 		}
@@ -339,7 +323,7 @@ func measureFullMIMO(mB *engine.Machine, cfg UseCaseConfig, rng *rand.Rand) (eng
 	if err := plan.WriteY(randSamples(rng, cfg.NFFT*cfg.NB)); err != nil {
 		return engine.Report{}, err
 	}
-	return measure(mB, "mimo", plan.Run)
+	return mB.RunWarm("mimo", nil, plan.JobsList()...)
 }
 
 // runUseCaseSerial measures the single-core baseline of the same slot:
@@ -362,7 +346,7 @@ func runUseCaseSerial(pool *engine.Machines, cfg UseCaseConfig, cluster *arch.Co
 	if err := sf.WriteInput(randSamples(rng, cfg.NFFT)); err != nil {
 		return 0, err
 	}
-	fftRep, err := measure(mF, "fft-serial", sf.Run)
+	fftRep, err := mF.RunWarm("fft-serial", nil, sf.Job())
 	if err != nil {
 		return 0, err
 	}
@@ -380,7 +364,7 @@ func runUseCaseSerial(pool *engine.Machines, cfg UseCaseConfig, cluster *arch.Co
 	if err := sm.WriteB(randSamples(rng, cfg.NR*cfg.NB)); err != nil {
 		return 0, err
 	}
-	mmmRep, err := measure(mM, "mmm-serial", sm.Run)
+	mmmRep, err := mM.RunWarm("mmm-serial", nil, sm.Job())
 	if err != nil {
 		return 0, err
 	}
@@ -398,7 +382,7 @@ func runUseCaseSerial(pool *engine.Machines, cfg UseCaseConfig, cluster *arch.Co
 			return 0, err
 		}
 	}
-	cholRep, err := measure(mC, "chol-serial", sc.Run)
+	cholRep, err := mC.RunWarm("chol-serial", nil, sc.Job())
 	if err != nil {
 		return 0, err
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"os"
 
 	"repro/fixedpoint"
 	"repro/kernels/fft"
@@ -22,7 +21,6 @@ func main() {
 	// A machine is one simulated cluster. MemPool has 256 cores; a
 	// 256-point FFT occupies n/16 = 16 of them.
 	m := sim.NewMachine(sim.MemPool())
-	m.Tracer = &sim.Tracer{} // record a per-core timeline of the run
 	plan, err := fft.NewPlan(m, n, 1, 1, fft.Folded)
 	if err != nil {
 		log.Fatal(err)
@@ -64,10 +62,12 @@ func main() {
 	fmt.Printf("simulated %d cycles on %d lanes\n", rep.Wall, plan.Lanes)
 	fmt.Printf("IPC %.2f, breakdown: %s\n", rep.IPC(), sim.NewBreakdown(rep))
 
-	// The tracer shows each lane computing ('#') and waiting at the
-	// inter-stage barriers ('.').
-	fmt.Println("\nper-lane timeline (4 of 16 lanes):")
-	if err := m.Tracer.Timeline(os.Stdout, []int{0, 1, 2, 3}, 72); err != nil {
-		log.Fatal(err)
+	// Each lane's counters split its cycles into work (issue slots and
+	// stalls on data, units or refills) and WFI, the sleep at the
+	// inter-stage barriers. The machine is fresh, so they cover this run.
+	fmt.Println("\nper-lane cycles (4 of 16 lanes):")
+	for _, c := range plan.JobCores(0)[:4] {
+		st := m.CoreStats(c)
+		fmt.Printf("core %d: work %d, wfi %d\n", c, st.Busy()-st.WfiStalls, st.WfiStalls)
 	}
 }

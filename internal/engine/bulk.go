@@ -5,23 +5,20 @@ import (
 	"repro/internal/fixed"
 )
 
-// Bulk access operations.
+// Memory access path.
 //
-// Kernel inner loops spend most of their simulated instructions on
-// regularly-strided loads and stores. The methods below issue a whole
-// span of them in one call, with per-word timing that mirrors the
-// scalar Load/Store path exactly — same issue cycle, same fetch-tax
-// accrual, same bank-reservation order, same LSU-ring occupancy, same
-// stall attribution — so converting a kernel from a scalar loop to a
-// bulk call can never move a simulated cycle (the property test in
-// bulk_test.go and the benchgate baselines both pin this). What the
-// bulk path saves is host work: the core's clock, tax accumulator and
-// LSU ring live in locals across the span, and the bank of each word
-// is tracked incrementally (bank' = bank + stride mod NumBanks) instead
-// of re-deriving it from the address map, which removes the per-word
-// divisions and per-field flushes of the scalar path.
+// issueWord owns the per-word timing of every load, store and atomic:
+// the issue cycle, the fetch-tax accrual, the bank booking at the word's
+// interconnect level, and the LSU-ring push with its stall when the ring
+// is full. Scalar Load, Store and AmoAdd are one-word calls of it; the
+// span ops below issue a whole run of regularly-strided or gathered
+// words per call. Either way, bulkBegin copies the core's clock, tax
+// accumulator and LSU ring position into a bulkState, the words run out
+// of registers, and bulkEnd flushes them and the counters once. A span
+// op also tracks each word's bank incrementally (bank' = bank + stride
+// mod NumBanks) instead of re-deriving it from the address map.
 //
-// The contract for kernels: a bulk op may replace a run of consecutive
+// The contract for kernels: a span op may replace a run of consecutive
 // scalar Loads (or Stores) only when no other Proc instruction would
 // have been interleaved between them — the words of a span issue
 // back-to-back, exactly like the unrolled scalar sequence. See
@@ -56,9 +53,23 @@ func (p *Proc) bulkEnd(s *bulkState, loads, stores int64) {
 	p.st.RawStalls += s.rawStall
 }
 
+// retire pops the oldest outstanding access off the LSU ring lsu,
+// stalling until it completes.
+func (s *bulkState) retire(lsu []int64) {
+	if oldest := lsu[s.head]; oldest > s.now {
+		s.lsuStall += oldest - s.now
+		s.now = oldest
+	}
+	s.head++
+	if s.head == len(lsu) {
+		s.head = 0
+	}
+	s.llen--
+}
+
 // issueWord advances one load/store issue: one cycle, the fetch tax,
-// the bank booking, and the LSU-ring push — the per-word timing core
-// shared by every bulk op. It returns the access completion cycle.
+// the bank booking, and the LSU-ring push — the per-word timing of every
+// memory op. It returns the access completion cycle.
 func (p *Proc) issueWord(s *bulkState, bank int) int64 {
 	issueAt := s.now
 	s.now++
@@ -81,16 +92,7 @@ func (p *Proc) issueWord(s *bulkState, bank int) int64 {
 	done := slot + 1 + p.latResp[lvl]
 	depth := len(p.lsu)
 	if s.llen == depth {
-		oldest := p.lsu[s.head]
-		if oldest > s.now {
-			s.lsuStall += oldest - s.now
-			s.now = oldest
-		}
-		s.head++
-		if s.head == depth {
-			s.head = 0
-		}
-		s.llen--
+		s.retire(p.lsu)
 	}
 	i := s.head + s.llen
 	if i >= depth {

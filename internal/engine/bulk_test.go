@@ -9,11 +9,13 @@ import (
 )
 
 // The bulk ops promise cycle- and stats-exact equivalence with the
-// scalar Load/Store loops they replace. This file checks the promise as
-// a property over randomized programs: for each generated program the
-// scalar and bulk interpretations must leave two machines in identical
-// states — every core's clock, every Stats field, every memory word,
-// and the reservation table's contention counters.
+// scalar Load/Store loops they replace. Both share issueWord's per-word
+// timing, so what this file checks is the span plumbing — the bank walk,
+// negative and zero strides, per-word operand waits and the single
+// flush — as a property over randomized programs: for each generated
+// program the scalar and bulk interpretations must leave two machines in
+// identical states — every core's clock, every Stats field, every memory
+// word, and the reservation table's contention counters.
 
 const (
 	opLoadVec = iota

@@ -64,8 +64,8 @@ type Machine struct {
 	// Races panic, since they indicate a broken kernel decomposition.
 	DebugRaces bool
 
-	// Tracer, when non-nil, records per-core phase timings for the
-	// timeline and imbalance reports (see Tracer).
+	// Tracer, when non-nil, records per-core phase timings for the span
+	// trace (see Tracer).
 	Tracer *Tracer
 
 	// RotatePriority approximates round-robin bank arbitration by

@@ -131,91 +131,50 @@ func (p *Proc) Tick(n int) {
 	p.tax(int64(n))
 }
 
-// lsuPush registers an outstanding access, stalling first if the LSU is
-// at capacity (waiting for the oldest outstanding access to retire).
-func (p *Proc) lsuPush(completion int64) {
-	if p.lsuLen == len(p.lsu) {
-		oldest := p.lsu[p.lsuHead]
-		if oldest > p.now {
-			p.st.LsuStalls += oldest - p.now
-			p.now = oldest
-		}
-		p.lsuHead++
-		if p.lsuHead == len(p.lsu) {
-			p.lsuHead = 0
-		}
-		p.lsuLen--
-	}
-	i := p.lsuHead + p.lsuLen
-	if i >= len(p.lsu) {
-		i -= len(p.lsu)
-	}
-	p.lsu[i] = completion
-	p.lsuLen++
-}
-
-// access books the bank slot for an address issued now and returns the
-// cycle at which the response arrives back at the core, using the
-// flattened map constants (same arithmetic as Config.BankOf/LevelFor,
-// without the per-field divisions).
-func (p *Proc) access(addr arch.Addr, issueAt int64) int64 {
-	bank := p.bankOf(addr)
-	lvl := arch.LevelRemote
-	if bank >= p.tLo && bank < p.tHi {
-		lvl = arch.LevelLocal
-	} else if bank >= p.gLo && bank < p.gHi {
-		lvl = arch.LevelGroup
-	}
-	slot := p.m.Mem.Res.Acquire(bank, issueAt+p.latReq[lvl])
-	return slot + 1 + p.latResp[lvl]
-}
-
-// Load issues a load from addr. The returned value is usable (without a
-// RAW stall) once its At cycle is reached; issue itself costs one cycle.
+// Load issues a load from addr, a one-word LoadGather. The returned
+// value is usable (without a RAW stall) once its At cycle is reached;
+// issue itself costs one cycle.
 func (p *Proc) Load(addr arch.Addr) W {
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.Loads++
-	done := p.access(addr, issueAt)
-	p.lsuPush(done)
-	if p.m.DebugRaces {
-		p.m.raceCheckRead(p.Core, addr)
-	}
-	return W{B: fixed.C15(p.m.Mem.Read(addr)), At: done, Mem: true}
+	var dst [1]W
+	p.LoadGather([]arch.Addr{addr}, dst[:])
+	return dst[0]
 }
 
-// Store issues a store of w to addr. Stores retire asynchronously; the
-// core only stalls if the LSU ring is full.
+// Store issues a store of w to addr, a one-word StoreScatter. Stores
+// retire asynchronously; the core only stalls if the LSU ring is full.
 func (p *Proc) Store(addr arch.Addr, w W) {
-	p.waitW(w)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.Stores++
-	done := p.access(addr, issueAt)
-	p.lsuPush(done)
-	if p.m.DebugRaces {
-		p.m.raceCheckWrite(p.Core, addr)
-	}
-	p.m.Mem.Write(addr, uint32(w.B))
+	p.StoreScatter([]arch.Addr{addr}, []W{w})
 }
 
 // AmoAdd performs an atomic fetch-and-add of one on a memory word,
 // returning the previous value. Barriers use it on their counters.
 func (p *Proc) AmoAdd(addr arch.Addr) W {
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.Stores++
-	done := p.access(addr, issueAt)
-	p.lsuPush(done)
+	s := p.bulkBegin()
+	done := p.issueWord(&s, p.bankOf(addr))
+	p.bulkEnd(&s, 0, 1)
 	old := p.m.Mem.Read(addr)
 	p.m.Mem.Write(addr, old+1)
 	return W{B: fixed.C15(old), At: done, Mem: true}
+}
+
+// issue takes the issue slot of one register instruction counted in
+// class: one cycle, the instruction count and the fetch tax. It returns
+// the issue cycle, taken before any fetch-tax stall. Memory words issue
+// through issueWord instead.
+func (p *Proc) issue(class *int64) int64 {
+	at := p.now
+	p.now++
+	p.st.Instrs++
+	*class++
+	p.tax(1)
+	return at
+}
+
+// mulIssue issues one multiply-class instruction, each of which performs
+// one complex MAC, and returns its issue cycle.
+func (p *Proc) mulIssue() int64 {
+	p.st.MACs++
+	return p.issue(&p.st.Mults)
 }
 
 // alu issues a 1-cycle packed-SIMD arithmetic instruction.
@@ -223,12 +182,7 @@ func (p *Proc) alu(v fixed.C15, ops ...W) W {
 	for _, w := range ops {
 		p.waitW(w)
 	}
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.IAlu++
-	return W{B: v, At: issueAt + 1}
+	return W{B: v, At: p.issue(&p.st.IAlu) + 1}
 }
 
 // CAdd returns a+b (one packed-SIMD add).
@@ -257,13 +211,7 @@ func (p *Proc) mul(v fixed.C15, ops ...W) W {
 	for _, w := range ops {
 		p.waitW(w)
 	}
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.Mults++
-	p.st.MACs++
-	return W{B: v, At: issueAt + p.m.Cfg.MulLatency}
+	return W{B: v, At: p.mulIssue() + p.m.Cfg.MulLatency}
 }
 
 // CMul returns the rounded complex product a*b.
@@ -277,38 +225,20 @@ func (p *Proc) CMulConj(a, b W) W { return p.mul(fixed.MulConj(a.B, b.B), a, b) 
 func (p *Proc) Mac(acc A, a, b W) A {
 	p.waitW(a)
 	p.waitW(b)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.Mults++
-	p.st.MACs++
-	return A{Acc: fixed.MacInto(acc.Acc, a.B, b.B), At: issueAt + p.m.Cfg.MulLatency}
+	return A{Acc: fixed.MacInto(acc.Acc, a.B, b.B), At: p.mulIssue() + p.m.Cfg.MulLatency}
 }
 
 // MacConj returns acc + a*conj(b).
 func (p *Proc) MacConj(acc A, a, b W) A {
 	p.waitW(a)
 	p.waitW(b)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.Mults++
-	p.st.MACs++
-	return A{Acc: fixed.MacConjInto(acc.Acc, a.B, b.B), At: issueAt + p.m.Cfg.MulLatency}
+	return A{Acc: fixed.MacConjInto(acc.Acc, a.B, b.B), At: p.mulIssue() + p.m.Cfg.MulLatency}
 }
 
 // MacAbs2 returns acc + |a|^2 (accumulated into the real component).
 func (p *Proc) MacAbs2(acc A, a W) A {
 	p.waitW(a)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.Mults++
-	p.st.MACs++
-	return A{Acc: fixed.MacAbs2Into(acc.Acc, a.B), At: issueAt + p.m.Cfg.MulLatency}
+	return A{Acc: fixed.MacAbs2Into(acc.Acc, a.B), At: p.mulIssue() + p.m.Cfg.MulLatency}
 }
 
 // CAddW returns a+b exactly, widened into an accumulator (one ALU op on
@@ -316,47 +246,27 @@ func (p *Proc) MacAbs2(acc A, a W) A {
 func (p *Proc) CAddW(a, b W) A {
 	p.waitW(a)
 	p.waitW(b)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.IAlu++
-	return A{Acc: fixed.AddAcc(fixed.AccFromC15(a.B), fixed.AccFromC15(b.B)), At: issueAt + 1}
+	return A{Acc: fixed.AddAcc(fixed.AccFromC15(a.B), fixed.AccFromC15(b.B)), At: p.issue(&p.st.IAlu) + 1}
 }
 
 // CSubW returns a-b exactly, widened into an accumulator.
 func (p *Proc) CSubW(a, b W) A {
 	p.waitW(a)
 	p.waitW(b)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.IAlu++
-	return A{Acc: fixed.SubAcc(fixed.AccFromC15(a.B), fixed.AccFromC15(b.B)), At: issueAt + 1}
+	return A{Acc: fixed.SubAcc(fixed.AccFromC15(a.B), fixed.AccFromC15(b.B)), At: p.issue(&p.st.IAlu) + 1}
 }
 
 // AccAdd returns a+b on accumulators (one ALU op).
 func (p *Proc) AccAdd(a, b A) A {
 	p.waitA(a)
 	p.waitA(b)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.IAlu++
-	return A{Acc: fixed.AddAcc(a.Acc, b.Acc), At: issueAt + 1}
+	return A{Acc: fixed.AddAcc(a.Acc, b.Acc), At: p.issue(&p.st.IAlu) + 1}
 }
 
 // AccMulNegJ returns a*(-j) exactly (a swap-negate on the accumulator).
 func (p *Proc) AccMulNegJ(a A) A {
 	p.waitA(a)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.IAlu++
-	return A{Acc: fixed.MulNegJAcc(a.Acc), At: issueAt + 1}
+	return A{Acc: fixed.MulNegJAcc(a.Acc), At: p.issue(&p.st.IAlu) + 1}
 }
 
 // MulTw multiplies a widened accumulator by a packed twiddle, scaling by
@@ -365,36 +275,20 @@ func (p *Proc) AccMulNegJ(a A) A {
 func (p *Proc) MulTw(a A, w W, shift uint) W {
 	p.waitA(a)
 	p.waitW(w)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.Mults++
-	p.st.MACs++
-	return W{B: fixed.MulAccTw(a.Acc, w.B, shift), At: issueAt + p.m.Cfg.MulLatency}
+	return W{B: fixed.MulAccTw(a.Acc, w.B, shift), At: p.mulIssue() + p.m.Cfg.MulLatency}
 }
 
 // Widen converts a register sample to an accumulator (one ALU op).
 func (p *Proc) Widen(a W) A {
 	p.waitW(a)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.IAlu++
-	return A{Acc: fixed.AccFromC15(a.B), At: issueAt + 1}
+	return A{Acc: fixed.AccFromC15(a.B), At: p.issue(&p.st.IAlu) + 1}
 }
 
 // AccSub returns a-b on accumulators (one ALU op per component pair).
 func (p *Proc) AccSub(a, b A) A {
 	p.waitA(a)
 	p.waitA(b)
-	issueAt := p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.IAlu++
-	return A{Acc: fixed.SubAcc(a.Acc, b.Acc), At: issueAt + 1}
+	return A{Acc: fixed.SubAcc(a.Acc, b.Acc), At: p.issue(&p.st.IAlu) + 1}
 }
 
 // Narrow rounds the accumulator back to a packed Q1.15 register value,
@@ -411,11 +305,7 @@ func (p *Proc) divIssue() (issueAt int64) {
 		p.st.ExtStalls += p.divFree - p.now
 		p.now = p.divFree
 	}
-	issueAt = p.now
-	p.now++
-	p.st.Instrs++
-	p.tax(1)
-	p.st.Divs++
+	issueAt = p.issue(&p.st.Divs)
 	p.divFree = issueAt + p.m.Cfg.DivSqrt.Init
 	return issueAt
 }
@@ -462,18 +352,11 @@ func (p *Proc) Imm(v fixed.C15) W { return p.alu(v) }
 // Drain waits for every outstanding LSU transaction to retire,
 // attributing the wait as LSU stall. Phases end with an implicit Drain.
 func (p *Proc) Drain() {
-	for p.lsuLen > 0 {
-		done := p.lsu[p.lsuHead]
-		if done > p.now {
-			p.st.LsuStalls += done - p.now
-			p.now = done
-		}
-		p.lsuHead++
-		if p.lsuHead == len(p.lsu) {
-			p.lsuHead = 0
-		}
-		p.lsuLen--
+	s := p.bulkBegin()
+	for s.llen > 0 {
+		s.retire(p.lsu)
 	}
+	p.bulkEnd(&s, 0, 0)
 }
 
 // String identifies the proc in panics and traces.

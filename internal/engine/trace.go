@@ -1,12 +1,5 @@
 package engine
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"strings"
-)
-
 // TraceEvent records one barrier-delimited phase execution on one core:
 // when the core started working, when it arrived at the barrier, and
 // when the barrier released it. Single-core jobs have Arrive == Release.
@@ -22,7 +15,8 @@ type TraceEvent struct {
 }
 
 // Tracer collects TraceEvents when attached to a Machine. A nil tracer
-// (the default) costs nothing.
+// (the default) costs nothing. obs.AppendMachineSpans renders the
+// events as the virtual-time span trace.
 type Tracer struct {
 	Events []TraceEvent
 }
@@ -41,112 +35,4 @@ func (t *Tracer) Reset() {
 		return
 	}
 	t.Events = t.Events[:0]
-}
-
-// JobNames returns the distinct job names in first-seen order.
-func (t *Tracer) JobNames() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, ev := range t.Events {
-		if !seen[ev.Job] {
-			seen[ev.Job] = true
-			out = append(out, ev.Job)
-		}
-	}
-	return out
-}
-
-// Span returns the [min Start, max Release] window of all events.
-func (t *Tracer) Span() (lo, hi int64) {
-	if len(t.Events) == 0 {
-		return 0, 0
-	}
-	lo, hi = t.Events[0].Start, t.Events[0].Release
-	for _, ev := range t.Events {
-		if ev.Start < lo {
-			lo = ev.Start
-		}
-		if ev.Release > hi {
-			hi = ev.Release
-		}
-	}
-	return lo, hi
-}
-
-// Timeline renders an ASCII Gantt chart of the traced phases for the
-// given cores ('#' = computing, '.' = waiting at the barrier), width
-// characters wide. It is a debugging aid for kernel schedules.
-func (t *Tracer) Timeline(w io.Writer, cores []int, width int) error {
-	if width < 10 {
-		width = 10
-	}
-	lo, hi := t.Span()
-	if hi <= lo {
-		_, err := fmt.Fprintln(w, "trace: no events")
-		return err
-	}
-	scale := float64(width) / float64(hi-lo)
-	at := func(cycle int64) int {
-		p := int(float64(cycle-lo) * scale)
-		if p >= width {
-			p = width - 1
-		}
-		return p
-	}
-	byCore := make(map[int][]TraceEvent)
-	for _, ev := range t.Events {
-		byCore[ev.Core] = append(byCore[ev.Core], ev)
-	}
-	if _, err := fmt.Fprintf(w, "cycles %d..%d, one column = %.1f cycles\n", lo, hi, 1/scale); err != nil {
-		return err
-	}
-	for _, core := range cores {
-		evs := byCore[core]
-		sort.Slice(evs, func(i, j int) bool { return evs[i].Start < evs[j].Start })
-		row := []byte(strings.Repeat(" ", width))
-		for _, ev := range evs {
-			for p := at(ev.Start); p <= at(ev.Arrive); p++ {
-				row[p] = '#'
-			}
-			for p := at(ev.Arrive) + 1; p <= at(ev.Release); p++ {
-				row[p] = '.'
-			}
-		}
-		if _, err := fmt.Fprintf(w, "core %4d |%s|\n", core, string(row)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// PhaseSummary aggregates, per (job, phase), the average compute and
-// wait cycles across cores: a quick imbalance report.
-func (t *Tracer) PhaseSummary() string {
-	type agg struct {
-		name          string
-		compute, wait int64
-		n             int64
-	}
-	order := []string{}
-	m := make(map[string]*agg)
-	for _, ev := range t.Events {
-		key := ev.Job + "/" + ev.Phase
-		a, ok := m[key]
-		if !ok {
-			a = &agg{name: key}
-			m[key] = a
-			order = append(order, key)
-		}
-		a.compute += ev.Arrive - ev.Start
-		a.wait += ev.Release - ev.Arrive
-		a.n++
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-32s %10s %10s\n", "job/phase", "avg work", "avg wait")
-	for _, key := range order {
-		a := m[key]
-		fmt.Fprintf(&sb, "%-32s %10.1f %10.1f\n",
-			a.name, float64(a.compute)/float64(a.n), float64(a.wait)/float64(a.n))
-	}
-	return sb.String()
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -40,40 +39,6 @@ func TestTracerRecordsPhases(t *testing.T) {
 			t.Fatalf("job = %q", ev.Job)
 		}
 	}
-	if names := tr.JobNames(); len(names) != 1 || names[0] != "demo" {
-		t.Errorf("JobNames = %v", names)
-	}
-	lo, hi := tr.Span()
-	if lo >= hi {
-		t.Errorf("span [%d, %d]", lo, hi)
-	}
-}
-
-func TestTracerTimelineRenders(t *testing.T) {
-	m := tracedRun(t, false)
-	var sb strings.Builder
-	if err := m.Tracer.Timeline(&sb, []int{0, 1, 2, 3}, 60); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "core    0") || !strings.Contains(out, "#") {
-		t.Errorf("timeline missing rows:\n%s", out)
-	}
-	// The fastest core of phase a (lane 0) must show barrier wait dots.
-	if !strings.Contains(out, ".") {
-		t.Errorf("timeline shows no barrier wait:\n%s", out)
-	}
-}
-
-func TestTracerPhaseSummary(t *testing.T) {
-	m := tracedRun(t, false)
-	sum := m.Tracer.PhaseSummary()
-	if !strings.Contains(sum, "demo/a") || !strings.Contains(sum, "demo/b") {
-		t.Errorf("summary missing phases:\n%s", sum)
-	}
-	if !strings.Contains(sum, "avg work") {
-		t.Errorf("summary missing header:\n%s", sum)
-	}
 }
 
 func TestTracerNilSafe(t *testing.T) {
@@ -82,17 +47,6 @@ func TestTracerNilSafe(t *testing.T) {
 	m := NewMachine(arch.MemPool())
 	if err := m.Run(Job{Name: "x", Cores: []int{0}, Phases: []Phase{{Name: "p", Work: func(p *Proc) {}}}}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTracerEmptyTimeline(t *testing.T) {
-	tr := &Tracer{}
-	var sb strings.Builder
-	if err := tr.Timeline(&sb, []int{0}, 40); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "no events") {
-		t.Error("empty tracer did not say so")
 	}
 }
 
@@ -239,12 +193,20 @@ func TestTracerPhaseEventsCarryCosts(t *testing.T) {
 
 // TestUntracedRunAllocsNothing pins the nil-tracer contract: the
 // recording hooks must stay behind nil guards so an untraced Run costs
-// zero allocations in steady state.
+// zero allocations in steady state. The phase issues scalar Load and
+// Store (one-word calls of the bulk access path) and ALU, MAC and divide
+// ops, so the pin covers the interpreter, not only Tick.
 func TestUntracedRunAllocsNothing(t *testing.T) {
 	m := NewMachine(arch.MemPool())
 	cores := []int{0, 1, 2, 3}
 	job := Job{Name: "j", Cores: cores, NotBefore: 1, Phases: []Phase{
-		{Name: "p", Kernel: "t/k", Work: func(p *Proc) { p.Tick(8) }},
+		{Name: "p", Kernel: "t/k", Work: func(p *Proc) {
+			p.Tick(8)
+			addr := arch.Addr(p.Lane)
+			w := p.Load(addr)
+			acc := p.Mac(A{}, w, p.CAdd(w, w))
+			p.Store(addr, p.DivByRe(acc, p.SqrtRe(acc)))
+		}},
 	}}
 	if err := m.Run(job); err != nil { // warm scratch buffers and icache sets
 		t.Fatal(err)

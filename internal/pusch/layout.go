@@ -95,11 +95,13 @@ func (l Layout) Part(st Stage) CoreSet {
 // cluster size — the remaining cores idle, which at small allocations
 // is cheaper than enrolling them in barriers.
 func PipelinedSplit(cluster *arch.Config, f, b, d int) (Layout, error) {
+	n := cluster.NumCores()
 	switch {
 	case f <= 0 || b <= 0 || d <= 0:
 		return Layout{}, fmt.Errorf("pusch: layout split %d/%d/%d must be positive", f, b, d)
-	case f+b+d > cluster.NumCores():
-		return Layout{}, fmt.Errorf("pusch: layout split %d+%d+%d exceeds the %d-core cluster", f, b, d, cluster.NumCores())
+	// Bound each term by the cores still free: the sum f+b+d can overflow.
+	case f > n || b > n-f || d > n-f-b:
+		return Layout{}, fmt.Errorf("pusch: layout split %d+%d+%d exceeds the %d-core cluster", f, b, d, n)
 	}
 	det := coreRange(f+b, d)
 	return Layout{

@@ -46,7 +46,8 @@ func TestParseLayoutForms(t *testing.T) {
 	if w, err := explicit.Wire(); err != nil || w != "pipe/f64/b32/d64" {
 		t.Errorf("Wire() = %q, %v", w, err)
 	}
-	for _, bad := range []string{"bogus", "pipe/x64/b32/d64", "pipe/f64/b32", "pipe/f64/b32/dxx", "pipe/f999/b64/d64"} {
+	for _, bad := range []string{"bogus", "pipe/x64/b32/d64", "pipe/f64/b32", "pipe/f64/b32/dxx", "pipe/f999/b64/d64",
+		"pipe/f9223372036854775807/b1/d1"} {
 		if _, err := ParseLayout(bad, mp); err == nil {
 			t.Errorf("ParseLayout(%q) accepted", bad)
 		}

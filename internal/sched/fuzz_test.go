@@ -14,6 +14,7 @@ func FuzzReadJobs(f *testing.F) {
 	f.Add(`{"arrival_cycle": -1}`)
 	f.Add(`{"arrival_cycle": 5, "cluster": "terapool", "layout": "pipe", "timing": "analytic"}`)
 	f.Add(`{"arrival_cycle": 7, "channel": "tdl-b", "doppler_hz": 30, "channel_seed": 3, "channel_time_ms": 0.5}`)
+	f.Add(`{"arrival_cycle": 0, "layout": "pipe/f9223372036854775807/b1/d1"}`)
 	f.Fuzz(func(t *testing.T, stream string) {
 		jobs, err := ReadJobs(strings.NewReader(stream), tinyChain())
 		if err != nil {

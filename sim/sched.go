@@ -41,37 +41,7 @@ type (
 	ServiceSummary = report.ServiceSummary
 	// PoolStats is the machine-pool occupancy picture.
 	PoolStats = engine.PoolStats
-	// ChannelSpec selects the fading model of one slot (profile,
-	// Doppler, Rician K, per-UE fading seed, channel time).
-	ChannelSpec = channel.Spec
-	// ChannelProfile names a fading power-delay profile ("iid",
-	// "tdl-a", "tdl-b", "tdl-c").
-	ChannelProfile = channel.Profile
-	// LinkState is one UE's coherently evolving channel realization.
-	LinkState = channel.LinkState
-	// ChainLayout maps the PUSCH chain's stages onto core partitions
-	// (spatial pipelining); the zero value is the sequential layout.
-	ChainLayout = pusch.Layout
-	// CoreSet is an explicit, ordered set of simulator core ids.
-	CoreSet = pusch.CoreSet
 )
-
-// SequentialLayout is the zero-value chain layout: every stage on all
-// cores, one symbol at a time.
-var SequentialLayout = pusch.Sequential
-
-// StockPipelinedLayout returns the stock partitioned chain layout for a
-// cluster (a quarter of the cores to the FFT, an eighth to beamforming,
-// a quarter to detection).
-func StockPipelinedLayout(cluster *Config) ChainLayout {
-	return pusch.StockPipelined(cluster)
-}
-
-// ParseChainLayout resolves a layout name ("sequential", "pipe",
-// "pipe/f64/b32/d64") against a cluster.
-func ParseChainLayout(name string, cluster *Config) (ChainLayout, error) {
-	return pusch.ParseLayout(name, cluster)
-}
 
 // DefaultUEPopulation is the number of distinct mobile-UE fading
 // identities generated traffic cycles through.
@@ -90,7 +60,7 @@ const DefaultQueueDepth = sched.DefaultQueueDepth
 // MobileChain converts a chain configuration into its mobile-UE
 // variant (fading over the named profile at dopplerHz): traces
 // generated from it attach per-UE evolving link state to every job.
-func MobileChain(base pusch.ChainConfig, profile ChannelProfile, dopplerHz, ricianK float64) pusch.ChainConfig {
+func MobileChain(base pusch.ChainConfig, profile channel.Profile, dopplerHz, ricianK float64) pusch.ChainConfig {
 	return sched.Mobile(base, profile, dopplerHz, ricianK)
 }
 

@@ -88,10 +88,6 @@ type (
 	Breakdown = report.Breakdown
 	// Mark snapshots machine state for ReportSince.
 	Mark = engine.Mark
-	// Tracer records per-core phase timings when attached to a Machine.
-	Tracer = engine.Tracer
-	// TraceEvent is one core's barrier-delimited phase execution.
-	TraceEvent = engine.TraceEvent
 )
 
 // NewMachine builds a simulated cluster; it panics on invalid configs.

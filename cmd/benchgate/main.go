@@ -186,10 +186,7 @@ func runLayoutSweep() ([]report.SlotRecord, error) {
 	pool := engine.NewMachines()
 	var recs []report.SlotRecord
 	for _, sc := range campaign.LayoutSweep(gateChain(), nil) {
-		cfg := *sc.Chain
-		m := pool.Get(cfg.Cluster)
-		rec, err := pusch.RunChainRecordOn(m, cfg)
-		pool.Put(m)
+		rec, err := campaign.Resolve(pool, *sc.Chain, nil, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("layout sweep %s: %w", sc.Name, err)
 		}

@@ -372,7 +372,7 @@ func runCampaign(cluster *sim.Config, mode, schemeName string, chSpec pusch.Chan
 		// profile bytes are identical across runs and -workers counts.
 		runner.Profile = pusch.NewTraceProfile()
 	}
-	if err := pusch.WriteCampaignJSONL(os.Stdout, runner, scenarios); err != nil {
+	if err := runner.WriteJSONL(os.Stdout, scenarios); err != nil {
 		log.Fatal(err)
 	}
 	if runner.Profile != nil {

@@ -9,6 +9,12 @@
 // with deterministic per-scenario seeds, so campaign results are
 // byte-identical across runs and worker counts.
 //
+// Resolve is the one chain-resolution path of the repository: the
+// analytic model, then the service-time cache, then the engine, and
+// the rule for adding to the cache. Campaign chain scenarios and the
+// scheduler's and fleet's jobs all resolve through it, and every chain
+// Result is built from the record it returns.
+//
 // Campaigns treat scenarios as independent. To serve them as dependent
 // traffic through a queue instead (arrivals, waits, drops), adapt them
 // with sched.FromScenarios.
@@ -139,78 +145,24 @@ func (s *Scenario) runChain(pool *engine.Machines, seed uint64, cache *timecache
 	if cfg.Layout.Pipelined() {
 		res.Layout = cfg.Layout.String()
 	}
-	// Validate before pool.Get: NewMachine panics on broken cluster
-	// configs, and a bad scenario must surface as Result.Error, not
-	// abort the campaign.
-	if err := cfg.Cluster.Validate(); err != nil {
-		res.Error = err.Error()
-		return res
+	// A broken cluster fails inside Resolve; its result names no cluster.
+	if cfg.Cluster.Validate() == nil {
+		res.Cluster = cfg.Cluster.Name
+		res.Cores = cfg.Cluster.NumCores()
 	}
-	res.Cluster = cfg.Cluster.Name
-	res.Cores = cfg.Cluster.NumCores()
-	// Analytic timing resolves before — and entirely instead of — the
-	// cache and the machine pool: the prediction is a pure function of
-	// the scenario coordinate, and analytic records must never enter
-	// the cache (CacheKey refuses them anyway).
-	if cfg.Timing == pusch.TimingAnalytic {
-		if model == nil {
-			res.Error = "campaign: analytic timing requested but no calibration model is loaded (Runner.Model)"
-			return res
-		}
-		rec, err := model.Predict(cfg)
-		if err != nil {
-			res.Error = err.Error()
-			return res
-		}
-		fillFromRecord(&res, rec)
-		return res
-	}
-	// Consult the service-time cache before drawing a machine. A key
-	// derivation error (non-canonical layout, invalid config) bypasses
-	// the cache; invalid configs still surface as Result.Error from the
-	// run itself.
-	key := ""
-	if cache != nil {
-		if k, kerr := cfg.CacheKey(); kerr == nil {
-			key = k
-			if rec, ok := cache.Lookup(key); ok {
-				fillFromRecord(&res, rec)
-				return res
-			}
-		}
-	}
-	m := pool.Get(cfg.Cluster)
-	cr, err := pusch.RunChainTracedOn(m, cfg, tr)
-	pool.Put(m)
+	rec, err := Resolve(pool, cfg, cache, model, measureChain(tr))
 	if err != nil {
 		res.Error = err.Error()
 		return res
 	}
-	res.BER = cr.BER
-	res.EVMdB = cr.EVMdB
-	res.SigmaEst = cr.SigmaEst
-	res.TotalCycles = cr.TotalCycles
-	res.TimeMs = cr.TimeMs
-	rec := cr.Record(cfg)
-	res.PayloadBits = rec.PayloadBits
-	res.ThroughputGbps = rec.ThroughputGbps
-	if cr.TotalCycles > 0 {
-		res.StageShares = make(map[string]float64, len(cr.Stages))
-		for st, rep := range cr.Stages {
-			res.StageShares[string(st)] = float64(rep.Wall) / float64(cr.TotalCycles)
-		}
-	}
-	if key != "" {
-		cache.Add(key, rec)
-	}
+	fillFromRecord(&res, rec)
 	return res
 }
 
-// fillFromRecord copies a memoized chain record's campaign-visible
-// outcome into res. The record's Share fields were computed with the
-// exact expression the cold path uses (stage wall over total cycles,
-// in float64), so a cache hit reproduces the cold Result byte for
-// byte when marshaled.
+// fillFromRecord copies a chain record's campaign-visible outcome into
+// res. Every chain Result is built here, whether the record was
+// measured, predicted or replayed from the cache, so a cache hit
+// reproduces the cold Result byte for byte when marshaled.
 func fillFromRecord(res *Result, rec report.SlotRecord) {
 	res.Timing = rec.Timing
 	res.BER = rec.BER
@@ -238,14 +190,12 @@ func (s *Scenario) runUseCase(pool *engine.Machines) Result {
 		Kind:     "usecase",
 		UEs:      cfg.NL,
 	}
-	// As in runChain: surface a broken cluster config as a per-scenario
-	// error instead of letting pool.Get panic the campaign.
-	if err := cfg.Cluster.Validate(); err != nil {
-		res.Error = err.Error()
-		return res
+	// As in runChain: a broken cluster fails inside the run, and its
+	// result names no cluster.
+	if cfg.Cluster.Validate() == nil {
+		res.Cluster = cfg.Cluster.Name
+		res.Cores = cfg.Cluster.NumCores()
 	}
-	res.Cluster = cfg.Cluster.Name
-	res.Cores = cfg.Cluster.NumCores()
 	ur, err := pusch.RunUseCaseOn(pool, cfg)
 	if err != nil {
 		res.Error = err.Error()

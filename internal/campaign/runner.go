@@ -3,8 +3,6 @@ package campaign
 import (
 	"encoding/json"
 	"io"
-	"runtime"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -13,8 +11,8 @@ import (
 )
 
 // Runner executes scenario sets concurrently on the host. Scenarios are
-// fanned out across Workers goroutines; each worker owns a private
-// engine.Machines pool, so every worker reuses one simulator machine
+// fanned out across Workers goroutines by engine.FanOut; each worker
+// owns one pool shard, so every worker reuses one simulator machine
 // (and its multi-MiB TCDM arena) per distinct cluster configuration
 // instead of reallocating per scenario. Seeding and result order depend
 // only on scenario order, never on scheduling, so a campaign's output is
@@ -77,42 +75,14 @@ func (r *Runner) trace(i int, scenarios []Scenario) *obs.Trace {
 // Individual scenario failures are reported in Result.Error; Run itself
 // never fails.
 func (r *Runner) Run(scenarios []Scenario) []Result {
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
 	base := r.Seed
 	if base == 0 {
 		base = 1
 	}
 	results := make([]Result, len(scenarios))
-	if workers <= 1 {
-		pool := engine.NewMachines()
-		for i := range scenarios {
-			results[i] = scenarios[i].run(pool, DeriveSeed(base, i), r.Cache, r.Model, r.trace(i, scenarios))
-		}
-		return results
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pool := engine.NewMachines()
-			for i := range idx {
-				results[i] = scenarios[i].run(pool, DeriveSeed(base, i), r.Cache, r.Model, r.trace(i, scenarios))
-			}
-		}()
-	}
-	for i := range scenarios {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	engine.FanOut(r.Workers, len(scenarios), func(pool *engine.Machines, i int) {
+		results[i] = scenarios[i].run(pool, DeriveSeed(base, i), r.Cache, r.Model, r.trace(i, scenarios))
+	})
 	return results
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 
 	"repro/internal/arch"
@@ -146,6 +147,44 @@ func NewSharded(n int) *Sharded {
 	for i := range s.shards {
 		s.shards[i] = NewMachines()
 	}
+	return s
+}
+
+// FanOut calls fn(pool, i) for every i in [0, n) across workers host
+// goroutines and returns the pool they drew machines from. Each
+// goroutine owns one shard, so its Get/Put never contends with another
+// worker. Workers <= 0 means GOMAXPROCS; the count is clamped to
+// [1, n], and one worker runs every call inline on the caller's
+// goroutine in index order. Indices are handed out in order but finish
+// in any order, so fn must write only to index-owned state for the
+// result to be independent of the worker count.
+func FanOut(workers, n int, fn func(pool *Machines, i int)) *Sharded {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	s := NewSharded(max(min(workers, n), 1))
+	if len(s.shards) == 1 {
+		for i := 0; i < n; i++ {
+			fn(s.shards[0], i)
+		}
+		return s
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for _, pool := range s.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(pool, i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 	return s
 }
 

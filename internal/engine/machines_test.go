@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -93,5 +94,37 @@ func TestShardedConcurrent(t *testing.T) {
 	}
 	if agg.Builds != workers || agg.Reuses != workers*(rounds-1) {
 		t.Fatalf("each worker should build once and reuse after: %+v", agg)
+	}
+}
+
+// TestFanOut: every index runs exactly once, the pool has one shard per
+// worker after clamping, and no shard builds a second machine for one
+// configuration, because each shard belongs to one goroutine that
+// returns its machine before the next call.
+func TestFanOut(t *testing.T) {
+	cfg := tinyConfig()
+	for _, tc := range []struct{ workers, n, shards int }{
+		{0, 5, min(runtime.GOMAXPROCS(0), 5)},
+		{1, 5, 1},
+		{3, 5, 3},
+		{8, 5, 5},
+		{4, 0, 1},
+	} {
+		seen := make([]int, tc.n)
+		s := FanOut(tc.workers, tc.n, func(pool *Machines, i int) {
+			seen[i]++
+			pool.Put(pool.Get(cfg))
+		})
+		if s.Shards() != tc.shards {
+			t.Errorf("FanOut(%d, %d): %d shards, want %d", tc.workers, tc.n, s.Shards(), tc.shards)
+		}
+		for i, c := range seen {
+			if c != 1 {
+				t.Errorf("FanOut(%d, %d): index %d ran %d times", tc.workers, tc.n, i, c)
+			}
+		}
+		if st := s.Stats(); st.Gets != int64(tc.n) || st.Builds > int64(tc.shards) {
+			t.Errorf("FanOut(%d, %d): pool stats %+v", tc.workers, tc.n, st)
+		}
 	}
 }

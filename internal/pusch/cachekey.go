@@ -37,13 +37,11 @@ const CacheKeySchema = "tc1"
 // hand-built non-canonical layouts — return an error; callers bypass
 // the cache for them and measure directly.
 func (c ChainConfig) CacheKey() (string, error) {
-	if c.Cluster == nil {
-		// Same fallback every measurement path applies (sched.measureChain,
-		// campaign.runChain), so keyed and measured configurations agree.
-		c.Cluster = arch.MemPool()
-	}
-	c.setDefaults()
-	if err := c.validate(); err != nil {
+	// The coordinate of the normalized configuration, the one the chain
+	// measurement (campaign.Resolve's default) actually runs, so keyed
+	// and measured configurations agree.
+	c, err := c.Normalized()
+	if err != nil {
 		return "", err
 	}
 	if c.Timing == TimingAnalytic {

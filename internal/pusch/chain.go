@@ -57,9 +57,8 @@ type ChainConfig struct {
 	// zero value runs the cycle-level engine, TimingAnalytic evaluates
 	// the calibrated closed-form model (internal/timing) instead. The
 	// engine entry points reject analytic configurations — resolving
-	// the mode is the orchestration layers' job (campaign.Runner,
-	// sched.Scheduler), which route analytic slots to the model and
-	// everything else here.
+	// the mode is campaign.Resolve's job, which routes analytic slots
+	// to the model and everything else here.
 	Timing TimingMode
 }
 
@@ -152,13 +151,22 @@ func (c *ChainConfig) setDefaults() {
 	}
 }
 
-// validate rejects configurations the kernels cannot schedule.
+// validate rejects configurations the kernels cannot schedule, starting
+// with the cluster: a broken one is reported as its own error before
+// anything builds a machine for it.
 func (c *ChainConfig) validate() error {
+	if err := c.Cluster.Validate(); err != nil {
+		return err
+	}
 	switch {
 	case c.NSC < 64 || c.NSC&(c.NSC-1) != 0 || c.NSC&0x55555555 == 0:
 		return fmt.Errorf("pusch: NSC %d must be a power of 4 >= 64", c.NSC)
 	case c.NR%4 != 0 || c.NR <= 0:
 		return fmt.Errorf("pusch: NR %d must be a positive multiple of 4", c.NR)
+	case c.NR > c.Cluster.MemWords()/c.NSC:
+		// The FFT input alone holds NR x NSC words of L1; dividing keeps
+		// the bound from overflowing.
+		return fmt.Errorf("pusch: NR %d x NSC %d words exceed the %d-word L1 of %s", c.NR, c.NSC, c.Cluster.MemWords(), c.Cluster.Name)
 	case c.NB%4 != 0 || c.NB <= 0 || c.NB > c.NR:
 		return fmt.Errorf("pusch: NB %d must be a positive multiple of 4, <= NR", c.NB)
 	case c.NL <= 0 || c.NL > 4:
@@ -169,6 +177,8 @@ func (c *ChainConfig) validate() error {
 		return fmt.Errorf("pusch: NPilot must be 2 (differential noise estimation), got %d", c.NPilot)
 	case c.NSymb <= c.NPilot:
 		return fmt.Errorf("pusch: NSymb %d must exceed NPilot %d", c.NSymb, c.NPilot)
+	case c.NSymb > 14:
+		return fmt.Errorf("pusch: NSymb %d exceeds the 14 symbols of one NR slot", c.NSymb)
 	case c.Timing != TimingCycleAccurate && c.Timing != TimingAnalytic:
 		return fmt.Errorf("pusch: unknown timing mode %q", c.Timing)
 	}
@@ -309,16 +319,6 @@ func runChainOn(m *engine.Machine, cfg ChainConfig, tr *obs.Trace) (*ChainResult
 		TimeMs:      float64(pl.Cycles()) / 1e6, // 1 GHz -> 1e6 cycles per ms
 		Stages:      pl.Stages(),
 	}, nil
-}
-
-// RunChainRecord executes the chain on a freshly built machine and
-// returns the typed slot record directly. See RunChainRecordOn.
-func RunChainRecord(cfg ChainConfig) (report.SlotRecord, error) {
-	cfg.setDefaults()
-	if err := cfg.validate(); err != nil {
-		return report.SlotRecord{}, err
-	}
-	return RunChainRecordOn(engine.NewMachine(cfg.Cluster), cfg)
 }
 
 // RunChainRecordOn executes the chain on a caller-supplied (fresh or

@@ -116,6 +116,15 @@ func TestChainConfigValidation(t *testing.T) {
 		{"NL too big", func(c *ChainConfig) { c.NL = 8 }},
 		{"one pilot", func(c *ChainConfig) { c.NPilot = 1 }},
 		{"no data symbols", func(c *ChainConfig) { c.NSymb = 2 }},
+		// Each of these panicked before validation bounded it: makeslice
+		// in NewSlotTX and in the channel, NewMachine on the cluster.
+		{"NSymb beyond one slot", func(c *ChainConfig) { c.NSymb = 1 << 62 }},
+		{"NR beyond L1", func(c *ChainConfig) { c.NR = 1 << 62 }},
+		{"zero bank words", func(c *ChainConfig) {
+			cl := *arch.MemPool()
+			cl.BankWords = 0
+			c.Cluster = &cl
+		}},
 	}
 	for _, tc := range cases {
 		cfg := base

@@ -3,8 +3,6 @@ package pusch
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/arch"
 )
 
 // TimingMode selects how a chain run's cycle counts are produced.
@@ -47,9 +45,6 @@ func ParseTimingMode(name string) (TimingMode, error) {
 // predicts from normalized configurations so its inputs agree exactly
 // with what the engine would have executed.
 func (c ChainConfig) Normalized() (ChainConfig, error) {
-	if c.Cluster == nil {
-		c.Cluster = arch.MemPool()
-	}
 	c.setDefaults()
 	if err := c.validate(); err != nil {
 		return ChainConfig{}, err

@@ -137,6 +137,9 @@ func DefaultUseCase() UseCaseConfig {
 }
 
 func (c *UseCaseConfig) validate() error {
+	if err := c.Cluster.Validate(); err != nil {
+		return err
+	}
 	switch {
 	case c.Symbols <= 0 || c.DataSymbols <= 0 || c.DataSymbols > c.Symbols:
 		return fmt.Errorf("pusch: use case symbols %d/%d invalid", c.Symbols, c.DataSymbols)

@@ -21,12 +21,12 @@
 // Scheduler.Serve is its one-class, one-cell case, and internal/fleet
 // runs N cells through it:
 //
-//  1. Measurement: every job's chain run, once per serving class, is
-//     dispatched across Config.Workers host goroutines over a sharded
-//     engine machine pool (one engine.Machines shard per worker, so
-//     each worker recycles one multi-MiB cluster arena per
-//     configuration, contention-free). Each run is a pure function of
-//     its ChainConfig and seed.
+//  1. Measurement: every job, once per serving class, is resolved
+//     through campaign.Resolve, fanned out by engine.FanOut across
+//     Config.Workers host goroutines over a sharded engine machine pool
+//     (one engine.Machines shard per worker, so each worker recycles
+//     one multi-MiB cluster arena per configuration, contention-free).
+//     Each result is a pure function of its ChainConfig and seed.
 //  2. Replay: a serial event loop replays arrivals in virtual time over
 //     N cells: every cell completes its work up to the arrival, a route
 //     picks the admitting cell, and that cell assigns measured service
@@ -39,7 +39,8 @@
 // trace, seed and service discipline produce identical JSONL across
 // runs and across worker counts.
 //
-// A job's timing path follows its ChainConfig.Timing: cycle-accurate
+// A job's timing path follows its ChainConfig.Timing, decided by
+// campaign.Resolve, the resolution path campaigns share: cycle-accurate
 // jobs run the engine (consulting the service-time cache when one is
 // configured), while analytic jobs are resolved by the calibrated
 // cycle model in Config.Model — no engine run, no cache traffic — and

@@ -2,14 +2,11 @@ package sched
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/arch"
+	"repro/internal/campaign"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/pusch"
@@ -30,68 +27,15 @@ type Scheduler struct {
 	measure MeasureFunc
 }
 
-// MeasureFunc measures one fully stamped slot configuration on a
-// machine from the pool. The production implementation runs the real
-// chain; tests substitute synthetic service times.
-type MeasureFunc func(pool *engine.Machines, cfg pusch.ChainConfig) (report.SlotRecord, error)
+// MeasureFunc is campaign.MeasureFunc, the per-job measurement hook.
+// It and Resolve keep the serving layer's spelling of the resolution
+// path for cmd/puschbench.
+type MeasureFunc = campaign.MeasureFunc
 
-// measureChain is the production measurement: one chain run on a
-// machine recycled through the worker's pool shard.
-func measureChain(pool *engine.Machines, cfg pusch.ChainConfig) (report.SlotRecord, error) {
-	if cfg.Cluster == nil {
-		cfg.Cluster = arch.MemPool()
-	}
-	// Validate before pool.Get: NewMachine panics on broken cluster
-	// configs, and a bad job must surface as a Failed result, not abort
-	// the service.
-	if err := cfg.Cluster.Validate(); err != nil {
-		return report.SlotRecord{}, err
-	}
-	m := pool.Get(cfg.Cluster)
-	rec, err := pusch.RunChainRecordOn(m, cfg)
-	pool.Put(m)
-	return rec, err
-}
-
-// Resolve measures one fully stamped slot configuration through the
-// service fast paths, in precedence order: the calibrated analytic
-// model (for jobs whose Timing asks for it), the service-time cache,
-// then the engine via measure (nil means the production chain). It is
-// the single resolution path shared by the scheduler and the fleet
-// layer, so every serving stack composes identically with the cache
-// and the analytic mode.
-//
-// Analytic jobs resolve against the model before — and entirely
-// instead of — the cache and the machine pool; their stamped records
-// can never enter the cache (CacheKey refuses them, and timecache.Add
-// refuses stamped records). A cache-key derivation error (invalid
-// config, non-canonical layout) bypasses the cache entirely: invalid
-// configs still surface as errors from the measurement itself, and
-// unkeyable-but-valid ones are simply measured every time.
+// Resolve forwards to campaign.Resolve, the one resolution path:
+// analytic model, then service-time cache, then the engine via measure.
 func Resolve(pool *engine.Machines, cfg pusch.ChainConfig, cache *timecache.Cache, model *timing.Model, measure MeasureFunc) (report.SlotRecord, error) {
-	if measure == nil {
-		measure = measureChain
-	}
-	if cfg.Timing == pusch.TimingAnalytic {
-		if model == nil {
-			return report.SlotRecord{}, fmt.Errorf("sched: analytic timing requested but no calibration model is loaded (Config.Model)")
-		}
-		return model.Predict(cfg)
-	}
-	key := ""
-	if cache != nil {
-		if k, err := cfg.CacheKey(); err == nil {
-			key = k
-			if rec, ok := cache.Lookup(key); ok {
-				return rec, nil
-			}
-		}
-	}
-	rec, err := measure(pool, cfg)
-	if key != "" && err == nil {
-		cache.Add(key, rec)
-	}
-	return rec, err
+	return campaign.Resolve(pool, cfg, cache, model, measure)
 }
 
 // Serve runs the whole trace and returns per-job results in arrival
@@ -272,9 +216,9 @@ func (r *Replay) drain(c int, until int64, final bool) {
 
 // ServeCells is the one serving loop, behind Scheduler and fleet.Fleet.
 // Phase 1 measures every job under every serving class across
-// cfg.Workers goroutines over a sharded machine pool, each through
-// Resolve (cfg.Cache, cfg.Model, then measure; nil measure runs the
-// chain). Phase 2 replays the arrivals serially in virtual time: at each
+// cfg.Workers goroutines over a sharded machine pool (engine.FanOut),
+// each through campaign.Resolve (cfg.Model, cfg.Cache, then measure;
+// nil measure runs the chain). Phase 2 replays the arrivals serially in virtual time: at each
 // arrival every cell completes its work up to that instant, route picks
 // a cell, and the cell admits the job under a G/D/c/K discipline —
 // earliest free server (lowest index on ties), FIFO bounded queue, drop
@@ -404,18 +348,11 @@ func measureAll(cfg Config, measure MeasureFunc, jobs []Job, order []int, classe
 	if base == 0 {
 		base = 1
 	}
-	total := len(classes) * len(jobs)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(min(workers, total), 1)
-	sharded := engine.NewSharded(workers)
 	meas := make([][]measured, len(classes))
 	for cls := range meas {
 		meas[cls] = make([]measured, len(jobs))
 	}
-	run := func(pool *engine.Machines, k int) {
+	pool := engine.FanOut(cfg.Workers, len(classes)*len(jobs), func(pool *engine.Machines, k int) {
 		cls, pos := k/len(jobs), k%len(jobs)
 		chain := jobs[order[pos]].Chain
 		if classes[cls] != nil {
@@ -424,34 +361,10 @@ func measureAll(cfg Config, measure MeasureFunc, jobs []Job, order []int, classe
 		if chain.Seed == 0 {
 			chain.Seed = jobSeed(base, pos)
 		}
-		rec, err := Resolve(pool, chain, cfg.Cache, cfg.Model, measure)
+		rec, err := campaign.Resolve(pool, chain, cfg.Cache, cfg.Model, measure)
 		meas[cls][pos] = measured{rec: rec, err: err}
-	}
-	if workers == 1 {
-		pool := sharded.Shard(0)
-		for k := 0; k < total; k++ {
-			run(pool, k)
-		}
-		return meas, sharded
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pool := sharded.Shard(w)
-			for k := range idx {
-				run(pool, k)
-			}
-		}(w)
-	}
-	for k := 0; k < total; k++ {
-		idx <- k
-	}
-	close(idx)
-	wg.Wait()
-	return meas, sharded
+	})
+	return meas, pool
 }
 
 // Summarize computes the aggregate service picture from per-job

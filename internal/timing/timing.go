@@ -157,10 +157,13 @@ func (m *Model) Predict(cfg pusch.ChainConfig) (report.SlotRecord, error) {
 		if len(h.Beta) != len(x) {
 			return report.SlotRecord{}, fmt.Errorf("timing: calibrated %s model has %d coefficients, feature basis has %d — stale artifact, regenerate", stageKeys[st], len(h.Beta), len(x))
 		}
-		wall := int64(math.Round(rp[st] * h.predict(x)))
-		if wall < 0 {
-			wall = 0
+		w := math.Round(rp[st] * h.predict(x))
+		if !(w < 1<<53) {
+			// NaN, infinite or past exact integers: five such walls could
+			// overflow the total. Fail closed, as for a missing class.
+			return report.SlotRecord{}, fmt.Errorf("timing: calibrated %s model predicts %g cycles for NSC=%d on %s; regenerate the calibration", stageKeys[st], w, cfg.NSC, cfg.Cluster.Name)
 		}
+		wall := int64(max(w, 0))
 		total += wall
 		phases = append(phases, report.SlotPhase{
 			Name:    string(st),

@@ -1,8 +1,6 @@
 package pusch
 
 import (
-	"io"
-
 	"repro/internal/arch"
 	"repro/internal/campaign"
 	"repro/internal/timecache"
@@ -68,16 +66,4 @@ func LayoutSweep(base ChainConfig, splits [][3]int) []Scenario {
 // searches on one cluster at one FFT size.
 func DefaultLayoutSplits(cluster *arch.Config, nsc int) [][3]int {
 	return campaign.DefaultLayoutSplits(cluster, nsc)
-}
-
-// RunCampaign executes the scenarios and returns results in scenario
-// order.
-func RunCampaign(r *Runner, scenarios []Scenario) []CampaignResult {
-	return r.Run(scenarios)
-}
-
-// WriteCampaignJSONL executes the scenarios and writes one JSON line per
-// result, deterministically across runs and worker counts.
-func WriteCampaignJSONL(w io.Writer, r *Runner, scenarios []Scenario) error {
-	return r.WriteJSONL(w, scenarios)
 }

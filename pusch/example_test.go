@@ -15,14 +15,15 @@ import (
 // The output is deterministic: the simulator is bit-reproducible and
 // the payload is derived from the fixed seed.
 func ExampleRunChain() {
-	res, err := pusch.RunChain(pusch.ChainConfig{
+	cfg := pusch.ChainConfig{
 		Cluster: sim.MemPool(),
 		NSC:     64, NR: 4, NB: 4, NL: 1,
 		NSymb: 3, NPilot: 2,
 		Scheme: waveform.QPSK,
 		SNRdB:  20,
 		Seed:   1,
-	})
+	}
+	res, err := pusch.RunChain(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,17 +32,7 @@ func ExampleRunChain() {
 	// The same run as a typed telemetry record (what campaigns and the
 	// slot-traffic scheduler emit): one data symbol of 64 subcarriers at
 	// 2 bits each for a single UE.
-	rec, err := pusch.RunChainRecord(pusch.ChainConfig{
-		Cluster: sim.MemPool(),
-		NSC:     64, NR: 4, NB: 4, NL: 1,
-		NSymb: 3, NPilot: 2,
-		Scheme: waveform.QPSK,
-		SNRdB:  20,
-		Seed:   1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	rec := res.Record(cfg)
 	fmt.Printf("%s slot on %s: %d payload bits\n", rec.Kind, rec.Cluster, rec.PayloadBits)
 	// Output:
 	// BER: 0

@@ -89,14 +89,8 @@ func RunChainOn(m *engine.Machine, cfg ChainConfig) (*ChainResult, error) {
 	return pusch.RunChainOn(m, cfg)
 }
 
-// RunChainRecord executes the chain and returns its typed slot record:
-// the job-oriented entry point the slot-traffic scheduler dispatches.
-func RunChainRecord(cfg ChainConfig) (SlotRecord, error) {
-	return pusch.RunChainRecord(cfg)
-}
-
-// RunChainRecordOn is RunChainRecord on a caller-supplied (fresh or
-// Reset) machine.
+// RunChainRecordOn executes the chain on a caller-supplied (fresh or
+// Reset) machine and returns its typed slot record.
 func RunChainRecordOn(m *engine.Machine, cfg ChainConfig) (SlotRecord, error) {
 	return pusch.RunChainRecordOn(m, cfg)
 }

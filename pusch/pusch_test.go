@@ -98,7 +98,7 @@ func TestChannelFacade(t *testing.T) {
 	if len(scens) != 2 {
 		t.Fatalf("%d scenarios, want 2", len(scens))
 	}
-	res := pusch.RunCampaign(&pusch.Runner{Workers: 1}, scens)
+	res := (&pusch.Runner{Workers: 1}).Run(scens)
 	for _, r := range res {
 		if r.Error != "" {
 			t.Fatalf("%s: %s", r.Scenario, r.Error)

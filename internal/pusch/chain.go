@@ -323,9 +323,8 @@ func runChainOn(m *engine.Machine, cfg ChainConfig, tr *obs.Trace) (*ChainResult
 
 // RunChainRecordOn executes the chain on a caller-supplied (fresh or
 // Reset) machine and returns the typed telemetry record instead of the
-// raw result: the job-oriented entry point the slot-traffic scheduler
-// dispatches, where each admitted job must yield exactly one
-// report.SlotRecord.
+// raw result, for callers that hold their own machine. Campaigns and
+// the scheduler measure through campaign.Resolve instead.
 func RunChainRecordOn(m *engine.Machine, cfg ChainConfig) (report.SlotRecord, error) {
 	if cfg.Cluster == nil {
 		cfg.Cluster = m.Cfg

@@ -103,6 +103,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -121,12 +122,16 @@ import (
 	"repro/internal/timing"
 )
 
+// maxJobs caps -jobs at about ten times the longest benchmarked trace
+// (100k jobs), far below what would exhaust memory.
+const maxJobs = 1 << 20
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("puschd: ")
 	inPath := flag.String("in", "", "JSONL job-spec stream to serve (a path, or - for stdin); empty uses -gen")
 	gen := flag.String("gen", "poisson", "trace generator when -in is empty: poisson, bursty, mix or campaign")
-	jobs := flag.Int("jobs", 100, "generated trace length in slots")
+	jobs := flag.Int("jobs", 100, "generated trace length in slots (at most 1048576)")
 	rate := flag.Float64("rate", 2, "offered load in slots per millisecond of simulated time")
 	burst := flag.Int("burst", 8, "bursty: slots per on-period")
 	gapMs := flag.Float64("gap-ms", 2, "bursty: mean off-period in milliseconds")
@@ -154,6 +159,15 @@ func main() {
 	workers := flag.Int("workers", 0, "host measurement goroutines (0 = GOMAXPROCS); never affects results")
 	seed := flag.Uint64("seed", 1, "trace and payload base seed")
 	flag.Parse()
+	if *jobs > maxJobs {
+		log.Fatalf("-jobs %d exceeds the cap of %d slots", *jobs, maxJobs)
+	}
+	if math.IsNaN(*rate) {
+		log.Fatal("-rate is not a number")
+	}
+	if math.IsNaN(*gapMs) {
+		log.Fatal("-gap-ms is not a number")
+	}
 
 	var reg *obs.Registry
 	if *metricsAddr != "" {
@@ -437,13 +451,15 @@ func buildTrace(inPath, gen string, base pusch.ChainConfig, jobs int, rate float
 		return sched.MixedTracePop(sched.TableIMix(&base), jobs, rate, seed, pop), nil
 	case "campaign":
 		// A campaign family served as a traffic stream: the SNR sweep's
-		// scenarios arrive evenly at the offered rate (clamped positive,
-		// like the random generators).
-		if rate <= 0 {
+		// scenarios arrive evenly at the offered rate (non-positive and
+		// NaN rates default to 1 slot/ms, like the random generators).
+		if !(rate > 0) {
 			rate = 1
 		}
 		scenarios := campaign.SNRSweep(base, snrMin, snrMax, 2)
-		spacing := int64(sched.CyclesPerMs / rate)
+		// Capped so the conversion stays in int64 range; FromScenarios
+		// stops the trace where arrivals would pass the same bound.
+		spacing := int64(min(sched.CyclesPerMs/rate, 1<<62))
 		trace, skipped := sched.FromScenarios(scenarios, spacing, seed)
 		if skipped > 0 {
 			log.Printf("skipped %d non-chain scenarios", skipped)

@@ -10,21 +10,22 @@
 //     instruction-fetch models and the fork-join barrier runtime, plus
 //     the slot-traffic scheduler that serves streaming slot jobs
 //     through a bounded queue on pooled machines;
-//   - kernels/...: the paper's parallel kernels (folded radix-4 FFT,
-//     4x4-window matrix multiplication, mirrored/replicated Cholesky,
-//     channel and noise estimation, per-subcarrier MIMO detection), all
-//     bit-exact against serial fixed-point golden models;
+//   - kernels/fft, kernels/mmm: the paper's folded radix-4 FFT and
+//     4x4-window matrix multiplication as public plans; these and the
+//     internal kernels the chain also runs (mirrored/replicated
+//     Cholesky, channel and noise estimation, per-subcarrier MIMO
+//     detection) are all bit-exact against serial fixed-point golden
+//     models;
 //   - pusch: the Table I / Fig. 3 complexity model, the end-to-end
-//     functional receive chain (whole, or as its SlotTX / Pipeline /
-//     ScoreSlot stages) with layout-driven execution — the sequential
-//     schedule of the paper, or spatially pipelined Layouts that
-//     partition the cores among concurrent stages and overlap
+//     functional receive chain with layout-driven execution — the
+//     sequential schedule of the paper, or spatially pipelined Layouts
+//     that partition the cores among concurrent stages and overlap
 //     consecutive OFDM symbols — the Fig. 9c slot-budget experiment,
 //     and the campaign engine that sweeps scenario families (including
 //     layout splits) in parallel on pooled simulator machines;
-//   - waveform, fixedpoint: the transmit/channel substrate and the
-//     packed Q1.15 arithmetic;
-//   - internal/channel (re-exported via pusch and sim): the fading
+//   - waveform, fixedpoint: the QAM schemes and DFT beamforming weights
+//     of the transmit substrate, and the packed Q1.15 sample;
+//   - internal/channel (profiles re-exported via pusch): the fading
 //     subsystem — 3GPP TR 38.901 TDL-A/B/C power-delay profiles,
 //     Rayleigh/Rician sum-of-sinusoids tap fading with a Jakes Doppler
 //     spectrum, and per-UE link state that evolves coherently across a
@@ -50,15 +51,16 @@
 //     streams byte-identical across worker counts and under the
 //     cache).
 //
-// Observability is deterministic too (internal/obs, re-exported via
-// pusch): a virtual-time span tracer exports every stage window,
-// barrier wait and handshake as Chrome trace-event JSON (puschsim
-// -trace-profile), and a metrics registry exposes wait/sojourn
-// histograms, queue depth over virtual time, outcome counters and
-// cache/pool traffic in Prometheus text format with live pprof
-// introspection (puschd -metrics). Both are off by default, free when
-// off, and byte-identical across runs and worker counts when on;
-// docs/OBSERVABILITY.md has the span model and metric catalogue.
+// Observability is deterministic too (internal/obs, its tracer
+// re-exported via pusch): a virtual-time span tracer exports every
+// stage window, barrier wait and handshake as Chrome trace-event JSON
+// (puschsim -trace-profile), and a metrics registry exposes
+// wait/sojourn histograms, queue depth over virtual time, outcome
+// counters and cache/pool traffic in Prometheus text format with live
+// pprof introspection (puschd -metrics). Both are off by default,
+// free when off, and byte-identical across runs and worker counts
+// when on; docs/OBSERVABILITY.md has the span model and metric
+// catalogue.
 //
 // Slot timing is data-independent — a pure function of the scenario
 // coordinate — which the repo exploits through three timing paths: the

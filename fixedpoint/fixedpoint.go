@@ -1,47 +1,16 @@
-// Package fixedpoint re-exports the packed Q1.15 complex arithmetic the
-// kernels compute with: one 32-bit word per complex sample, widening
-// Q2.30 accumulators, round-to-nearest narrowing and saturation.
+// Package fixedpoint re-exports the packed Q1.15 complex sample the
+// kernels compute with: one 32-bit word per complex sample, quantized
+// from complex128 with rounding and saturation.
 package fixedpoint
 
 import "repro/internal/fixed"
 
-type (
-	// C15 is a packed complex Q1.15 sample (re in bits 15..0, im in
-	// bits 31..16).
-	C15 = fixed.C15
-	// Acc is a widening complex accumulator (Q2.30 components).
-	Acc = fixed.Acc
-)
-
-// Q1.15 range bounds.
-const (
-	MaxQ15 = fixed.MaxQ15
-	MinQ15 = fixed.MinQ15
-)
+// C15 is a packed complex Q1.15 sample (re in bits 15..0, im in bits
+// 31..16).
+type C15 = fixed.C15
 
 // Pack builds a sample from raw Q1.15 components.
 func Pack(re, im int16) C15 { return fixed.Pack(re, im) }
 
 // FromComplex quantizes a complex128 into a packed sample.
 func FromComplex(z complex128) C15 { return fixed.FromComplex(z) }
-
-// FloatToQ15 quantizes a float in [-1, 1) with saturation.
-func FloatToQ15(f float64) int16 { return fixed.FloatToQ15(f) }
-
-// Q15ToFloat converts a raw Q1.15 value to float64.
-func Q15ToFloat(v int16) float64 { return fixed.Q15ToFloat(v) }
-
-// Add returns a+b with saturation.
-func Add(a, b C15) C15 { return fixed.Add(a, b) }
-
-// Sub returns a-b with saturation.
-func Sub(a, b C15) C15 { return fixed.Sub(a, b) }
-
-// Mul returns the rounded complex product.
-func Mul(a, b C15) C15 { return fixed.Mul(a, b) }
-
-// MulConj returns a*conj(b), rounded.
-func MulConj(a, b C15) C15 { return fixed.MulConj(a, b) }
-
-// CDiv returns the complex quotient a/b.
-func CDiv(a, b C15) C15 { return fixed.CDiv(a, b) }

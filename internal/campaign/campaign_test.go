@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -21,7 +22,32 @@ func testBase() pusch.ChainConfig {
 	}
 }
 
+// hostileSNRAxes are SNR axes whose loop would never end or would build
+// an unbounded family: each must yield no scenarios.
+var hostileSNRAxes = []struct {
+	name             string
+	min, max, stepDB float64
+}{
+	{"max +inf", 8, math.Inf(1), 2},
+	{"min -inf", math.Inf(-1), 26, 2},
+	{"min nan", math.NaN(), 26, 2},
+	{"max nan", 8, math.NaN(), 2},
+	{"step nan", 8, 26, math.NaN()},
+	{"step +inf", 8, 26, math.Inf(1)},
+	{"step -inf", 8, 26, math.Inf(-1)},
+	{"tiny step", 8, 26, 1e-12},
+	{"one past the cap", 0, maxSNRPoints, 1},
+}
+
 func TestSNRSweepGenerator(t *testing.T) {
+	for _, tc := range hostileSNRAxes {
+		if n := len(SNRSweep(testBase(), tc.min, tc.max, tc.stepDB)); n != 0 {
+			t.Errorf("%s: SNRSweep(%g, %g, %g) = %d scenarios, want 0", tc.name, tc.min, tc.max, tc.stepDB, n)
+		}
+	}
+	if n := len(SNRSweep(testBase(), 0, maxSNRPoints-1, 1)); n != maxSNRPoints {
+		t.Errorf("SNRSweep at the cap = %d scenarios, want %d", n, maxSNRPoints)
+	}
 	scens := SNRSweep(testBase(), 8, 26, 2)
 	if len(scens) != 10 {
 		t.Fatalf("SNRSweep(8, 26, 2) = %d scenarios, want 10", len(scens))
@@ -296,7 +322,13 @@ func TestLinkCurveMonotone(t *testing.T) {
 // TestLinkCurvesCrossProduct checks the generator's shape: profiles are
 // contiguous, every (profile, SNR) pair appears once.
 func TestLinkCurvesCrossProduct(t *testing.T) {
-	scens := LinkCurves(testBase(), []channel.Profile{channel.TDLB, channel.TDLC}, 10, 20, 5)
+	profiles := []channel.Profile{channel.TDLB, channel.TDLC}
+	for _, tc := range hostileSNRAxes {
+		if n := len(LinkCurves(testBase(), profiles, tc.min, tc.max, tc.stepDB)); n != 0 {
+			t.Errorf("%s: LinkCurves(%g, %g, %g) = %d scenarios, want 0", tc.name, tc.min, tc.max, tc.stepDB, n)
+		}
+	}
+	scens := LinkCurves(testBase(), profiles, 10, 20, 5)
 	if len(scens) != 6 {
 		t.Fatalf("%d scenarios, want 2 profiles x 3 points", len(scens))
 	}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/arch"
 	"repro/internal/channel"
@@ -9,20 +10,44 @@ import (
 	"repro/internal/waveform"
 )
 
-// SNRSweep returns one chain scenario per SNR point from minDB to maxDB
-// inclusive in stepDB increments (stepDB <= 0 defaults to 2 dB), the
-// family behind BER/EVM-versus-SNR curves. All other parameters come
-// from base.
-func SNRSweep(base pusch.ChainConfig, minDB, maxDB, stepDB float64) []Scenario {
+// maxSNRPoints caps the SNR axis of one sweep or link curve (the
+// default puschsim sweep has 10 points). A family that would run past
+// it is returned empty, like one whose bounds or step are not finite.
+const maxSNRPoints = 1000
+
+// snrPoints returns the SNR axis from minDB to maxDB inclusive in stepDB
+// increments (stepDB <= 0 defaults to 2 dB), or nil when a bound or the
+// step is not finite or the axis would exceed maxSNRPoints.
+func snrPoints(minDB, maxDB, stepDB float64) []float64 {
+	for _, v := range []float64{minDB, maxDB, stepDB} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil
+		}
+	}
 	if stepDB <= 0 {
 		stepDB = 2
 	}
-	var out []Scenario
+	var out []float64
 	for i := 0; ; i++ {
 		snr := minDB + float64(i)*stepDB
 		if snr > maxDB+1e-9 {
-			break
+			return out
 		}
+		if i == maxSNRPoints {
+			return nil
+		}
+		out = append(out, snr)
+	}
+}
+
+// SNRSweep returns one chain scenario per SNR point from minDB to maxDB
+// inclusive in stepDB increments (stepDB <= 0 defaults to 2 dB), the
+// family behind BER/EVM-versus-SNR curves. All other parameters come
+// from base. Non-finite arguments or more than 1000 points yield no
+// scenarios.
+func SNRSweep(base pusch.ChainConfig, minDB, maxDB, stepDB float64) []Scenario {
+	var out []Scenario
+	for _, snr := range snrPoints(minDB, maxDB, stepDB) {
 		cfg := base
 		cfg.SNRdB = snr
 		out = append(out, Scenario{
@@ -100,19 +125,14 @@ func ProfileSweep(base pusch.ChainConfig, profiles []channel.Profile) []Scenario
 // scenario per (fading profile, SNR point), the family behind
 // BER-versus-SNR link curves over standardized channels. SNR points run
 // from minDB to maxDB inclusive in stepDB increments (stepDB <= 0
-// defaults to 2 dB). Scenarios are ordered profile-major, so each
-// profile's curve is contiguous in the output stream.
+// defaults to 2 dB); non-finite arguments or more than 1000 points per
+// profile yield no scenarios. Scenarios are ordered profile-major, so
+// each profile's curve is contiguous in the output stream.
 func LinkCurves(base pusch.ChainConfig, profiles []channel.Profile, minDB, maxDB, stepDB float64) []Scenario {
-	if stepDB <= 0 {
-		stepDB = 2
-	}
+	snrs := snrPoints(minDB, maxDB, stepDB)
 	var out []Scenario
 	for _, p := range profiles {
-		for i := 0; ; i++ {
-			snr := minDB + float64(i)*stepDB
-			if snr > maxDB+1e-9 {
-				break
-			}
+		for _, snr := range snrs {
 			cfg := base
 			cfg.Channel.Profile = p
 			cfg.SNRdB = snr

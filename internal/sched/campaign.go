@@ -7,9 +7,10 @@ import (
 // FromScenarios adapts a campaign scenario family into a slot-traffic
 // trace: one job per chain scenario, arriving every spacingCycles
 // simulated cycles in scenario order (spacing <= 0 means back-to-back
-// arrival at cycle 0, the worst-case burst). Scenario names carry over
-// into job records, so a served campaign remains identifiable line by
-// line.
+// arrival at cycle 0, the worst-case burst). The trace stops before an
+// arrival would pass cycle 1<<62, like the generators. Scenario names
+// carry over into job records, so a served campaign remains
+// identifiable line by line.
 //
 // baseSeed pins payload seeds the way campaign.Runner{Seed: baseSeed}
 // would (0 defaults to 1, like the Runner): each unpinned chain
@@ -32,6 +33,9 @@ func FromScenarios(scenarios []campaign.Scenario, spacingCycles int64, baseSeed 
 		if sc.Chain == nil {
 			skipped++
 			continue
+		}
+		if spacingCycles > 0 && int64(len(jobs)) > maxArrival/spacingCycles {
+			break
 		}
 		cfg := *sc.Chain
 		if cfg.Seed == 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -284,6 +285,51 @@ func TestTraceGeneratorsDeterministicAndSeeded(t *testing.T) {
 	}
 	if MixedTrace(nil, 5, 1, 1) != nil {
 		t.Fatal("empty mix must return nil")
+	}
+}
+
+// TestTraceGeneratorsBoundArrivals feeds the trace sources hostile
+// rates, gaps and spacings: every arrival they emit must lie in
+// [0, maxArrival], the range Spec.Job enforces on replayed traces, and
+// arrivals must never decrease.
+func TestTraceGeneratorsBoundArrivals(t *testing.T) {
+	base := tinyChain()
+	nan := math.NaN()
+	type trace struct {
+		name string
+		jobs []Job
+	}
+	var traces []trace
+	for _, rate := range []float64{nan, math.Inf(1), 1e-300} {
+		traces = append(traces,
+			trace{fmt.Sprintf("poisson at rate %g", rate), PoissonTrace(base, 50, rate, 7)},
+			trace{fmt.Sprintf("bursty at rate %g", rate), BurstyTrace(base, 50, 4, rate, 2, 7)},
+			trace{fmt.Sprintf("mixed at rate %g", rate), MixedTrace(TableIMix(nil), 50, rate, 7)})
+	}
+	traces = append(traces, trace{"bursty with gap NaN", BurstyTrace(base, 50, 4, 5, nan, 7)})
+	sweep, _ := FromScenarios(campaign.SNRSweep(base, 10, 20, 2), maxArrival/2, 7)
+	traces = append(traces, trace{"campaign at spacing 1<<61", sweep})
+	for _, tr := range traces {
+		for i, j := range tr.jobs {
+			if j.Arrival < 0 || j.Arrival > maxArrival {
+				t.Errorf("%s: job %d arrives at %d, outside [0, %d]", tr.name, i, j.Arrival, int64(maxArrival))
+				break
+			}
+			if i > 0 && j.Arrival < tr.jobs[i-1].Arrival {
+				t.Errorf("%s: job %d arrives at %d, before job %d at %d", tr.name, i, j.Arrival, i-1, tr.jobs[i-1].Arrival)
+				break
+			}
+		}
+	}
+	if len(sweep) != 3 {
+		t.Errorf("campaign at spacing 1<<61: %d jobs, want the 3 that fit", len(sweep))
+	}
+	// NaN rates and gaps take the defaults of non-positive ones.
+	if !reflect.DeepEqual(PoissonTrace(base, 20, nan, 7), PoissonTrace(base, 20, 0, 7)) {
+		t.Error("NaN rate does not default like a non-positive one")
+	}
+	if !reflect.DeepEqual(BurstyTrace(base, 20, 4, 5, nan, 7), BurstyTrace(base, 20, 4, 5, -1, 7)) {
+		t.Error("NaN gap does not default like a negative one")
 	}
 }
 

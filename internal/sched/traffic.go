@@ -134,6 +134,16 @@ func trafficRNG(seed uint64) (*rand.Rand, uint64) {
 	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)), seed
 }
 
+// meanInterArrival converts an offered rate in slots per millisecond
+// into the mean inter-arrival time in cycles. Non-positive and NaN
+// rates default to one slot per millisecond.
+func meanInterArrival(ratePerMs float64) float64 {
+	if !(ratePerMs > 0) {
+		ratePerMs = 1
+	}
+	return CyclesPerMs / ratePerMs
+}
+
 // stampJob finalizes one generated job: per-job payload seed (distinct
 // slots carry distinct payload) and an index-stamped name.
 func stampJob(prefix string, i int, arrival int64, seed uint64, pop UEPopulation, cfg pusch.ChainConfig) Job {
@@ -151,7 +161,10 @@ func stampJob(prefix string, i int, arrival int64, seed uint64, pop UEPopulation
 // PoissonTrace draws n jobs with exponentially distributed inter-arrival
 // times at a mean rate of ratePerMs slots per millisecond (the memoryless
 // arrivals of a continuously loaded cell). All slots run base; the trace
-// is a pure function of (base, n, ratePerMs, seed).
+// is a pure function of (base, n, ratePerMs, seed). Non-positive and NaN
+// rates mean one slot per millisecond. Every generator stops before an
+// arrival would pass cycle 1<<62, the bound Spec.Job enforces, so a
+// vanishing rate yields fewer than n jobs.
 func PoissonTrace(base pusch.ChainConfig, n int, ratePerMs float64, seed uint64) []Job {
 	return PoissonTracePop(base, n, ratePerMs, seed, UEPopulation{})
 }
@@ -165,14 +178,14 @@ func PoissonTracePop(base pusch.ChainConfig, n int, ratePerMs float64, seed uint
 		n = 0
 	}
 	rng, seed := trafficRNG(seed)
-	if ratePerMs <= 0 {
-		ratePerMs = 1
-	}
-	mean := CyclesPerMs / ratePerMs
+	mean := meanInterArrival(ratePerMs)
 	jobs := make([]Job, 0, n)
 	t := 0.0
 	for i := 0; i < n; i++ {
 		t += rng.ExpFloat64() * mean
+		if t > maxArrival {
+			break
+		}
 		jobs = append(jobs, stampJob("poisson", i, int64(t), seed, pop, base))
 	}
 	return jobs
@@ -180,9 +193,9 @@ func PoissonTracePop(base pusch.ChainConfig, n int, ratePerMs float64, seed uint
 
 // BurstyTrace draws n jobs as an on/off process: bursts of burst slots
 // with Poisson inter-arrivals at ratePerMs, separated by exponentially
-// distributed silent gaps with mean gapMs milliseconds — the bursty
-// uplink of a cell whose users transmit in episodes rather than
-// continuously.
+// distributed silent gaps with mean gapMs milliseconds (negative and NaN
+// gaps mean none) — the bursty uplink of a cell whose users transmit in
+// episodes rather than continuously.
 func BurstyTrace(base pusch.ChainConfig, n, burst int, ratePerMs, gapMs float64, seed uint64) []Job {
 	return BurstyTracePop(base, n, burst, ratePerMs, gapMs, seed, UEPopulation{})
 }
@@ -193,16 +206,13 @@ func BurstyTracePop(base pusch.ChainConfig, n, burst int, ratePerMs, gapMs float
 		n = 0
 	}
 	rng, seed := trafficRNG(seed)
-	if ratePerMs <= 0 {
-		ratePerMs = 1
-	}
 	if burst < 1 {
 		burst = 1
 	}
-	if gapMs < 0 {
+	if !(gapMs >= 0) {
 		gapMs = 0
 	}
-	mean := CyclesPerMs / ratePerMs
+	mean := meanInterArrival(ratePerMs)
 	jobs := make([]Job, 0, n)
 	t := 0.0
 	for i := 0; i < n; i++ {
@@ -210,6 +220,9 @@ func BurstyTracePop(base pusch.ChainConfig, n, burst int, ratePerMs, gapMs float
 			t += rng.ExpFloat64() * gapMs * CyclesPerMs
 		}
 		t += rng.ExpFloat64() * mean
+		if t > maxArrival {
+			break
+		}
 		jobs = append(jobs, stampJob("bursty", i, int64(t), seed, pop, base))
 	}
 	return jobs
@@ -247,14 +260,14 @@ func MixedTracePop(mix []MixEntry, n int, ratePerMs float64, seed uint64, pop UE
 		n = 0
 	}
 	rng, seed := trafficRNG(seed)
-	if ratePerMs <= 0 {
-		ratePerMs = 1
-	}
-	mean := CyclesPerMs / ratePerMs
+	mean := meanInterArrival(ratePerMs)
 	jobs := make([]Job, 0, n)
 	t := 0.0
 	for i := 0; i < n; i++ {
 		t += rng.ExpFloat64() * mean
+		if t > maxArrival {
+			break
+		}
 		pick := rng.Float64() * total
 		var entry MixEntry
 		for _, e := range mix {

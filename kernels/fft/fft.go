@@ -1,5 +1,5 @@
 // Package fft re-exports the parallel radix-4 folded FFT kernel
-// (Section V-A of the paper).
+// (Section V-A of the paper) and its interleaved-layout ablation.
 package fft
 
 import (
@@ -10,8 +10,6 @@ import (
 type (
 	// Plan schedules a set of independent FFTs on one machine.
 	Plan = fft.Plan
-	// SerialPlan is the single-core baseline.
-	SerialPlan = fft.SerialPlan
 	// Layout selects folded (optimized) or interleaved (ablation)
 	// placement.
 	Layout = fft.Layout
@@ -26,15 +24,4 @@ const (
 // NewPlan allocates count independent n-point FFTs, batch per lane set.
 func NewPlan(m *engine.Machine, n, count, batch int, lay Layout) (*Plan, error) {
 	return fft.NewPlan(m, n, count, batch, lay)
-}
-
-// NewPlanOn is NewPlan with the lane sets carved from an explicit core
-// set (a chain-layout partition) instead of consecutive cores from 0.
-func NewPlanOn(m *engine.Machine, cores []int, n, count, batch int, lay Layout) (*Plan, error) {
-	return fft.NewPlanOn(m, cores, n, count, batch, lay)
-}
-
-// NewSerialPlan allocates reps serial n-point FFTs on one core.
-func NewSerialPlan(m *engine.Machine, core, n, reps int) (*SerialPlan, error) {
-	return fft.NewSerialPlan(m, core, n, reps)
 }

@@ -16,9 +16,6 @@ func TestPublicFFT(t *testing.T) {
 	if pl.Lanes != 4 {
 		t.Errorf("lanes = %d", pl.Lanes)
 	}
-	if _, err := fft.NewSerialPlan(m, 0, 64, 1); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := fft.NewPlan(m, 100, 1, 1, fft.Interleaved); err == nil {
 		t.Error("bad size accepted")
 	}

@@ -13,24 +13,9 @@ type (
 	// Options tune window shape, scaling and the conflict-avoidance
 	// stagger.
 	Options = mmm.Options
-	// Window is the output register-block shape.
-	Window = mmm.Window
-)
-
-// Window shapes from the paper's register-budget analysis.
-var (
-	Win4x4 = mmm.Win4x4
-	Win4x2 = mmm.Win4x2
-	Win2x2 = mmm.Win2x2
 )
 
 // NewPlan allocates an m-by-n times n-by-p product on the given cores.
 func NewPlan(mach *engine.Machine, m, n, p, cores int, opt Options) (*Plan, error) {
 	return mmm.NewPlan(mach, m, n, p, cores, opt)
-}
-
-// NewPlanOn is NewPlan on an explicit core set (a chain-layout
-// partition) instead of the first cores of the cluster.
-func NewPlanOn(mach *engine.Machine, cores []int, m, n, p int, opt Options) (*Plan, error) {
-	return mmm.NewPlanOn(mach, cores, m, n, p, opt)
 }

@@ -9,14 +9,11 @@ import (
 
 func TestPublicMMM(t *testing.T) {
 	m := sim.NewMachine(sim.MemPool())
-	pl, err := mmm.NewPlan(m, 8, 8, 8, 4, mmm.Options{Window: mmm.Win4x2})
+	pl, err := mmm.NewPlan(m, 8, 8, 8, 4, mmm.Options{ZeroShift: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Opt.Window != mmm.Win4x2 {
-		t.Error("window option lost")
-	}
-	if mmm.Win4x4.Rows != 4 || mmm.Win2x2.Cols != 2 {
-		t.Error("window constants wrong")
+	if !pl.Opt.ZeroShift {
+		t.Error("scaling option lost")
 	}
 }

@@ -1,7 +1,6 @@
 package pusch
 
 import (
-	"repro/internal/arch"
 	"repro/internal/campaign"
 	"repro/internal/timecache"
 	"repro/waveform"
@@ -15,9 +14,6 @@ type (
 	// Scenario is one named campaign point (a ChainConfig or
 	// UseCaseConfig variant).
 	Scenario = campaign.Scenario
-	// CampaignResult is one scenario's outcome, shaped for JSON-lines
-	// emission.
-	CampaignResult = campaign.Result
 	// Runner fans scenarios out across host goroutines with one pooled
 	// machine per worker.
 	Runner = campaign.Runner
@@ -60,10 +56,4 @@ func CholScheduleSweep(base UseCaseConfig, perRound []int) []Scenario {
 // the default ladder for the base cluster.
 func LayoutSweep(base ChainConfig, splits [][3]int) []Scenario {
 	return campaign.LayoutSweep(base, splits)
-}
-
-// DefaultLayoutSplits proposes the partition splits LayoutSweep
-// searches on one cluster at one FFT size.
-func DefaultLayoutSplits(cluster *arch.Config, nsc int) [][3]int {
-	return campaign.DefaultLayoutSplits(cluster, nsc)
 }

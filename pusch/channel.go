@@ -6,25 +6,18 @@ import (
 )
 
 // Fading-channel subsystem re-exports: named 3GPP TDL power-delay
-// profiles, the per-slot channel Spec carried by ChainConfig, and the
-// per-UE LinkState whose sum-of-sinusoids fading evolves coherently
-// across a UE's slots. See internal/channel for the full contract.
+// profiles and the per-slot channel Spec carried by ChainConfig. See
+// internal/channel for the full contract.
 type (
 	// ChannelSpec selects and parameterizes the fading model of one
 	// slot (ChainConfig.Channel). The zero value is the legacy iid draw.
 	ChannelSpec = channel.Spec
 	// ChannelProfile names a power-delay profile.
 	ChannelProfile = channel.Profile
-	// LinkState is one UE's evolving channel: a pure function of
-	// (fading seed, time), coherent across that UE's slots.
-	LinkState = channel.LinkState
-	// ChannelTap is one published power-delay-profile entry.
-	ChannelTap = channel.PDPTap
 )
 
-// Named fading profiles.
+// Named TDL fading profiles.
 const (
-	ChannelIID  = channel.IID
 	ChannelTDLA = channel.TDLA
 	ChannelTDLB = channel.TDLB
 	ChannelTDLC = channel.TDLC
@@ -39,20 +32,10 @@ func ParseChannelProfile(name string) (ChannelProfile, error) {
 	return channel.ParseProfile(name)
 }
 
-// ChannelPDP returns the published power-delay profile of a TDL
-// profile (nil for iid, which is synthesized from the tap count).
-func ChannelPDP(p ChannelProfile) []ChannelTap { return channel.PDP(p) }
-
 // DopplerFromSpeed converts a UE speed in km/h and a carrier frequency
 // in GHz to the maximum Doppler shift in Hz.
 func DopplerFromSpeed(speedKmh, carrierGHz float64) float64 {
 	return channel.DopplerFromSpeed(speedKmh, carrierGHz)
-}
-
-// NewLinkState builds one UE's evolving link state; see
-// ChannelSpec.Discretize for the tap layout.
-func NewLinkState(spec ChannelSpec, ueSeed uint64, nRx int, taps []channel.DiscreteTap) *LinkState {
-	return channel.NewLinkState(spec, ueSeed, nRx, taps)
 }
 
 // ProfileSweep generates one chain scenario per fading profile at the

@@ -1,16 +1,15 @@
 package pusch
 
 import (
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/pusch"
 )
 
-// Observability re-exports: the deterministic span tracer and the
-// metrics registry from internal/obs. Traces and metrics are functions
-// of simulated state only — no wall-clock, no goroutine identity — so
-// they are byte-identical across runs and worker counts. See
-// docs/OBSERVABILITY.md for the span model and metric catalogue.
+// Observability re-exports: the deterministic span tracer from
+// internal/obs. Traces are functions of simulated state only — no
+// wall-clock, no goroutine identity — so they are byte-identical
+// across runs and worker counts. See docs/OBSERVABILITY.md for the
+// span model.
 type (
 	// TraceProfile collects one SlotTrace per campaign scenario (or
 	// served slot) and writes the whole set as one Chrome trace-event
@@ -20,19 +19,10 @@ type (
 	// SlotTrace holds the virtual-time spans of one slot run: host
 	// stages, chain stages per core partition, barriers and handshakes.
 	SlotTrace = obs.Trace
-	// TraceSpan is one named interval on one track, in simulated cycles.
-	TraceSpan = obs.Span
-	// MetricsRegistry is the deterministic counter/gauge/histogram
-	// registry behind the -metrics endpoint. Hand one to
-	// sched.Config.Metrics / fleet.Config.Metrics (see repro/sim).
-	MetricsRegistry = obs.Registry
 )
 
 // NewTraceProfile returns an empty, ready-to-use trace profile.
 func NewTraceProfile() *TraceProfile { return obs.NewProfile() }
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // RunChainTraced executes the functional receive chain like RunChain
 // while recording virtual-time spans into tr: host transmit/score
@@ -42,10 +32,4 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // untraced run.
 func RunChainTraced(cfg ChainConfig, tr *SlotTrace) (*ChainResult, error) {
 	return pusch.RunChainTraced(cfg, tr)
-}
-
-// RunChainTracedOn is RunChainTraced on a caller-supplied (fresh or
-// Reset) machine.
-func RunChainTracedOn(m *engine.Machine, cfg ChainConfig, tr *SlotTrace) (*ChainResult, error) {
-	return pusch.RunChainTracedOn(m, cfg, tr)
 }

@@ -75,15 +75,12 @@ func TestPublicUseCase(t *testing.T) {
 }
 
 // TestChannelFacade exercises the fading-subsystem re-exports: profile
-// parsing, the PDP tables, link-curve generation and an end-to-end
+// parsing, Doppler conversion, link-curve generation and an end-to-end
 // chain run over a TDL profile through the public surface only.
 func TestChannelFacade(t *testing.T) {
 	p, err := pusch.ParseChannelProfile("tdl-b")
 	if err != nil || p != pusch.ChannelTDLB {
 		t.Fatalf("ParseChannelProfile(tdl-b) = %q, %v", p, err)
-	}
-	if got := len(pusch.ChannelPDP(pusch.ChannelTDLC)); got != 24 {
-		t.Errorf("TDL-C PDP has %d taps, want 24", got)
 	}
 	if fd := pusch.DopplerFromSpeed(30, 3.5); fd < 90 || fd > 105 {
 		t.Errorf("DopplerFromSpeed(30, 3.5) = %g Hz", fd)

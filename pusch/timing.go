@@ -18,17 +18,10 @@ type (
 	// hand one to Runner.Model to resolve analytic-timing scenarios.
 	// Immutable and safe for concurrent use.
 	TimingModel = timing.Model
-	// TimingCalibration is the versioned coefficient artifact
-	// committed at testdata/calibration.json.
-	TimingCalibration = timing.Calibration
 )
 
-const (
-	// TimingCycleAccurate runs slots on the cycle-level engine.
-	TimingCycleAccurate = pusch.TimingCycleAccurate
-	// TimingAnalytic predicts slot timing with the calibrated model.
-	TimingAnalytic = pusch.TimingAnalytic
-)
+// TimingAnalytic predicts slot timing with the calibrated model.
+const TimingAnalytic = pusch.TimingAnalytic
 
 // DefaultCalibrationPath is the committed calibration artifact,
 // relative to the repository root.

@@ -1,14 +1,6 @@
 package sim
 
-import (
-	"io"
-
-	"repro/internal/campaign"
-	"repro/internal/fleet"
-	"repro/internal/pusch"
-	"repro/internal/report"
-	"repro/internal/sched"
-)
+import "repro/internal/fleet"
 
 // Multi-cell fleet re-exports: the sharded serving layer that routes a
 // shared arrival stream across N cells (each with its own cluster
@@ -21,9 +13,6 @@ type (
 	// path, server count and queue depth. Zero fields inherit from the
 	// job (cluster/layout/timing) or the defaults (servers/queue).
 	FleetCell = fleet.Cell
-	// FleetCellSpec is the JSON wire form of one cell in a -cell-config
-	// file.
-	FleetCellSpec = fleet.CellSpec
 	// FleetConfig is the deployment: cells, balancing policy,
 	// measurement workers, base seed, optional service-time cache and
 	// calibrated timing model.
@@ -33,31 +22,11 @@ type (
 	// BalancePolicy names a load-balancing policy ("round-robin",
 	// "least-queue", "sinr").
 	BalancePolicy = fleet.Policy
-	// FleetSummary aggregates one fleet run: totals, handovers, and one
-	// ServiceSummary per cell.
-	FleetSummary = report.FleetSummary
-	// UEPopulation is a block of mobile-UE fading identities traffic
-	// generators cycle through; fleets use disjoint blocks per scale so
-	// per-cell populations never collide.
-	UEPopulation = sched.UEPopulation
-)
-
-// Load-balancing policies.
-const (
-	BalanceRoundRobin = fleet.RoundRobin
-	BalanceLeastQueue = fleet.LeastQueue
-	BalanceSINRAware  = fleet.SINRAware
 )
 
 // BalancePolicies lists every policy in stable order.
 func BalancePolicies() []BalancePolicy {
 	return fleet.Policies()
-}
-
-// ParseBalancePolicy resolves a policy name (round-robin/rr,
-// least-queue/least, sinr/sinr-aware; empty means round-robin).
-func ParseBalancePolicy(name string) (BalancePolicy, error) {
-	return fleet.ParsePolicy(name)
 }
 
 // HomogeneousFleet returns n copies of the default cell, named
@@ -66,46 +35,8 @@ func HomogeneousFleet(n int, def FleetCell) []FleetCell {
 	return fleet.Homogeneous(n, def)
 }
 
-// ReadFleetCells parses a JSON cell-config array, zero fields
-// inheriting from the default cell.
-func ReadFleetCells(r io.Reader, def FleetCell) ([]FleetCell, error) {
-	return fleet.ReadCells(r, def)
-}
-
-// FleetPopulation is the mobile-UE population an n-cell fleet draws
-// its generated traffic from (n times the single-cell population).
-func FleetPopulation(n int) UEPopulation {
-	return fleet.Population(n)
-}
-
-// FleetTrace draws jobs slot jobs with Poisson arrivals for an n-cell
-// fleet, stamping mobile identities from the fleet-scale population.
-func FleetTrace(n int, base pusch.ChainConfig, jobs int, ratePerMs float64, seed uint64) []SlotJob {
-	return fleet.Trace(n, base, jobs, ratePerMs, seed)
-}
-
 // FleetMixedTrace draws jobs slot jobs from a weighted configuration
 // mix for an n-cell fleet.
 func FleetMixedTrace(n int, mix []MixEntry, jobs int, ratePerMs float64, seed uint64) []SlotJob {
 	return fleet.MixedTrace(n, mix, jobs, ratePerMs, seed)
-}
-
-// FleetJobsFromScenarios adapts a campaign scenario family into fleet
-// traffic, UE identities drawn from the n-cell population; the second
-// result counts skipped non-chain scenarios.
-func FleetJobsFromScenarios(n int, scenarios []campaign.Scenario, spacingCycles int64, baseSeed uint64) ([]SlotJob, int) {
-	return fleet.FromScenarios(n, scenarios, spacingCycles, baseSeed)
-}
-
-// CellGainDB is the deterministic slow-fading gain of one UE toward
-// one cell at a channel time — the pure function handover decisions
-// are made from.
-func CellGainDB(ueSeed uint64, cell int, tMs float64) float64 {
-	return fleet.CellGainDB(ueSeed, cell, tMs)
-}
-
-// AttachedCell is the cell a UE's gains favor at a channel time among
-// n cells.
-func AttachedCell(ueSeed uint64, n int, tMs float64) int {
-	return fleet.AttachedCell(ueSeed, n, tMs)
 }

@@ -29,16 +29,6 @@ func TestPublicSurface(t *testing.T) {
 	if rep.Stats.Instrs < 20 {
 		t.Errorf("instrs = %d", rep.Stats.Instrs)
 	}
-	if sim.Speedup(sim.Report{Wall: 100}, sim.Report{Wall: 10, Cores: 5}) != 10 {
-		t.Error("Speedup alias broken")
-	}
-}
-
-func TestLevelConstants(t *testing.T) {
-	cfg := sim.MemPool()
-	if lv := cfg.LevelFor(0, cfg.TileLocalAddr(0, 0, 0)); lv != sim.LevelLocal {
-		t.Errorf("local level = %v", lv)
-	}
 }
 
 // ExampleNewMachine runs a tiny parallel job and prints the instruction

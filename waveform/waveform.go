@@ -1,21 +1,15 @@
-// Package waveform re-exports the transmit-side substrate: QAM
-// constellations, Gold-sequence pilots, OFDM synthesis, the multipath
-// MIMO channel, and link-quality metrics.
+// Package waveform re-exports the transmit-side pieces the public
+// surface names: the QAM constellations a chain is configured with and
+// the DFT beamforming matrix.
 package waveform
 
 import (
-	"math/rand/v2"
-
 	"repro/internal/ref"
 	"repro/internal/waveform"
 )
 
-type (
-	// Scheme is a QAM constellation (QPSK, QAM16, QAM64).
-	Scheme = waveform.Scheme
-	// Channel is a frequency-selective MIMO channel.
-	Channel = waveform.Channel
-)
+// Scheme is a QAM constellation (QPSK, QAM16, QAM64).
+type Scheme = waveform.Scheme
 
 // Constellations.
 const (
@@ -24,51 +18,5 @@ const (
 	QAM64 = waveform.QAM64
 )
 
-// GoldSequence generates pseudo-random pilot bits (3GPP-style x^31 Gold
-// construction).
-func GoldSequence(cInit uint32, n int) []byte { return waveform.GoldSequence(cInit, n) }
-
-// QPSKPilots maps Gold bits to unit-modulus pilot symbols scaled by amp.
-func QPSKPilots(cInit uint32, n int, amp float64) []complex128 {
-	return waveform.QPSKPilots(cInit, n, amp)
-}
-
-// Modulate maps bits to constellation points scaled by amp.
-func Modulate(s Scheme, bits []byte, amp float64) ([]complex128, error) {
-	return waveform.Modulate(s, bits, amp)
-}
-
-// Demodulate hard-decides symbols back to bits.
-func Demodulate(s Scheme, syms []complex128, amp float64) []byte {
-	return waveform.Demodulate(s, syms, amp)
-}
-
-// OFDMModulate synthesizes the unitary time-domain OFDM symbol.
-func OFDMModulate(freq []complex128) []complex128 { return waveform.OFDMModulate(freq) }
-
-// NewChannel draws a Rayleigh multipath channel.
-func NewChannel(rng *rand.Rand, nRx, nTx, nTaps int) *Channel {
-	return waveform.NewChannel(rng, nRx, nTx, nTaps)
-}
-
 // DFTBeams returns the unitary-row DFT beamforming matrix.
 func DFTBeams(nBeams, nAnt int) *ref.Mat { return waveform.DFTBeams(nBeams, nAnt) }
-
-// BER counts the bit-error rate between two bit strings.
-func BER(got, want []byte) float64 { return waveform.BER(got, want) }
-
-// EVMdB returns the error-vector magnitude in dB.
-func EVMdB(got, want []complex128) float64 { return waveform.EVMdB(got, want) }
-
-// RandBits draws uniform bits.
-func RandBits(rng *rand.Rand, n int) []byte { return waveform.RandBits(rng, n) }
-
-// AddCyclicPrefix prepends the last cpLen samples of an OFDM symbol.
-func AddCyclicPrefix(symbol []complex128, cpLen int) ([]complex128, error) {
-	return waveform.AddCyclicPrefix(symbol, cpLen)
-}
-
-// RemoveCyclicPrefix strips a prefix added by AddCyclicPrefix.
-func RemoveCyclicPrefix(samples []complex128, cpLen int) ([]complex128, error) {
-	return waveform.RemoveCyclicPrefix(samples, cpLen)
-}

@@ -1,34 +1,26 @@
 package waveform_test
 
 import (
-	"math/rand/v2"
+	"math/cmplx"
 	"testing"
 
 	"repro/waveform"
 )
 
 func TestPublicWaveform(t *testing.T) {
-	bits := waveform.RandBits(rand.New(rand.NewPCG(1, 2)), 8)
-	syms, err := waveform.Modulate(waveform.QPSK, bits, 1)
-	if err != nil {
-		t.Fatal(err)
+	for s, want := range map[waveform.Scheme]int{waveform.QPSK: 2, waveform.QAM16: 4, waveform.QAM64: 6} {
+		if got := s.BitsPerSymbol(); got != want {
+			t.Errorf("%s: %d bits per symbol, want %d", s, got, want)
+		}
 	}
-	if got := waveform.BER(waveform.Demodulate(waveform.QPSK, syms, 1), bits); got != 0 {
-		t.Errorf("BER %g", got)
-	}
-	sym := waveform.OFDMModulate(make([]complex128, 64))
-	withCP, err := waveform.AddCyclicPrefix(sym, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := waveform.RemoveCyclicPrefix(withCP, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 64 {
-		t.Error("CP round trip length")
-	}
-	if waveform.GoldSequence(1, 8) == nil {
-		t.Error("no gold bits")
+	w := waveform.DFTBeams(8, 16)
+	for beam := 0; beam < 8; beam++ {
+		var norm float64
+		for ant := 0; ant < 16; ant++ {
+			norm += cmplx.Abs(w.At(beam, ant)) * cmplx.Abs(w.At(beam, ant))
+		}
+		if norm < 0.999 || norm > 1.001 {
+			t.Errorf("beam %d has squared norm %g, want 1", beam, norm)
+		}
 	}
 }

@@ -168,6 +168,14 @@ func main() {
 	if math.IsNaN(*gapMs) {
 		log.Fatal("-gap-ms is not a number")
 	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"snr", *snr}, {"doppler", *doppler}, {"rician-k", *ricianK}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			log.Fatalf("-%s %g is not a finite number", f.name, f.v)
+		}
+	}
 
 	var reg *obs.Registry
 	if *metricsAddr != "" {

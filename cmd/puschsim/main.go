@@ -74,6 +74,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -114,6 +115,14 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile (pprof) covering the run to this file")
 	memProfile := flag.String("memprofile", "", "write a host heap profile (pprof) at exit to this file")
 	flag.Parse()
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"snr", *snr}, {"doppler", *doppler}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			log.Fatalf("-%s %g is not a finite number", f.name, f.v)
+		}
+	}
 
 	// Host profiling (runtime/pprof): unlike -trace-profile, which records
 	// the slot's virtual-time spans, these measure where the simulator

@@ -41,15 +41,16 @@
 //     multi-cell fleet (internal/fleet, re-exported via sim) with
 //     pluggable load balancing (round-robin, least-queue, SINR-aware)
 //     and deterministic mobile-UE handover between cells;
-//   - cmd/benchgate: the deterministic performance gate — it diffs a
-//     fresh run against the committed testdata/baseline_*.json cycle
-//     for cycle, enforces the layout gate (the best pipelined layout's
-//     slot throughput must stay at or above the sequential layout's on
-//     the small-allocation gate slot), enforces the calibration gate
-//     (the analytic timing model's held-out error must stay under the
-//     committed budget), and enforces the fleet gate (multi-cell
-//     streams byte-identical across worker counts and under the
-//     cache).
+//   - cmd/benchgate: the deterministic performance gate — a table of
+//     five gates judged on cycles and bytes only: the kernel gate (a
+//     fresh quick run must match testdata/baseline_kernels.json cycle
+//     for cycle), the layout gate (the best pipelined layout's slot
+//     throughput must stay at or above the sequential layout's on the
+//     small-allocation gate slot), the cache gate (cached replay
+//     byte-identical to a cold run), the calibration gate (the
+//     analytic timing model's held-out error must stay under the
+//     committed budget) and the fleet gate (multi-cell streams
+//     byte-identical across worker counts and under the cache).
 //
 // Observability is deterministic too (internal/obs, its tracer
 // re-exported via pusch): a virtual-time span tracer exports every
@@ -77,9 +78,9 @@
 // table runs allocation-free epochs, and the interpreter hot path is
 // flattened against hoisted cluster invariants. The bulk-access
 // contract, the gates pinning cycle-exactness (property test plus
-// benchgate baselines) and the host-throughput measurement loop
-// (BENCH `host` section, CI smoke gate, committed pprof profiles in
-// docs/perf/) are specified in docs/ARCHITECTURE.md, "Engine
+// benchgate baselines) and how host time is measured (cmd/puschbench,
+// parent against change on one host, and the committed pprof profiles
+// in docs/perf/) are specified in docs/ARCHITECTURE.md, "Engine
 // performance model".
 //
 // The layer-by-layer map of the codebase — tcdm memory model up through

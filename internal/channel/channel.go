@@ -188,20 +188,22 @@ func (s *Spec) SetDefaults() {
 	}
 }
 
-// Validate rejects specs the subsystem cannot realize.
+// Validate rejects specs the subsystem cannot realize: an unknown
+// profile, or a float field that is negative, NaN or infinite.
 func (s Spec) Validate() error {
 	if _, err := ParseProfile(string(s.Profile)); err != nil {
 		return err
 	}
-	switch {
-	case s.DopplerHz < 0:
-		return fmt.Errorf("channel: negative Doppler %g Hz", s.DopplerHz)
-	case s.RicianK < 0:
-		return fmt.Errorf("channel: negative Rician K %g", s.RicianK)
-	case s.DelaySpreadNs < 0:
-		return fmt.Errorf("channel: negative delay spread %g ns", s.DelaySpreadNs)
-	case s.TimeMs < 0:
-		return fmt.Errorf("channel: negative channel time %g ms", s.TimeMs)
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"DopplerHz", s.DopplerHz}, {"RicianK", s.RicianK},
+		{"DelaySpreadNs", s.DelaySpreadNs}, {"TimeMs", s.TimeMs},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("channel: %s = %g, want a finite non-negative value", f.name, f.v)
+		}
 	}
 	return nil
 }

@@ -136,6 +136,12 @@ func TestSpecValidate(t *testing.T) {
 		{RicianK: -0.5},
 		{DelaySpreadNs: -10},
 		{TimeMs: -1},
+		{DopplerHz: math.NaN()},
+		{DopplerHz: math.Inf(1)},
+		{RicianK: math.NaN()},
+		{RicianK: math.Inf(1)},
+		{DelaySpreadNs: math.NaN()},
+		{TimeMs: math.Inf(1)},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

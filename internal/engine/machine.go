@@ -84,7 +84,7 @@ type Machine struct {
 
 	raceWriters map[arch.Addr]int32
 
-	// Host-side scratch reused across Run/Barrier calls so the hot path
+	// Host-side scratch reused across Run/barrier calls so the hot path
 	// allocates nothing per job, phase or core. A Machine executes one
 	// Run at a time (the pool's mutex orders handoffs between
 	// goroutines), and every scratch buffer is fully rewritten or
@@ -100,8 +100,8 @@ type Machine struct {
 	perTile     []int   // wakeCost: active cores per tile
 	perGroup    []int   // wakeCost/climbCost: active tiles (or cores) per group
 	groupTiles  []int   // wakeCost: whole tiles per group
-	allCores    []int   // cached identity core list for Barrier(nil)
-	barArrive   []int64 // Barrier arrival times
+	allCores    []int   // cached identity core list for nil core sets
+	barArrive   []int64 // ClusterBarrier arrival times, one per core
 }
 
 type tileICache struct {
@@ -570,46 +570,31 @@ func (m *Machine) RunWarm(name string, cores []int, jobs ...Job) (Report, error)
 
 // ClusterBarrier synchronizes every core in the cluster to a common
 // release time, attributing the wait as WFI stalls. The PUSCH chain's
-// sequential layout calls it between processing stages. It also retires
-// old bank reservations, bounding simulator memory.
-func (m *Machine) ClusterBarrier() { m.Barrier(nil) }
-
-// Barrier synchronizes a core partition (nil means every core) to a
-// common release time without involving the rest of the cluster: the
-// per-partition barrier of the spatially pipelined chain, where each
-// stage's partition syncs on its own counter while the other partitions
-// keep running. Costs mirror ClusterBarrier — a 3-instruction entry
-// sequence per core, then the hierarchical climb and the cheapest wake
-// trigger covering the partition.
-func (m *Machine) Barrier(cores []int) {
-	if cores == nil {
-		cores = m.allCores
-	}
+// sequential layout calls it between processing stages. Each core runs
+// a 3-instruction entry sequence, then pays the hierarchical climb and
+// the cheapest wake trigger covering the cluster. It also retires old
+// bank reservations, bounding simulator memory.
+func (m *Machine) ClusterBarrier() {
 	var last int64
-	if len(cores) > len(m.barArrive) {
-		m.barArrive = make([]int64, len(cores))
-	}
-	arrive := m.barArrive[:len(cores)]
-	for i, c := range cores {
+	arrive := m.barArrive
+	for c := range arrive {
 		// Entry sequence: increment + branch + wfi.
 		m.coreStats[c].Instrs += 3
 		m.coreStats[c].IAlu += 3
-		arrive[i] = m.coreTime[c] + 3
-		if arrive[i] > last {
-			last = arrive[i]
+		arrive[c] = m.coreTime[c] + 3
+		if arrive[c] > last {
+			last = arrive[c]
 		}
 	}
-	climb, wake := m.climbCost(cores), m.wakeCost(cores)
+	climb, wake := m.climbCost(m.allCores), m.wakeCost(m.allCores)
 	release := last + climb + wake
-	for i, c := range cores {
-		m.coreStats[c].WfiStalls += release - arrive[i]
+	for c := range arrive {
+		m.coreStats[c].WfiStalls += release - arrive[c]
 		m.coreTime[c] = release
-	}
-	if m.Tracer != nil {
-		for i, c := range cores {
+		if m.Tracer != nil {
 			m.Tracer.record(TraceEvent{
 				Job: "barrier", Phase: "sync", Core: c,
-				Start: arrive[i] - 3, Arrive: arrive[i], Release: release,
+				Start: arrive[c] - 3, Arrive: arrive[c], Release: release,
 				Climb: climb, Wake: wake,
 			})
 		}

@@ -58,65 +58,6 @@ func TestJobNotBefore(t *testing.T) {
 	}
 }
 
-// TestPartitionBarrier checks that Barrier over a subset aligns exactly
-// that subset to a common release time and leaves the rest of the
-// cluster untouched.
-func TestPartitionBarrier(t *testing.T) {
-	m := NewMachine(arch.MemPool())
-	if err := m.Run(Job{
-		Name:  "skew",
-		Cores: []int{0, 1, 2, 3},
-		Phases: []Phase{{Name: "s", Work: func(p *Proc) {
-			p.Tick(10 * (p.Lane + 1))
-		}}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	outside := m.CoreTime(8)
-	part := []int{0, 1, 2, 3}
-	m.Barrier(part)
-	release := m.CoreTime(0)
-	for _, c := range part {
-		if m.CoreTime(c) != release {
-			t.Errorf("core %d at %d after partition barrier, want %d", c, m.CoreTime(c), release)
-		}
-	}
-	if m.CoreTime(8) != outside {
-		t.Errorf("partition barrier moved outside core 8: %d -> %d", outside, m.CoreTime(8))
-	}
-	if release <= 40 {
-		t.Errorf("release %d does not include barrier costs", release)
-	}
-}
-
-// TestClusterBarrierIsBarrierAll pins the equivalence the sequential
-// chain's goldens rest on: ClusterBarrier and Barrier(nil) are the same
-// operation.
-func TestClusterBarrierIsBarrierAll(t *testing.T) {
-	a := NewMachine(arch.MemPool())
-	b := NewMachine(arch.MemPool())
-	work := Job{
-		Name:  "w",
-		Cores: []int{0, 1, 2, 3, 4, 5, 6, 7},
-		Phases: []Phase{{Name: "w", Work: func(p *Proc) {
-			p.Tick(5 * (p.Lane + 1))
-		}}},
-	}
-	if err := a.Run(work); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Run(work); err != nil {
-		t.Fatal(err)
-	}
-	a.ClusterBarrier()
-	b.Barrier(nil)
-	for c := 0; c < a.Cfg.NumCores(); c++ {
-		if a.CoreTime(c) != b.CoreTime(c) {
-			t.Fatalf("core %d: ClusterBarrier %d vs Barrier(nil) %d", c, a.CoreTime(c), b.CoreTime(c))
-		}
-	}
-}
-
 // TestMaxTime checks the partition finish-time helper.
 func TestMaxTime(t *testing.T) {
 	m := NewMachine(arch.MemPool())

@@ -96,32 +96,31 @@ func TestRotatePriorityPreservesResults(t *testing.T) {
 	}
 }
 
-// TestTracerRecordsBarrierEvents: an explicit Barrier on a traced
-// machine records one "barrier/sync" event per participating core, with
-// a shared release and the climb/wake cost breakdown.
+// TestTracerRecordsBarrierEvents: a ClusterBarrier on a traced machine
+// records one "barrier/sync" event per core, with a shared release and
+// the climb/wake cost breakdown.
 func TestTracerRecordsBarrierEvents(t *testing.T) {
 	m := NewMachine(arch.MemPool())
 	m.Tracer = &Tracer{}
-	cores := []int{0, 1, 2, 3}
-	err := m.Run(Job{Name: "j", Cores: cores, Phases: []Phase{
+	err := m.Run(Job{Name: "j", Cores: []int{0, 1, 2, 3}, Phases: []Phase{
 		{Name: "p", Work: func(p *Proc) { p.Tick(10 + 5*p.Lane) }},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := len(m.Tracer.Events)
-	m.Barrier(cores)
+	m.ClusterBarrier()
 	evs := m.Tracer.Events[before:]
-	if len(evs) != len(cores) {
-		t.Fatalf("barrier recorded %d events, want %d", len(evs), len(cores))
+	if len(evs) != m.Cfg.NumCores() {
+		t.Fatalf("barrier recorded %d events, want one per core (%d)", len(evs), m.Cfg.NumCores())
 	}
 	release := evs[0].Release
 	for i, ev := range evs {
 		if ev.Job != "barrier" || ev.Phase != "sync" {
 			t.Fatalf("event %d = %s/%s", i, ev.Job, ev.Phase)
 		}
-		if ev.Core != cores[i] {
-			t.Fatalf("event %d core = %d, want %d (ascending order)", i, ev.Core, cores[i])
+		if ev.Core != i {
+			t.Fatalf("event %d core = %d, want %d (ascending order)", i, ev.Core, i)
 		}
 		if ev.Release != release {
 			t.Fatalf("core %d released at %d, others at %d", ev.Core, ev.Release, release)

@@ -2,6 +2,7 @@ package pusch
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"strings"
 
@@ -181,6 +182,8 @@ func (c *ChainConfig) validate() error {
 		return fmt.Errorf("pusch: NSymb %d exceeds the 14 symbols of one NR slot", c.NSymb)
 	case c.Timing != TimingCycleAccurate && c.Timing != TimingAnalytic:
 		return fmt.Errorf("pusch: unknown timing mode %q", c.Timing)
+	case !finite(c.SNRdB) || !finite(c.DataAmp) || !finite(c.PilotAmp):
+		return fmt.Errorf("pusch: SNRdB %g, DataAmp %g and PilotAmp %g must be finite", c.SNRdB, c.DataAmp, c.PilotAmp)
 	}
 	if err := c.Channel.Validate(); err != nil {
 		return fmt.Errorf("pusch: %w", err)
@@ -191,6 +194,9 @@ func (c *ChainConfig) validate() error {
 	}
 	return c.Layout.validate(c.Cluster, c.NSC)
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // fftBatch chooses how many FFTs share a lane set so all NR transforms
 // fit on the cluster.

@@ -47,11 +47,14 @@ func (cs CoreSet) asRange() (lo, n int, ok bool) {
 //
 // The zero value is the sequential layout — every stage owns all cores,
 // one symbol in flight — and reproduces the pre-layout chain cycle for
-// cycle. A pipelined layout must assign all five stages; stages may
-// share a partition (their tasks then serialize on it, preserving the
-// chain's data dependencies), and distinct partitions must be disjoint.
-// Partitions need not cover the cluster: at small slot dimensions,
-// leaving cores idle beats paying their barrier traffic.
+// cycle. A pipelined layout must assign all five stages, and distinct
+// partitions must be disjoint. Stages that never run in the same beat
+// may share a partition, and their tasks then serialize on it: CHE and
+// MIMO (both are the detection task), and the noise combine with any
+// stage. FFT, BF and detection run concurrently in every beat, so each
+// needs its own partition. Partitions need not cover the cluster: at
+// small slot dimensions, leaving cores idle beats paying their barrier
+// traffic.
 type Layout struct {
 	FFT  CoreSet // OFDM demodulation (FFT) partition
 	BF   CoreSet // beamforming (MMM) partition
@@ -195,44 +198,49 @@ func ParseLayout(name string, cluster *arch.Config) (Layout, error) {
 // validate checks a pipelined layout against the cluster and the FFT's
 // lane demand: all five stages assigned, cores in range and unique
 // within a set, distinct partitions disjoint (element-wise equal sets
-// are one shared partition), and the FFT partition able to host at
-// least one NSC-point transform.
+// are one shared partition), no partition shared by stages that run in
+// the same pipeline beat, and the FFT partition able to host at least
+// one NSC-point transform.
 func (l Layout) validate(cluster *arch.Config, nsc int) error {
 	if !l.Pipelined() {
 		return nil
 	}
-	parts := []struct {
+	// task numbers the concurrent jobs of one pipeline beat: a single
+	// Machine.Run executes FFT(k) (1), BF(k-1) (2) and the detection of
+	// k-2 (3, chest or MIMO), so stages of different tasks must not share
+	// a partition. The noise combine (0) runs alone and may share any.
+	parts := [...]struct {
 		name string
 		set  CoreSet
+		task int
 	}{
-		{"fft", l.FFT}, {"bf", l.BF}, {"che", l.CHE}, {"ne", l.NE}, {"mimo", l.MIMO},
+		{"fft", l.FFT, 1}, {"bf", l.BF, 2}, {"che", l.CHE, 3}, {"ne", l.NE, 0}, {"mimo", l.MIMO, 3},
 	}
-	owner := make(map[int]string)   // core -> first partition key claiming it
-	keys := make(map[string]string) // partition key -> name
-	for _, p := range parts {
+	owner := make([]int8, cluster.NumCores()) // core -> 1 + index of the partition claiming it
+next:
+	for i, p := range parts {
 		if len(p.set) == 0 {
 			return fmt.Errorf("pusch: pipelined layout leaves stage %s without cores", p.name)
 		}
-		seen := make(map[int]bool, len(p.set))
-		for _, c := range p.set {
-			if c < 0 || c >= cluster.NumCores() {
-				return fmt.Errorf("pusch: layout stage %s: core %d out of range [0,%d)", p.name, c, cluster.NumCores())
+		for _, q := range parts[:i] {
+			if slices.Equal(q.set, p.set) {
+				if q.task != 0 && p.task != 0 && q.task != p.task {
+					return fmt.Errorf("pusch: layout stages %s and %s share a partition but run in the same pipeline beat", q.name, p.name)
+				}
+				continue next // shared partition, already accounted
 			}
-			if seen[c] {
+		}
+		for _, c := range p.set {
+			if c < 0 || c >= len(owner) {
+				return fmt.Errorf("pusch: layout stage %s: core %d out of range [0,%d)", p.name, c, len(owner))
+			}
+			switch prev := owner[c] - 1; {
+			case prev == int8(i):
 				return fmt.Errorf("pusch: layout stage %s lists core %d twice", p.name, c)
+			case prev >= 0:
+				return fmt.Errorf("pusch: layout partitions %s and %s both claim core %d (distinct partitions must be disjoint)", parts[prev].name, p.name, c)
 			}
-			seen[c] = true
-		}
-		key := fmt.Sprint([]int(p.set))
-		if _, known := keys[key]; known {
-			continue // shared partition, already accounted
-		}
-		keys[key] = p.name
-		for _, c := range p.set {
-			if prev, taken := owner[c]; taken {
-				return fmt.Errorf("pusch: layout partitions %s and %s both claim core %d (distinct partitions must be disjoint)", prev, p.name, c)
-			}
-			owner[c] = p.name
+			owner[c] = int8(i + 1)
 		}
 	}
 	if lanes := nsc / 16; len(l.FFT) < lanes {

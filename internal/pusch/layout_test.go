@@ -64,43 +64,67 @@ func TestParseLayoutForms(t *testing.T) {
 
 func TestLayoutValidate(t *testing.T) {
 	mp := arch.MemPool()
-	good, err := PipelinedSplit(mp, 64, 32, 64)
-	if err != nil {
-		t.Fatal(err)
+	split := func(f, b, d int) Layout {
+		l, err := PipelinedSplit(mp, f, b, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
 	}
-	if err := good.validate(mp, 256); err != nil {
-		t.Fatalf("valid layout rejected: %v", err)
+	good := split(64, 32, 64)
+	edit := func(f func(*Layout)) Layout {
+		l := good
+		f(&l)
+		return l
 	}
-	// FFT partition below the lane demand.
-	small, err := PipelinedSplit(mp, 8, 32, 64)
-	if err != nil {
-		t.Fatal(err)
+	p0, p1, p2, p3 := coreRange(0, 64), coreRange(64, 64), coreRange(128, 64), coreRange(192, 64)
+	for _, tc := range []struct {
+		name string
+		lay  Layout
+		ok   bool
+	}{
+		{"three-way split", good, true},
+		// The stock layout shares one partition among che, ne and mimo.
+		{"stock", StockPipelined(mp), true},
+		// The noise combine runs alone, so it may share any partition.
+		{"ne shares fft", Layout{FFT: p0, BF: p1, CHE: p2, NE: p0, MIMO: p2}, true},
+		{"che apart from mimo", Layout{FFT: p0, BF: p1, CHE: p2, NE: p2, MIMO: p3}, true},
+		{"fft below lane demand", split(2, 32, 64), false},
+		{"overlapping fft and bf", edit(func(l *Layout) { l.BF = CoreSet{60, 61, 62, 63} }), false},
+		{"unassigned stage", edit(func(l *Layout) { l.NE = nil }), false},
+		{"out-of-range core", edit(func(l *Layout) { l.MIMO = CoreSet{1 << 20} }), false},
+		{"core listed twice", edit(func(l *Layout) { l.BF = CoreSet{64, 65, 64} }), false},
+		// One beat runs FFT(k), BF(k-1) and the detection of k-2 as
+		// concurrent jobs, so none of them may share a partition.
+		{"fft shares bf", Layout{FFT: p0, BF: p0, CHE: p1, NE: p1, MIMO: p1}, false},
+		{"fft shares detection", Layout{FFT: p0, BF: p1, CHE: p0, NE: p0, MIMO: p0}, false},
+		{"bf shares detection", Layout{FFT: p0, BF: p1, CHE: p1, NE: p1, MIMO: p1}, false},
+	} {
+		cfg := ChainConfig{
+			Cluster: mp,
+			NSC:     64, NR: 16, NB: 8, NL: 4,
+			NSymb: 14, NPilot: 2,
+			Scheme: waveform.QPSK,
+			SNRdB:  20,
+			Seed:   1,
+			Layout: tc.lay,
+		}
+		err := tc.lay.validate(mp, cfg.NSC)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: validate = %v, want ok %v", tc.name, err, tc.ok)
+			continue
+		}
+		// Every accepted layout must run: validate is the only guard
+		// between a layout and Machine.Run's disjoint-core check.
+		if tc.ok {
+			if _, err := RunChain(cfg); err != nil {
+				t.Errorf("%s: accepted layout fails to run: %v", tc.name, err)
+			}
+		}
 	}
-	if err := small.validate(mp, 256); err == nil {
-		t.Error("8-core FFT partition accepted for a 16-lane FFT")
-	}
-	// Overlapping distinct partitions.
-	overlap := good
-	overlap.BF = CoreSet{60, 61, 62, 63}
-	if err := overlap.validate(mp, 256); err == nil {
-		t.Error("overlapping fft/bf partitions accepted")
-	}
-	// Missing stage.
-	missing := good
-	missing.NE = nil
-	if err := missing.validate(mp, 256); err == nil {
-		t.Error("layout with an unassigned stage accepted")
-	}
-	// Out-of-range core.
-	oor := good
-	oor.MIMO = CoreSet{1 << 20}
-	if err := oor.validate(mp, 256); err == nil {
-		t.Error("out-of-range core accepted")
-	}
-	// Shared partitions (che == ne == mimo) are legal; the stock layout
-	// relies on it.
-	if err := StockPipelined(mp).validate(mp, 256); err != nil {
-		t.Errorf("stock layout invalid: %v", err)
+	stock := StockPipelined(mp)
+	if n := testing.AllocsPerRun(100, func() { _ = stock.validate(mp, 256) }); n > 1 {
+		t.Errorf("stock layout validates in %v allocations, want at most 1", n)
 	}
 }
 

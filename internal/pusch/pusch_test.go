@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/channel"
 	"repro/internal/waveform"
 )
 
@@ -125,6 +126,12 @@ func TestChainConfigValidation(t *testing.T) {
 			cl.BankWords = 0
 			c.Cluster = &cl
 		}},
+		// Non-finite link parameters used to run and score BER ~0.5.
+		{"NaN SNR", func(c *ChainConfig) { c.SNRdB = math.NaN() }},
+		{"-Inf SNR", func(c *ChainConfig) { c.SNRdB = math.Inf(-1) }},
+		{"+Inf data amplitude", func(c *ChainConfig) { c.DataAmp = math.Inf(1) }},
+		{"NaN pilot amplitude", func(c *ChainConfig) { c.PilotAmp = math.NaN() }},
+		{"NaN Doppler", func(c *ChainConfig) { c.Channel = channel.Spec{Profile: channel.TDLB, DopplerHz: math.NaN()} }},
 	}
 	for _, tc := range cases {
 		cfg := base

@@ -44,13 +44,6 @@ type Document struct {
 	// so the BENCH artifact records fleet throughput per commit. Like
 	// Service it is informational and never diffed.
 	Fleet *FleetSummary `json:"fleet,omitempty"`
-
-	// Host is the benchgate host-throughput section: wall-clock
-	// slots/sec of the cycle-accurate reference slots on the measuring
-	// host. Like Service it is informational and never diffed, but the
-	// CI smoke step gates against the committed numbers (benchgate
-	// -host-smoke).
-	Host *HostSection `json:"host,omitempty"`
 }
 
 // CalibrationSummary is the analytic timing model's held-out error

@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzRead checks the benchmark-document parser behind benchgate's
-// -baseline and -fresh files: any input is rejected with an error, or
+// -baseline file: any input is rejected with an error, or
 // parsed into a document that writes and re-reads to the same bytes and
 // whose diff against itself reports nothing but duplicate keys.
 func FuzzRead(f *testing.F) {

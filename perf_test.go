@@ -69,9 +69,9 @@ func BenchmarkSchedulerTraceWarm(b *testing.B) {
 
 // BenchmarkMachineRun measures the host cost of one cycle-accurate
 // 64-SC MemPool slot — benchgate's layout-gate configuration — on a
-// reused machine: the number this PR-series' engine optimizations are
-// graded on (benchgate's host section records the same quantity as
-// slots/s).
+// reused machine: the number the engine optimizations are graded on
+// while they are written (cmd/puschbench's slot-mempool64 workload
+// times the same slot end to end).
 func BenchmarkMachineRun(b *testing.B) {
 	cfg := ipusch.ChainConfig{
 		Cluster: arch.MemPool(),

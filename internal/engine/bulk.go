@@ -69,7 +69,8 @@ func (s *bulkState) retire(lsu []int64) {
 
 // issueWord advances one load/store issue: one cycle, the fetch tax,
 // the bank booking, and the LSU-ring push — the per-word timing of every
-// memory op. It returns the access completion cycle.
+// memory op. It returns the access completion cycle; an untimed replay
+// books nothing and returns the issue clock instead.
 func (p *Proc) issueWord(s *bulkState, bank int) int64 {
 	issueAt := s.now
 	s.now++
@@ -81,6 +82,9 @@ func (p *Proc) issueWord(s *bulkState, bank int) int64 {
 			s.now += stall
 			s.icStall += stall
 		}
+	}
+	if p.untimed {
+		return s.now
 	}
 	lvl := arch.LevelRemote
 	if bank >= p.tLo && bank < p.tHi {

@@ -102,6 +102,13 @@ type Machine struct {
 	groupTiles  []int   // wakeCost: whole tiles per group
 	allCores    []int   // cached identity core list for nil core sets
 	barArrive   []int64 // ClusterBarrier arrival times, one per core
+
+	// RunSynced's memo of simulated units. The storage survives Reset,
+	// which drops only the entries, so a steady-state slot allocates
+	// nothing; replayed counts the units replayed since the last Reset.
+	memos     []syncMemo
+	memoStats []Stats // every core's Stats at the current unit's entry
+	replayed  int
 }
 
 type tileICache struct {
@@ -171,11 +178,12 @@ func (m *Machine) reserveBarrierRows() {
 }
 
 // Reset returns the machine to its just-constructed state — clocks,
-// counters, instruction caches, race-detector state and the TCDM arenas
-// (including stored words) are all cleared and the barrier rows
-// re-reserved — so one Machine (and its multi-MiB memory arena) can be
-// reused across independent runs instead of reallocated. A reused
-// machine reproduces a fresh machine's timing and results exactly.
+// counters, instruction caches, race-detector state, RunSynced's memo
+// and the TCDM arenas (including stored words) are all cleared and the
+// barrier rows re-reserved — so one Machine (and its multi-MiB memory
+// arena) can be reused across independent runs instead of reallocated.
+// A reused machine reproduces a fresh machine's timing and results
+// exactly.
 //
 // An attached Tracer is not detached, but its recorded events are
 // dropped so a new run starts with an empty timeline.
@@ -194,6 +202,8 @@ func (m *Machine) Reset() {
 	}
 	m.phaseCounter = 0
 	clear(m.raceWriters)
+	m.dropMemos()
+	m.replayed = 0
 	if m.Tracer != nil {
 		m.Tracer.Reset()
 	}
@@ -390,6 +400,12 @@ func (m *Machine) Run(jobs ...Job) error {
 	if err := m.validateJobs(jobs); err != nil {
 		return err
 	}
+	m.run(jobs)
+	return nil
+}
+
+// run executes validated jobs: the body of Run, shared with RunSynced.
+func (m *Machine) run(jobs []Job) {
 	// Per-cluster invariants of the flattened Proc access path.
 	ports := int64(m.Cfg.ICache.FetchPorts)
 	bpt := m.Cfg.BanksPerTile()
@@ -450,8 +466,8 @@ func (m *Machine) Run(jobs ...Job) error {
 				// more cores sharing the tile cache the service cost
 				// grows as (ports+active)/(2*ports).
 				taxNum := (ports + active) * 4 / ports
-				if active == 1 {
-					taxNum = 0
+				if active == 1 || m.procScratch.untimed {
+					taxNum = 0 // an untimed replay accrues no stalls either
 				}
 				// One reusable Proc: every per-phase field is reassigned
 				// here (the cluster invariants m/lsu/nb/lat* are set once
@@ -524,7 +540,6 @@ func (m *Machine) Run(jobs ...Job) error {
 			}
 		}
 	}
-	return nil
 }
 
 // RunWarm measures jobs warm: it returns the report over cores (nil

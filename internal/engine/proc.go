@@ -63,6 +63,11 @@ type Proc struct {
 	tLo, tHi        int
 	gLo, gHi        int
 	latReq, latResp [3]int64
+
+	// untimed marks a RunSynced replay: memory words are read and
+	// written but book no bank cycle and take no LSU slot, since the
+	// unit's timing is already known.
+	untimed bool
 }
 
 // bankOf returns the global bank of a word address: addr % nb, as a

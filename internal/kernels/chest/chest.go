@@ -34,6 +34,8 @@ type Plan struct {
 	partBase  arch.Addr // per-lane partial residual energies
 	sigmaAddr arch.Addr // final noise variance (Q1.15 real)
 	redShift  uint      // scaling of the partial-energy accumulation
+
+	jobs []engine.Job // built by the first JobsList call
 }
 
 // NewPlan allocates buffers for one pilot symbol of nsc subcarriers, nb
@@ -161,9 +163,13 @@ func (pl *Plan) laneRange(lane, lanes int) (lo, hi int) {
 	return lo, hi
 }
 
-// JobsList builds the two-phase job: per-subcarrier estimation plus the
-// reduction of the residual energy.
+// JobsList returns the two-phase job: per-subcarrier estimation plus
+// the reduction of the residual energy. It is built on the first call
+// and shared by every later one, so callers must not modify it in place.
 func (pl *Plan) JobsList() []engine.Job {
+	if pl.jobs != nil {
+		return pl.jobs
+	}
 	lanes := len(pl.Cores)
 	estimate := func(p *engine.Proc) {
 		lo, hi := pl.laneRange(p.Lane, lanes)
@@ -210,7 +216,7 @@ func (pl *Plan) JobsList() []engine.Job {
 		sigma := p.Narrow(acc, shift)
 		p.Store(pl.sigmaAddr, sigma)
 	}
-	return []engine.Job{{
+	pl.jobs = []engine.Job{{
 		Name:  "chest",
 		Cores: pl.Cores,
 		Phases: []engine.Phase{
@@ -218,6 +224,7 @@ func (pl *Plan) JobsList() []engine.Job {
 			{Name: "reduce", Kernel: "chest/red", Lines: 4, Work: reduce},
 		},
 	}}
+	return pl.jobs
 }
 
 // Run executes the estimation pass.

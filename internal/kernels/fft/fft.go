@@ -78,6 +78,8 @@ type Plan struct {
 	// per-element address-computation path of every butterfly.
 	jobTileIdx [][]int
 	twWords    []fixed.C15 // host copy of the twiddle table
+
+	jobs []engine.Job // built by the first JobsList call
 }
 
 // rowsPerBuf returns the rows each lane's single ping or pong buffer
@@ -421,11 +423,16 @@ func butterfly(p *engine.Proc, a, b, c, e, w1, w2, w3 engine.W) (y0, y1, y2, y3 
 	return y0, y1, y2, y3
 }
 
-// JobsList builds the engine jobs for the planned FFTs: one job per lane
-// set, one phase per stage (batched FFTs share each phase).
+// JobsList returns the engine jobs for the planned FFTs: one job per
+// lane set, one phase per stage (batched FFTs share each phase). They
+// are built on the first call and shared by every later one, so callers
+// must not modify them in place.
 func (pl *Plan) JobsList() []engine.Job {
-	jobs := make([]engine.Job, pl.Jobs)
-	for j := range jobs {
+	if pl.jobs != nil {
+		return pl.jobs
+	}
+	pl.jobs = make([]engine.Job, pl.Jobs)
+	for j := range pl.jobs {
 		phases := make([]engine.Phase, pl.S)
 		for s := range phases {
 			phases[s] = engine.Phase{
@@ -436,13 +443,13 @@ func (pl *Plan) JobsList() []engine.Job {
 				Work:       pl.stageWork(j, s),
 			}
 		}
-		jobs[j] = engine.Job{
+		pl.jobs[j] = engine.Job{
 			Name:   fmt.Sprintf("fft%d[%d]", pl.N, j),
 			Cores:  pl.jobCores[j],
 			Phases: phases,
 		}
 	}
-	return jobs
+	return pl.jobs
 }
 
 // Run executes the planned FFTs on the machine.

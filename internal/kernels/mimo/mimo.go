@@ -49,6 +49,8 @@ type Plan struct {
 	// are fixed at plan build, so composing them once removes all host
 	// address arithmetic from the inner loops.
 	scratchTab [][]arch.Addr
+
+	jobs []engine.Job // built by the first JobsList call
 }
 
 // scratch rows per core (on its 4 banks): G (NL rows), L (NL rows),
@@ -317,8 +319,13 @@ func (pl *Plan) detect(p *engine.Proc, core, sc int) {
 	}
 }
 
-// JobsList builds the single job spanning the plan's cores.
+// JobsList returns the single job spanning the plan's cores. It is
+// built on the first call and shared by every later one, so callers must
+// not modify it in place; its work reads Interp when it runs.
 func (pl *Plan) JobsList() []engine.Job {
+	if pl.jobs != nil {
+		return pl.jobs
+	}
 	lanes := len(pl.Cores)
 	work := func(p *engine.Proc) {
 		per := (pl.NSC + lanes - 1) / lanes
@@ -333,13 +340,14 @@ func (pl *Plan) JobsList() []engine.Job {
 			p.Tick(1)
 		}
 	}
-	return []engine.Job{{
+	pl.jobs = []engine.Job{{
 		Name:  "mimo",
 		Cores: pl.Cores,
 		Phases: []engine.Phase{{
 			Name: "detect", Kernel: "mimo/detect", Lines: 14, Work: work,
 		}},
 	}}
+	return pl.jobs
 }
 
 // Run executes the detection pass.

@@ -71,6 +71,11 @@ type Plan struct {
 	cBase   arch.Addr
 	blocksM int
 	blocksP int
+
+	// laneRows and laneCols hold each lane's row blocks and ordered
+	// column blocks, fixed at plan time.
+	laneRows, laneCols [][]int
+	job                engine.Job // built by the first Job call
 }
 
 // NewPlan allocates matrices for an m-by-n times n-by-p product executed
@@ -131,6 +136,7 @@ func NewPlanOn(mach *engine.Machine, cores []int, m, n, p int, opt Options) (*Pl
 		return nil, fmt.Errorf("mmm: matrix C: %w", err)
 	}
 	pl.Cores = append([]int(nil), cores...)
+	pl.planLanes()
 	return pl, nil
 }
 
@@ -176,25 +182,41 @@ func (pl *Plan) ReadC() []fixed.C15 {
 	return out
 }
 
-// rowBlocks returns the row-block indexes assigned to a lane: lanes cover
-// row blocks round-robin, so same-tile lanes (consecutive ids) land on
-// different row blocks, whose rows live in different groups.
-func (pl *Plan) rowBlocks(lane, lanes int) []int {
-	if lanes >= pl.blocksM {
-		return []int{lane % pl.blocksM}
+// planLanes fixes every lane's row and column blocks, so the kernel
+// body computes no schedule and allocates nothing when it runs.
+func (pl *Plan) planLanes() {
+	lanes := len(pl.Cores)
+	pl.laneRows = make([][]int, lanes)
+	pl.laneCols = make([][]int, lanes)
+	var flat []int // shared backing; views of an outgrown array stay valid
+	for lane := range lanes {
+		lo := len(flat)
+		flat = pl.appendRowBlocks(flat, lane, lanes)
+		mid := len(flat)
+		flat = pl.appendColBlocks(flat, lane, lanes)
+		pl.laneRows[lane], pl.laneCols[lane] = flat[lo:mid:mid], flat[mid:len(flat):len(flat)]
 	}
-	rbs := make([]int, 0, (pl.blocksM-lane+lanes-1)/lanes)
-	for rb := lane; rb < pl.blocksM; rb += lanes {
-		rbs = append(rbs, rb)
-	}
-	return rbs
 }
 
-// colBlocks returns the ordered column-block list for a lane working on
-// one row block. Lanes sharing a row block partition the column blocks;
-// the start of the sequence is rotated by the lane's position within its
-// tile unless staggering is disabled.
-func (pl *Plan) colBlocks(lane, lanes int) []int {
+// appendRowBlocks appends the row-block indexes assigned to a lane:
+// lanes cover row blocks round-robin, so same-tile lanes (consecutive
+// ids) land on different row blocks, whose rows live in different
+// groups.
+func (pl *Plan) appendRowBlocks(dst []int, lane, lanes int) []int {
+	if lanes >= pl.blocksM {
+		return append(dst, lane%pl.blocksM)
+	}
+	for rb := lane; rb < pl.blocksM; rb += lanes {
+		dst = append(dst, rb)
+	}
+	return dst
+}
+
+// appendColBlocks appends the ordered column-block list for a lane
+// working on one row block. Lanes sharing a row block partition the
+// column blocks; the start of the sequence is rotated by the lane's
+// position within its tile unless staggering is disabled.
+func (pl *Plan) appendColBlocks(dst []int, lane, lanes int) []int {
 	rank := 0
 	cnt := 1
 	if lanes >= pl.blocksM {
@@ -204,24 +226,23 @@ func (pl *Plan) colBlocks(lane, lanes int) []int {
 			cnt++
 		}
 	}
-	var cbs []int
-	for cb := rank; cb < pl.blocksP; cb += cnt {
-		cbs = append(cbs, cb)
+	n := 0 // blocks rank, rank+cnt, ... below blocksP
+	if rank < pl.blocksP {
+		n = (pl.blocksP - rank + cnt - 1) / cnt
 	}
-	if len(cbs) == 0 {
-		return nil
+	rot := 0
+	if n > 0 && !pl.Opt.NoStagger {
+		rot = (pl.Cores[lane] % pl.m.Cfg.CoresPerTile) % n
 	}
-	if !pl.Opt.NoStagger {
-		rot := (pl.Cores[lane] % pl.m.Cfg.CoresPerTile) % len(cbs)
-		cbs = append(cbs[rot:], cbs[:rot]...)
+	for i := range n {
+		dst = append(dst, rank+(i+rot)%n*cnt)
 	}
-	return cbs
+	return dst
 }
 
 // work is the per-core kernel body.
 func (pl *Plan) work(p *engine.Proc) {
 	w := pl.Opt.Window
-	lanes := p.Lanes
 	// Fixed-capacity window scratch (the largest window is 4x4) so the
 	// per-core body allocates nothing on the host.
 	var accBuf [16]engine.A
@@ -236,8 +257,8 @@ func (pl *Plan) work(p *engine.Proc) {
 	if pl.Opt.ATransposed {
 		strideA = 1
 	}
-	for _, rb := range pl.rowBlocks(p.Lane, lanes) {
-		for _, cb := range pl.colBlocks(p.Lane, lanes) {
+	for _, rb := range pl.laneRows[p.Lane] {
+		for _, cb := range pl.laneCols[p.Lane] {
 			for i := range acc {
 				acc[i] = engine.A{}
 			}
@@ -264,19 +285,24 @@ func (pl *Plan) work(p *engine.Proc) {
 	}
 }
 
-// Job builds the engine job executing the product on the plan's cores.
+// Job returns the engine job executing the product on the plan's cores.
+// It is built on the first call; later calls return copies sharing its
+// phase slice, which callers must not modify in place.
 func (pl *Plan) Job() engine.Job {
-	return engine.Job{
-		Name:  fmt.Sprintf("mmm%dx%dx%d", pl.M, pl.N, pl.P),
-		Cores: pl.Cores,
-		Phases: []engine.Phase{{
-			Name:       "mmm",
-			Kernel:     fmt.Sprintf("mmm/%dx%d", pl.Opt.Window.Rows, pl.Opt.Window.Cols),
-			Lines:      10,
-			FetchEvery: 12, // tight register-blocked inner loop mostly fits L0
-			Work:       pl.work,
-		}},
+	if pl.job.Phases == nil {
+		pl.job = engine.Job{
+			Name:  fmt.Sprintf("mmm%dx%dx%d", pl.M, pl.N, pl.P),
+			Cores: pl.Cores,
+			Phases: []engine.Phase{{
+				Name:       "mmm",
+				Kernel:     fmt.Sprintf("mmm/%dx%d", pl.Opt.Window.Rows, pl.Opt.Window.Cols),
+				Lines:      10,
+				FetchEvery: 12, // tight register-blocked inner loop mostly fits L0
+				Work:       pl.work,
+			}},
+		}
 	}
+	return pl.job
 }
 
 // Run executes the product.

@@ -356,6 +356,8 @@ type combinePlan struct {
 	cores   []int
 	shift   uint
 	gain    uint // noise-floor AGC: sigma word holds sigma^2 * 2^gain
+
+	job engine.Job // built by the first Job call
 }
 
 // newCombinePlan lays the combine job out on an explicit core set (nil
@@ -415,9 +417,13 @@ func (c *combinePlan) Sigma() float64 {
 	return fixed.Q15ToFloat(fixed.C15(c.m.Mem.Read(c.sigma)).Re()) / float64(int64(1)<<c.gain)
 }
 
-// Job builds the combine job: the per-subcarrier average plus noise
-// accumulation, then the lane-0 reduction into the sigma word.
+// Job returns the combine job: the per-subcarrier average plus noise
+// accumulation, then the lane-0 reduction into the sigma word. It is
+// built on the first call and shared by every later one.
 func (c *combinePlan) Job() engine.Job {
+	if c.job.Phases != nil {
+		return c.job
+	}
 	lanes := len(c.cores)
 	combineWork := func(p *engine.Proc) {
 		per := (c.nsc + lanes - 1) / lanes
@@ -457,7 +463,7 @@ func (c *combinePlan) Job() engine.Job {
 		sigma := p.CHalf(p.Narrow(acc, shift))
 		p.Store(c.sigma, sigma)
 	}
-	return engine.Job{
+	c.job = engine.Job{
 		Name:  "ne-combine",
 		Cores: c.cores,
 		Phases: []engine.Phase{
@@ -465,7 +471,5 @@ func (c *combinePlan) Job() engine.Job {
 			{Name: "reduce", Kernel: "ne/reduce", Lines: 4, Work: reduceWork},
 		},
 	}
+	return c.job
 }
-
-// Run executes the combine job.
-func (c *combinePlan) Run() error { return c.m.Run(c.Job()) }

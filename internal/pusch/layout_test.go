@@ -274,35 +274,73 @@ func TestPipelinedBeatsSequentialOnGateShape(t *testing.T) {
 	}
 }
 
-// TestPipelinedRunSymbolContract pins the pipelined Pipeline's API
-// contract: symbols must arrive in order and never after Drain.
+// TestPipelinedRunSymbolContract pins RunSymbol's contract on both
+// layouts: symbols arrive in order 0..NSymb-1 and never after Drain, and
+// rx holds NR rows of NSC samples. A call that breaks it must return an
+// error without running anything, not panic or simulate one more stage.
 func TestPipelinedRunSymbolContract(t *testing.T) {
-	cfg := pipelinedGoldenConfig()
-	cfg.setDefaults()
-	if err := cfg.validate(); err != nil {
-		t.Fatal(err)
+	samples := func(rows, cols int) [][]complex128 {
+		rx := make([][]complex128, rows)
+		for a := range rx {
+			rx[a] = make([]complex128, cols)
+		}
+		return rx
 	}
-	pl, err := NewPipeline(engine.NewMachine(cfg.Cluster), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.RunSymbol(1, nil); err == nil {
-		t.Error("out-of-order RunSymbol accepted")
-	}
-	if err := pl.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.RunSymbol(0, nil); err == nil {
-		t.Error("RunSymbol after Drain accepted")
-	}
-	// One symbol past the slot length must error, not panic on the
-	// finish-time slices.
-	pl2, err := NewPipeline(engine.NewMachine(cfg.Cluster), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl2.issued = cfg.NSymb
-	if err := pl2.RunSymbol(cfg.NSymb, nil); err == nil {
-		t.Error("RunSymbol past NSymb accepted")
+	for _, layout := range []string{"sequential", "pipelined"} {
+		cfg := goldenChainConfig()
+		if layout == "pipelined" {
+			cfg.Layout = StockPipelined(cfg.Cluster)
+		}
+		cfg.setDefaults()
+		if err := cfg.validate(); err != nil {
+			t.Fatal(err)
+		}
+		good := samples(cfg.NR, cfg.NSC)
+		long := samples(cfg.NR, cfg.NSC)
+		long[3] = make([]complex128, cfg.NSC+1)
+		short := samples(cfg.NR, cfg.NSC)
+		short[0] = short[0][:cfg.NSC-1]
+		rows := []struct {
+			name    string
+			run     int  // symbols run first
+			drained bool // Drain before the call
+			s       int
+			rx      [][]complex128
+		}{
+			{name: "out of order", s: 1, rx: good},
+			{name: "negative symbol", s: -1, rx: good},
+			{name: "past the slot", run: cfg.NSymb, s: cfg.NSymb, rx: good},
+			{name: "after Drain", drained: true, s: 0, rx: good},
+			{name: "row longer than NSC", s: 0, rx: long},
+			{name: "row shorter than NSC", s: 0, rx: short},
+			{name: "fewer than NR rows", s: 0, rx: good[:cfg.NR-1]},
+			{name: "no rows", s: 0, rx: nil},
+		}
+		for _, row := range rows {
+			t.Run(layout+"/"+row.name, func(t *testing.T) {
+				m := engine.NewMachine(cfg.Cluster)
+				pl, err := NewPipeline(m, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := range row.run {
+					if err := pl.RunSymbol(s, good); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if row.drained {
+					if err := pl.Drain(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before := m.Cycles()
+				if err := pl.RunSymbol(row.s, row.rx); err == nil {
+					t.Errorf("RunSymbol(%d) accepted", row.s)
+				}
+				if m.Cycles() != before {
+					t.Errorf("rejected RunSymbol(%d) advanced the clock %d -> %d", row.s, before, m.Cycles())
+				}
+			})
+		}
 	}
 }

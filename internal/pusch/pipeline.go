@@ -59,6 +59,10 @@ type Pipeline struct {
 	issued  int // symbols fed into the pipe so far
 	drained bool
 
+	// rxq is the quantization buffer one antenna's samples pass through
+	// on their way into the FFT input.
+	rxq []fixed.C15
+
 	start    int64
 	detected []fixed.C15
 	stages   map[Stage]engine.Report
@@ -76,7 +80,7 @@ func NewPipeline(m *engine.Machine, cfg ChainConfig) (*Pipeline, error) {
 	if *m.Cfg != *cfg.Cluster {
 		return nil, fmt.Errorf("pusch: pipeline machine is a %s, config wants %s", m.Cfg.Name, cfg.Cluster.Name)
 	}
-	pl := &Pipeline{cfg: cfg, m: m, stages: make(map[Stage]engine.Report)}
+	pl := &Pipeline{cfg: cfg, m: m, stages: make(map[Stage]engine.Report), rxq: make([]fixed.C15, cfg.NSC)}
 	var err error
 	if cfg.Layout.Pipelined() {
 		err = pl.planPipelined()
@@ -274,114 +278,108 @@ func (pl *Pipeline) trackFor(cores []int) string {
 }
 
 // RunSymbol processes OFDM symbol s from its per-antenna time-domain
-// samples: FFT and beamforming on every symbol, then channel estimation
-// (plus the noise-estimate combine after the last pilot) on pilot
-// symbols or MIMO detection on data symbols. Symbols must be run in
-// order 0..NSymb-1. Under a pipelined layout the call feeds the symbol
-// into the software pipeline (stages of up to three symbols execute
-// concurrently on their partitions); call Drain after the last symbol
-// to flush the pipe before reading Detected.
+// samples (NR rows of NSC samples): FFT and beamforming on every symbol,
+// then channel estimation (plus the noise-estimate combine after the
+// last pilot) on pilot symbols or MIMO detection on data symbols.
+// Symbols must be run in order 0..NSymb-1, and not after Drain. Under a
+// pipelined layout the call feeds the symbol into the software pipeline
+// (stages of up to three symbols execute concurrently on their
+// partitions); call Drain after the last symbol to flush the pipe before
+// reading Detected.
 func (pl *Pipeline) RunSymbol(s int, rx [][]complex128) error {
-	if pl.cfg.Layout.Pipelined() {
-		return pl.runSymbolPipelined(s, rx)
-	}
-	return pl.runSymbolSequential(s, rx)
-}
-
-// runSymbolSequential is the original serial schedule: every stage on
-// all cores, a cluster-wide barrier after each.
-func (pl *Pipeline) runSymbolSequential(s int, rx [][]complex128) error {
 	cfg := &pl.cfg
-	for a := 0; a < cfg.NR; a++ {
-		q := make([]fixed.C15, cfg.NSC)
-		for i, v := range rx[a] {
-			q[i] = fixed.FromComplex(v)
-		}
-		if err := pl.fftPlan.WriteInput(a/pl.batch, a%pl.batch, q); err != nil {
-			return err
-		}
-	}
-	mark := pl.m.Mark()
-	if err := pl.fftPlan.Run(); err != nil {
-		return err
-	}
-	pl.m.ClusterBarrier()
-	pl.accumulate(StageOFDM, mark, "fft", s)
-
-	mark = pl.m.Mark()
-	if err := pl.bfPlan.Run(); err != nil {
-		return err
-	}
-	pl.m.ClusterBarrier()
-	pl.accumulate(StageBF, mark, "bf", s)
-
 	switch {
-	case s < cfg.NPilot:
-		mark = pl.m.Mark()
-		if err := pl.chestPlans[s].Run(); err != nil {
-			return err
-		}
-		pl.m.ClusterBarrier()
-		pl.accumulate(StageCHE, mark, "chest", s)
-		if s == cfg.NPilot-1 {
-			mark = pl.m.Mark()
-			if err := pl.comb.Run(); err != nil {
-				return err
-			}
-			pl.m.ClusterBarrier()
-			pl.accumulate(StageNE, mark, "combine", s)
-		}
-	default:
-		mark = pl.m.Mark()
-		if err := pl.mimoPlan.Run(); err != nil {
-			return err
-		}
-		pl.m.ClusterBarrier()
-		pl.accumulate(StageMIMO, mark, "mimo", s)
-		pl.detected = append(pl.detected, pl.mimoPlan.ReadX()...)
-	}
-	return nil
-}
-
-// runSymbolPipelined feeds symbol s into the software pipeline: the
-// symbol's samples are staged into the parity FFT buffers, then one
-// pipeline beat issues FFT(s), BF(s-1) and detection(s-2) concurrently.
-func (pl *Pipeline) runSymbolPipelined(s int, rx [][]complex128) error {
-	cfg := &pl.cfg
-	if s != pl.issued {
-		return fmt.Errorf("pusch: pipelined RunSymbol(%d) out of order, want %d", s, pl.issued)
-	}
-	if s >= cfg.NSymb {
+	case s != pl.issued:
+		return fmt.Errorf("pusch: RunSymbol(%d) out of order, want %d", s, pl.issued)
+	case s >= cfg.NSymb:
 		return fmt.Errorf("pusch: RunSymbol(%d) beyond the slot's %d symbols", s, cfg.NSymb)
-	}
-	if pl.drained {
+	case pl.drained:
 		return fmt.Errorf("pusch: RunSymbol(%d) after Drain", s)
+	case len(rx) != cfg.NR:
+		return fmt.Errorf("pusch: RunSymbol(%d): %d antenna rows, want %d", s, len(rx), cfg.NR)
 	}
-	plan := pl.fftPlans[s&1]
-	for a := 0; a < cfg.NR; a++ {
-		q := make([]fixed.C15, cfg.NSC)
-		for i, v := range rx[a] {
-			q[i] = fixed.FromComplex(v)
+	for a, row := range rx {
+		if len(row) != cfg.NSC {
+			return fmt.Errorf("pusch: RunSymbol(%d): antenna %d has %d samples, want %d", s, a, len(row), cfg.NSC)
 		}
-		if err := plan.WriteInput(a/pl.batch, a%pl.batch, q); err != nil {
+	}
+	pipelined := cfg.Layout.Pipelined()
+	plan := pl.fftPlan
+	if pipelined {
+		// The symbol's samples go to its parity's FFT buffers.
+		plan = pl.fftPlans[s&1]
+	}
+	for a, row := range rx {
+		for i, v := range row {
+			pl.rxq[i] = fixed.FromComplex(v)
+		}
+		if err := plan.WriteInput(a/pl.batch, a%pl.batch, pl.rxq); err != nil {
 			return err
 		}
 	}
 	pl.issued = s + 1
-	return pl.issueBeat(s)
+	if pipelined {
+		// One beat issues FFT(s), BF(s-1) and detection(s-2) concurrently.
+		return pl.issueBeat(s)
+	}
+	return pl.runSymbolSequential(s)
+}
+
+// runSymbolSequential is the original serial schedule: every stage on
+// all cores, a cluster-wide barrier after each.
+func (pl *Pipeline) runSymbolSequential(s int) error {
+	cfg := &pl.cfg
+	if err := pl.runStage(StageOFDM, "fft", s, pl.fftPlan, pl.fftPlan.JobsList()...); err != nil {
+		return err
+	}
+	if err := pl.runStage(StageBF, "bf", s, pl.bfPlan, pl.bfPlan.Job()); err != nil {
+		return err
+	}
+	if s >= cfg.NPilot {
+		if err := pl.runStage(StageMIMO, "mimo", s, pl.mimoPlan, pl.mimoPlan.JobsList()...); err != nil {
+			return err
+		}
+		pl.detected = append(pl.detected, pl.mimoPlan.ReadX()...)
+		return nil
+	}
+	chest := pl.chestPlans[s]
+	if err := pl.runStage(StageCHE, "chest", s, chest, chest.JobsList()...); err != nil {
+		return err
+	}
+	if s == cfg.NPilot-1 {
+		return pl.runStage(StageNE, "combine", s, pl.comb, pl.comb.Job())
+	}
+	return nil
+}
+
+// runStage runs one sequential stage — its jobs and the closing cluster
+// barrier — as a unit keyed by the plan that built the jobs, so a stage
+// that repeats from the same state replays instead of simulating again
+// (engine.Machine.RunSynced), and folds its window into the stage's
+// aggregate.
+func (pl *Pipeline) runStage(stage Stage, name string, s int, plan any, jobs ...engine.Job) error {
+	mark := pl.m.Mark()
+	if err := pl.m.RunSynced(plan, jobs...); err != nil {
+		return err
+	}
+	pl.accumulate(stage, mark, name, s)
+	return nil
 }
 
 // Drain flushes the software pipeline: after the last RunSymbol, the
 // beamforming of the final symbol and the detection of the final two
-// are still in flight. Sequential layouts have nothing in flight and
-// return immediately. Drain is idempotent; RunChainOn calls it before
-// scoring.
+// are still in flight. Sequential layouts have nothing in flight. On
+// either layout Drain ends the slot: RunSymbol errors after it. Drain is
+// idempotent; RunChainOn calls it before scoring.
 func (pl *Pipeline) Drain() error {
-	if !pl.cfg.Layout.Pipelined() || pl.drained {
+	if pl.drained {
+		return nil
+	}
+	pl.drained = true
+	if !pl.cfg.Layout.Pipelined() {
 		return nil
 	}
 	last := pl.issued
-	pl.drained = true
 	for beat := last; beat < last+2; beat++ {
 		if err := pl.issueBeat(beat); err != nil {
 			return err

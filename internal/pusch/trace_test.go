@@ -1,11 +1,14 @@
 package pusch
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/channel"
 	"repro/internal/obs"
 	"repro/internal/waveform"
 )
@@ -54,32 +57,67 @@ func TestChainTraceGoldenSpanCount(t *testing.T) {
 	}
 }
 
-// TestChainTracedMatchesUntraced: tracing is observation-only — the
-// traced run's result must equal the untraced run's, field for field.
+// TestChainTracedMatchesUntraced: tracing is observation only — the
+// traced run's result must equal the untraced run's, field for field,
+// and its record byte for byte. A traced run attaches an engine Tracer
+// and so simulates every symbol, while an untraced sequential slot
+// replays its steady-state stages (engine.Machine.RunSynced), so each
+// slot here also holds replay to full simulation.
 func TestChainTracedMatchesUntraced(t *testing.T) {
-	cfg := traceTestConfig()
-	plain, err := RunChain(cfg)
-	if err != nil {
-		t.Fatal(err)
+	gate := traceTestConfig()
+	gate.NSymb = 14
+	wide := gate
+	wide.NSC = 256
+	tera := wide
+	tera.Cluster = arch.TeraPool()
+	qam := gate
+	qam.NL, qam.Scheme = 2, waveform.QAM16
+	tdl := traceTestConfig()
+	tdl.Channel = channel.Spec{Profile: channel.TDLB, DopplerHz: 30, Seed: 5, TimeMs: 2}
+	rows := []struct {
+		name string
+		cfg  ChainConfig
+	}{
+		{"MemPool 64-SC 14-symbol", gate},
+		{"MemPool 256-SC 14-symbol", wide},
+		{"TeraPool 256-SC 14-symbol", tera},
+		{"MemPool 64-SC 2-UE 16-QAM", qam},
+		{"MemPool 64-SC 6-symbol TDL-B", tdl},
 	}
-	tr := &obs.Trace{Name: "traced"}
-	traced, err := RunChainTraced(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, traced) {
-		t.Errorf("traced result diverges from untraced:\nplain:  %+v\ntraced: %+v", plain, traced)
-	}
-	if len(tr.Spans) == 0 {
-		t.Fatal("traced run recorded no spans")
-	}
-	// A nil trace must behave exactly like RunChain.
-	untr, err := RunChainTraced(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, untr) {
-		t.Error("RunChainTraced(cfg, nil) diverges from RunChain")
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := row.cfg
+			plain, err := RunChain(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := &obs.Trace{Name: "traced"}
+			traced, err := RunChainTraced(cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plain, traced) {
+				t.Errorf("traced result diverges from untraced:\nplain:  %+v\ntraced: %+v", plain, traced)
+			}
+			want, err := json.Marshal(traced.Record(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := json.Marshal(plain.Record(cfg)); !bytes.Equal(got, want) {
+				t.Errorf("untraced record\n%s\ntraced record\n%s", got, want)
+			}
+			if len(tr.Spans) == 0 {
+				t.Fatal("traced run recorded no spans")
+			}
+			// A nil trace must behave exactly like RunChain.
+			untr, err := RunChainTraced(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plain, untr) {
+				t.Error("RunChainTraced(cfg, nil) diverges from RunChain")
+			}
+		})
 	}
 }
 

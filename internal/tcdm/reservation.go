@@ -334,3 +334,13 @@ func (r *Reservation) ConflictCycles() int64 { return r.conflicts }
 
 // Accesses returns the total number of bank accesses booked.
 func (r *Reservation) Accesses() int64 { return r.accesses }
+
+// AddReplayed counts accesses and conflict cycles of bookings a replay
+// skipped, so Accesses and ConflictCycles read as if they had been made.
+// A replay may skip bookings only when every later request lies after
+// them, since Acquire's answer for a cycle t never depends on bookings
+// before t.
+func (r *Reservation) AddReplayed(accesses, conflicts int64) {
+	r.accesses += accesses
+	r.conflicts += conflicts
+}

@@ -29,9 +29,9 @@ func fftBatch(nsc, nr, cores int) int {
 }
 
 // bfMaxWindows mirrors the beamforming MMM's 4x4-window partitioning
-// (kernels/mmm rowBlocks/colBlocks): the NSC x NB output splits into
-// (NSC/4) x (NB/4) windows dealt across the lanes, and the stage's
-// critical path is the most-loaded lane's window count.
+// (kernels/mmm appendRowBlocks/appendColBlocks): the NSC x NB output
+// splits into (NSC/4) x (NB/4) windows dealt across the lanes, and the
+// stage's critical path is the most-loaded lane's window count.
 func bfMaxWindows(nsc, nb, lanes int) int {
 	blocksM, blocksP := nsc/4, nb/4
 	wmax := 0

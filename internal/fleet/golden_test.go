@@ -18,7 +18,7 @@ import (
 	"repro/internal/timecache"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/serve_golden.txt from the current serving code")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the serving digest files in testdata/ from the current serving code")
 
 const goldenPath = "testdata/serve_golden.txt"
 

@@ -75,10 +75,11 @@
 // Prometheus text-exposition /metrics — queue-wait and sojourn
 // histograms, outcome counters, queue-depth distribution over virtual
 // time, cache and machine-pool families, per-cell and handover series
-// in fleet mode — plus the standard net/http/pprof tree. All metric
-// values are functions of simulated state only, so they are identical
-// across runs and -workers counts; the endpoint stays live after the
-// run until SIGINT/SIGTERM. The stderr digest adds served wait/latency
+// in fleet mode — plus the standard net/http/pprof tree. The job
+// families fold as records are written, so a scrape mid-run shows the
+// run's progress. All metric values are functions of simulated state
+// only, so the final ones are identical across runs and -workers
+// counts; the endpoint stays live after the run until SIGINT/SIGTERM. The stderr digest adds served wait/latency
 // p50/p95/p99 lines from the same run. See docs/OBSERVABILITY.md.
 //
 // -layout maps each served slot's chain stages onto core partitions:

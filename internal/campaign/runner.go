@@ -11,12 +11,13 @@ import (
 )
 
 // Runner executes scenario sets concurrently on the host. Scenarios are
-// fanned out across Workers goroutines by engine.FanOut; each worker
-// owns one pool shard, so every worker reuses one simulator machine
-// (and its multi-MiB TCDM arena) per distinct cluster configuration
-// instead of reallocating per scenario. Seeding and result order depend
-// only on scenario order, never on scheduling, so a campaign's output is
-// byte-identical across runs and across worker counts.
+// fanned out across Workers goroutines by engine.Sharded.FanOut; each
+// worker owns one pool shard, so every worker reuses one simulator
+// machine (and its multi-MiB TCDM arena) per distinct cluster
+// configuration instead of reallocating per scenario. Seeding and
+// result order depend only on scenario order, never on scheduling, so a
+// campaign's output is byte-identical across runs and across worker
+// counts.
 type Runner struct {
 	// Workers is the fan-out width; <= 0 uses GOMAXPROCS.
 	Workers int
@@ -80,7 +81,7 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 		base = 1
 	}
 	results := make([]Result, len(scenarios))
-	engine.FanOut(r.Workers, len(scenarios), func(pool *engine.Machines, i int) {
+	engine.NewFanOut(r.Workers, len(scenarios)).FanOut(len(scenarios), func(pool *engine.Machines, i int) {
 		results[i] = scenarios[i].run(pool, DeriveSeed(base, i), r.Cache, r.Model, r.trace(i, scenarios))
 	})
 	return results

@@ -150,28 +150,35 @@ func NewSharded(n int) *Sharded {
 	return s
 }
 
-// FanOut calls fn(pool, i) for every i in [0, n) across workers host
-// goroutines and returns the pool they drew machines from. Each
-// goroutine owns one shard, so its Get/Put never contends with another
-// worker. Workers <= 0 means GOMAXPROCS; the count is clamped to
-// [1, n], and one worker runs every call inline on the caller's
-// goroutine in index order. Indices are handed out in order but finish
-// in any order, so fn must write only to index-owned state for the
-// result to be independent of the worker count.
-func FanOut(workers, n int, fn func(pool *Machines, i int)) *Sharded {
+// NewFanOut returns the pool FanOut draws on for n calls across workers
+// host goroutines: workers <= 0 means GOMAXPROCS, and the shard count
+// is clamped to [1, n].
+func NewFanOut(workers, n int) *Sharded {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := NewSharded(max(min(workers, n), 1))
-	if len(s.shards) == 1 {
+	return NewSharded(min(workers, n))
+}
+
+// FanOut calls fn(pool, i) for every i in [0, n) across one goroutine
+// per shard (at most n), each owning its shard, so its Get/Put never
+// contends with another worker. With one goroutine every call runs
+// inline on the caller's goroutine in index order. Indices are handed
+// out in order but finish in any order, so fn must write only to
+// index-owned state for the result to be independent of the worker
+// count. A pool fanned out again keeps its shards and their machines,
+// so a caller that fans out in rounds builds each arena once.
+func (s *Sharded) FanOut(n int, fn func(pool *Machines, i int)) {
+	workers := min(len(s.shards), n)
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(s.shards[0], i)
 		}
-		return s
+		return
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for _, pool := range s.shards {
+	for _, pool := range s.shards[:workers] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -185,7 +192,6 @@ func FanOut(workers, n int, fn func(pool *Machines, i int)) *Sharded {
 	}
 	close(idx)
 	wg.Wait()
-	return s
 }
 
 // Shards returns the shard count.

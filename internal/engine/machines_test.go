@@ -100,7 +100,8 @@ func TestShardedConcurrent(t *testing.T) {
 // TestFanOut: every index runs exactly once, the pool has one shard per
 // worker after clamping, and no shard builds a second machine for one
 // configuration, because each shard belongs to one goroutine that
-// returns its machine before the next call.
+// returns its machine before the next call — also when the pool is
+// fanned out again, as a serve does once per window.
 func TestFanOut(t *testing.T) {
 	cfg := tinyConfig()
 	for _, tc := range []struct{ workers, n, shards int }{
@@ -110,21 +111,24 @@ func TestFanOut(t *testing.T) {
 		{8, 5, 5},
 		{4, 0, 1},
 	} {
-		seen := make([]int, tc.n)
-		s := FanOut(tc.workers, tc.n, func(pool *Machines, i int) {
-			seen[i]++
-			pool.Put(pool.Get(cfg))
-		})
+		s := NewFanOut(tc.workers, tc.n)
 		if s.Shards() != tc.shards {
-			t.Errorf("FanOut(%d, %d): %d shards, want %d", tc.workers, tc.n, s.Shards(), tc.shards)
+			t.Errorf("NewFanOut(%d, %d): %d shards, want %d", tc.workers, tc.n, s.Shards(), tc.shards)
 		}
-		for i, c := range seen {
-			if c != 1 {
-				t.Errorf("FanOut(%d, %d): index %d ran %d times", tc.workers, tc.n, i, c)
+		for round := 1; round <= 2; round++ {
+			seen := make([]int, tc.n)
+			s.FanOut(tc.n, func(pool *Machines, i int) {
+				seen[i]++
+				pool.Put(pool.Get(cfg))
+			})
+			for i, c := range seen {
+				if c != 1 {
+					t.Errorf("FanOut(%d, %d) round %d: index %d ran %d times", tc.workers, tc.n, round, i, c)
+				}
 			}
-		}
-		if st := s.Stats(); st.Gets != int64(tc.n) || st.Builds > int64(tc.shards) {
-			t.Errorf("FanOut(%d, %d): pool stats %+v", tc.workers, tc.n, st)
+			if st := s.Stats(); st.Gets != int64(round*tc.n) || st.Builds > int64(tc.shards) {
+				t.Errorf("FanOut(%d, %d) round %d: pool stats %+v", tc.workers, tc.n, round, st)
+			}
 		}
 	}
 }

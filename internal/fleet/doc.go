@@ -5,21 +5,27 @@
 // cells by a pluggable load-balancing policy (round-robin,
 // least-queue, SINR-aware).
 //
-// Determinism is the package contract, inherited from sched's
-// two-phase serving loop, which runs every cell of the fleet:
+// Determinism is the package contract, inherited from sched's serving
+// loop, which runs every cell of the fleet and alternates two phases
+// over fixed windows of arrival-order positions:
 //
-//   - Phase 1 measures every job under every distinct cell serving
-//     class (cluster fingerprint × layout × timing mode) across the
-//     sharded machine pool — in parallel, any worker count, through
-//     the service-time cache and the analytic model exactly like a
-//     standalone scheduler. A homogeneous fleet collapses to one
+//   - Measurement resolves every job of the window under every distinct
+//     cell serving class (cluster fingerprint × layout × timing mode)
+//     across the sharded machine pool — in parallel, any worker count,
+//     through the service-time cache and the analytic model exactly
+//     like a standalone scheduler. A homogeneous fleet collapses to one
 //     class, so serving N identical cells costs one measurement pass.
-//   - Phase 2 routes and admits the whole trace in a single serial
-//     virtual-time replay: at each arrival every cell's completions
-//     are drained, the policy picks a cell from the deterministic
-//     replay state, and the job enters that cell's queue. Routing
-//     never reads host state, so the JSONL stream is byte-identical
-//     across measurement worker counts, cache hits, and runs.
+//   - Replay routes and admits the window's arrivals in the serial
+//     virtual-time replay that runs through the whole trace: at each
+//     arrival every cell's completions are drained, the policy picks a
+//     cell from the deterministic replay state, and the job enters that
+//     cell's queue. Routing never reads host state, so the JSONL stream
+//     is byte-identical across measurement worker counts, cache hits,
+//     and runs.
+//
+// Each job's result is emitted in arrival order once it and every
+// earlier job are final; the record line, the per-cell and fleet
+// summaries, the handover count and the metric families fold it then.
 //
 // Mobile UEs migrate between cells deterministically: a UE's serving
 // cell under the SINR-aware policy follows CellGainDB, a pure function

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"io"
 
 	"repro/internal/arch"
@@ -108,24 +109,15 @@ type Fleet struct {
 
 // Serve runs the whole trace across the fleet and returns per-job
 // results in arrival order plus the fleet summary (with every cell's
-// ServiceSummary in PerCell). The cells become sched.ServeCells' cells,
-// their deduplicated serving classes its classes and the policy its
-// route. Individual job failures are reported per job; Serve itself
-// never fails.
+// ServiceSummary in PerCell). Individual job failures are reported per
+// job; Serve itself never fails.
 func (f *Fleet) Serve(jobs []sched.Job) ([]sched.JobResult, report.FleetSummary) {
-	cells := f.Cfg.Cells
-	if len(cells) == 0 {
-		cells = []Cell{{}}
-	}
-	classes, queues := serving(cells)
-	shared := sched.Config{Workers: f.Cfg.Workers, Seed: f.Cfg.Seed, Cache: f.Cfg.Cache, Model: f.Cfg.Model}
-	run := sched.ServeCells(shared, f.measure, jobs, classes, queues, f.route(len(cells)))
-	handoversTo := handovers(jobs, &run, len(cells))
-	sum := f.summarize(cells, jobs, &run, handoversTo)
-	if reg := f.Cfg.Metrics; reg != nil {
-		f.recordMetrics(reg, &run, &sum, handoversTo)
-	}
-	return run.Results, sum
+	results := make([]sched.JobResult, 0, len(jobs))
+	sum, _ := f.serve(jobs, func(r *sched.JobResult) error {
+		results = append(results, *r)
+		return nil
+	})
+	return results, sum
 }
 
 // WriteJSONL serves the trace and streams one JobRecord JSON line per
@@ -133,22 +125,68 @@ func (f *Fleet) Serve(jobs []sched.Job) ([]sched.JobResult, report.FleetSummary)
 // fleet summary line (kind="fleet-summary"). A single-cell fleet
 // degenerates to the plain scheduler's wire format — one kind="summary"
 // line, no fleet line. Output is byte-identical across runs and worker
-// counts for the same trace and configuration.
+// counts for the same trace and configuration. A write error ends the
+// serve: no later window is measured.
 func (f *Fleet) WriteJSONL(w io.Writer, jobs []sched.Job) (report.FleetSummary, error) {
-	results, sum := f.Serve(jobs)
-	trailer := make([]any, 0, len(sum.PerCell)+1)
+	enc := json.NewEncoder(w)
+	sum, err := f.serve(jobs, func(r *sched.JobResult) error { return sched.WriteServed(enc, r) })
+	if err != nil {
+		return sum, err
+	}
 	for c := range sum.PerCell {
-		trailer = append(trailer, &sum.PerCell[c])
+		if err := enc.Encode(&sum.PerCell[c]); err != nil {
+			return sum, err
+		}
 	}
-	if sum.Cells > 1 {
-		// Pool and host stats vary with the host worker count and wall
-		// clock; the stream's byte-determinism contract excludes them
-		// (callers read them off the returned summary instead).
-		wire := sum
-		wire.PerCell, wire.Pool, wire.Host = nil, nil, nil
-		trailer = append(trailer, &wire)
+	if sum.Cells == 1 {
+		return sum, nil
 	}
-	return sum, sched.WriteServed(w, results, trailer...)
+	// Pool and host stats vary with the host worker count and wall
+	// clock; the stream's byte-determinism contract excludes them
+	// (callers read them off the returned summary instead).
+	wire := sum
+	wire.PerCell, wire.Pool, wire.Host = nil, nil, nil
+	return sum, enc.Encode(&wire)
+}
+
+// serve runs the trace through sched.ServeCells — the cells become its
+// cells, their deduplicated serving classes its classes and the policy
+// its route — and hands each job's result to emit in arrival order
+// while the metrics and handovers fold.
+func (f *Fleet) serve(jobs []sched.Job, emit func(*sched.JobResult) error) (report.FleetSummary, error) {
+	cells := f.Cfg.Cells
+	if len(cells) == 0 {
+		cells = []Cell{{}}
+	}
+	classes, queues := serving(cells)
+	shared := sched.Config{Workers: f.Cfg.Workers, Seed: f.Cfg.Seed, Cache: f.Cfg.Cache, Model: f.Cfg.Model}
+	ues := mobileUEs(jobs)
+	m := newMetrics(f.Cfg.Metrics, len(cells), ues)
+	// Handovers count, by destination cell, the served slots of mobile
+	// UEs that land on a different cell than the UE's previous served
+	// slot. Dropped and failed slots never occupied a cell, so they
+	// never move the UE.
+	handoversTo := make([]int, len(cells))
+	last := make(map[uint64]int)
+	run, err := sched.ServeCells(shared, f.measure, jobs, classes, queues, f.route(len(cells)), func(r *sched.JobResult, job *sched.Job) error {
+		moved := false
+		if seed := job.Chain.Channel.Seed; r.Outcome == sched.Served && seed != 0 {
+			prev, ok := last[seed]
+			moved = ok && prev != r.Cell
+			last[seed] = r.Cell
+		}
+		if moved {
+			handoversTo[r.Cell]++
+		}
+		m.observe(r, moved)
+		return emit(r)
+	})
+	if err != nil {
+		return report.FleetSummary{}, err
+	}
+	sum := f.summarize(cells, &run, handoversTo, ues)
+	m.finish(&sum, &run)
+	return sum, nil
 }
 
 // serving turns the cells into sched's serving classes and queues.
@@ -171,34 +209,24 @@ func serving(cells []Cell) ([]sched.Class, []sched.Queue) {
 	return classes, queues
 }
 
-// handovers counts, by destination cell, the served slots of mobile UEs
-// that land on a different cell than the UE's previous served slot.
-// Dropped and failed slots never occupied a cell, so they never move the
-// UE.
-func handovers(jobs []sched.Job, run *sched.Run, n int) []int {
-	to := make([]int, n)
-	last := make(map[uint64]int)
-	for pos, ji := range run.Order {
-		r := &run.Results[pos]
-		seed := jobs[ji].Chain.Channel.Seed
-		if r.Outcome != sched.Served || seed == 0 {
-			continue
+// mobileUEs counts the distinct mobile-UE fading identities in the
+// trace.
+func mobileUEs(jobs []sched.Job) int {
+	ues := make(map[uint64]struct{})
+	for i := range jobs {
+		if seed := jobs[i].Chain.Channel.Seed; seed != 0 {
+			ues[seed] = struct{}{}
 		}
-		if prev, ok := last[seed]; ok && prev != r.Cell {
-			to[r.Cell]++
-		}
-		last[seed] = r.Cell
 	}
-	return to
+	return len(ues)
 }
 
 // summarize aggregates the served fleet: the per-cell summaries of the
 // run (each over exactly its routed jobs, so per-cell counters sum to
 // the fleet's) plus the fleet-wide traffic picture over every job and
 // every cell's servers.
-func (f *Fleet) summarize(cells []Cell, jobs []sched.Job, run *sched.Run, handoversTo []int) report.FleetSummary {
+func (f *Fleet) summarize(cells []Cell, run *sched.Run, handoversTo []int, mobileUEs int) report.FleetSummary {
 	n := len(cells)
-	servers := 0
 	for c := range run.Cells {
 		cs := &run.Cells[c]
 		if n > 1 {
@@ -206,9 +234,8 @@ func (f *Fleet) summarize(cells []Cell, jobs []sched.Job, run *sched.Run, handov
 			cs.Cell = c
 		}
 		cs.Name = cells[c].Name
-		servers += cs.Servers
 	}
-	all := sched.Summarize(run.Results, servers, 0)
+	all := &run.All
 	sum := report.FleetSummary{
 		Kind:             "fleet-summary",
 		Cells:            n,
@@ -232,6 +259,7 @@ func (f *Fleet) summarize(cells []Cell, jobs []sched.Job, run *sched.Run, handov
 		LatencyP50Cycles: all.LatencyP50Cycles,
 		LatencyP95Cycles: all.LatencyP95Cycles,
 		LatencyP99Cycles: all.LatencyP99Cycles,
+		MobileUEs:        mobileUEs,
 		PerCell:          run.Cells,
 		Pool:             run.Pool,
 		Host:             run.Host,
@@ -242,12 +270,5 @@ func (f *Fleet) summarize(cells []Cell, jobs []sched.Job, run *sched.Run, handov
 	for _, h := range handoversTo {
 		sum.Handovers += h
 	}
-	ues := make(map[uint64]struct{})
-	for i := range jobs {
-		if seed := jobs[i].Chain.Channel.Seed; seed != 0 {
-			ues[seed] = struct{}{}
-		}
-	}
-	sum.MobileUEs = len(ues)
 	return sum
 }

@@ -16,20 +16,47 @@ const (
 	MetricMobileUEs = "pusch_fleet_mobile_ues"
 )
 
-// recordMetrics folds one fleet run into the registry: the sched
-// service families once per cell (labeled cell="0", …, so a fleet and a
-// standalone scheduler expose the same family names), the
-// per-destination-cell handover counters, the fleet-shape gauges, and
-// the shared cache/pool host families. Handover counters are registered
-// for every cell even when zero, so the family always appears in the
-// exposition.
-func (f *Fleet) recordMetrics(reg *obs.Registry, run *sched.Run, sum *report.FleetSummary, handoversTo []int) {
-	for c := range sum.PerCell {
+// metrics is a fleet's metric families: the sched service families
+// once per cell (labeled cell="0", …, so a fleet and a standalone
+// scheduler expose the same family names), the per-destination-cell
+// handover counters, the fleet-shape gauges, and the shared cache/pool
+// host families. Every series is registered before serving and each
+// job folds in as it is emitted; handover counters exist for every cell
+// even when zero, so the family always appears in the exposition.
+// Without a registry every instrument is nil and records nothing.
+type metrics struct {
+	reg       *obs.Registry
+	cells     []*sched.ServiceMetrics
+	handovers []*obs.Counter
+}
+
+// newMetrics registers the families of an n-cell fleet serving a trace
+// of mobileUEs distinct mobile UEs in reg.
+func newMetrics(reg *obs.Registry, n, mobileUEs int) *metrics {
+	m := &metrics{reg: reg}
+	for c := 0; c < n; c++ {
 		cell := strconv.Itoa(c)
-		sched.RecordServiceMetrics(reg, cell, run.PerCell[c], &sum.PerCell[c])
-		reg.Counter(MetricHandovers, "mobile-UE handovers by destination cell", "cell", cell).Add(int64(handoversTo[c]))
+		m.cells = append(m.cells, sched.NewServiceMetrics(reg, cell))
+		m.handovers = append(m.handovers, reg.Counter(MetricHandovers, "mobile-UE handovers by destination cell", "cell", cell))
 	}
-	reg.Gauge(MetricCells, "cells in the fleet deployment").SetInt(int64(len(sum.PerCell)))
-	reg.Gauge(MetricMobileUEs, "distinct mobile-UE fading identities in the served trace").SetInt(int64(sum.MobileUEs))
-	sched.RecordHostMetrics(reg, run.Host, run.Pool, run.CacheEntries)
+	reg.Gauge(MetricCells, "cells in the fleet deployment").SetInt(int64(n))
+	reg.Gauge(MetricMobileUEs, "distinct mobile-UE fading identities in the served trace").SetInt(int64(mobileUEs))
+	return m
+}
+
+// observe folds one emitted job; moved marks a handover onto its cell.
+func (m *metrics) observe(r *sched.JobResult, moved bool) {
+	m.cells[r.Cell].Observe(r)
+	if moved {
+		m.handovers[r.Cell].Inc()
+	}
+}
+
+// finish folds the end-of-serve figures: each cell's utilization and
+// the host families.
+func (m *metrics) finish(sum *report.FleetSummary, run *sched.Run) {
+	for c := range m.cells {
+		m.cells[c].Finish(&sum.PerCell[c])
+	}
+	sched.RecordHostMetrics(m.reg, run.Host, run.Pool, run.CacheEntries)
 }

@@ -55,10 +55,10 @@ func ParsePolicy(name string) (Policy, error) {
 func (f *Fleet) route(n int) sched.Route {
 	switch f.Cfg.Policy {
 	case LeastQueue:
-		return func(r *sched.Replay, _ int, job *sched.Job) int {
+		return func(r *sched.Replay, _ int, _ *sched.Job) int {
 			best, bestLoad := 0, math.MaxInt
 			for c := 0; c < n; c++ {
-				if load := r.Backlog(c, job.Arrival); load < bestLoad {
+				if load := r.Backlog(c); load < bestLoad {
 					best, bestLoad = c, load
 				}
 			}

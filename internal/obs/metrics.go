@@ -282,19 +282,18 @@ func formatVal(v float64) string {
 // Nearest-rank on the exact order statistics keeps summaries
 // deterministic and free of interpolation artifacts.
 func PercentileInt64(sorted []int64, q float64) int64 {
-	n := len(sorted)
-	if n == 0 {
+	if len(sorted) == 0 {
 		return 0
 	}
+	return sorted[PercentileRank(len(sorted), q)-1]
+}
+
+// PercentileRank is the 1-based nearest rank of the q-th percentile in
+// a sample of n > 0 values: the rank PercentileInt64 reads.
+func PercentileRank(n int, q float64) int {
 	rank := int(q / 100 * float64(n))
 	if float64(rank) < q/100*float64(n) {
 		rank++
 	}
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return sorted[rank-1]
+	return min(max(rank, 1), n)
 }

@@ -16,28 +16,45 @@
 // run on the cycle-approximate simulator, so the queueing behaviour is
 // grounded in the same cycle counts as every other figure in the repo.
 //
-// Execution is two-phase so host parallelism never perturbs the
-// virtual-time discipline. ServeCells is the one loop that does both;
-// Scheduler.Serve is its one-class, one-cell case, and internal/fleet
-// runs N cells through it:
+// Execution alternates two phases so host parallelism never perturbs
+// the virtual-time discipline: measure a window, then replay it.
+// ServeCells is the one loop that does both; Scheduler.Serve is its
+// one-class, one-cell case, and internal/fleet runs N cells through it.
+// It walks the arrival order in fixed windows of 1024 positions (the
+// window constant), never host timing, and for each window:
 //
-//  1. Measurement: every job, once per serving class, is resolved
-//     through campaign.Resolve, fanned out by engine.FanOut across
+//  1. Measurement: every job of the window, once per serving class, is
+//     resolved through campaign.Resolve, fanned out across
 //     Config.Workers host goroutines over a sharded engine machine pool
-//     (one engine.Machines shard per worker, so each worker recycles
-//     one multi-MiB cluster arena per configuration, contention-free).
-//     Each result is a pure function of its ChainConfig and seed.
-//  2. Replay: a serial event loop replays arrivals in virtual time over
-//     N cells: every cell completes its work up to the arrival, a route
-//     picks the admitting cell, and that cell assigns measured service
-//     times to its servers, accumulates queue-wait cycles and decides
-//     drops.
+//     built once per serve (one engine.Machines shard per worker, so
+//     each worker recycles one multi-MiB cluster arena per
+//     configuration, contention-free, across every window). Each result
+//     is a pure function of its ChainConfig and seed; a job that pins
+//     no seed gets one derived from Config.Seed and its arrival-order
+//     position in the whole trace.
+//  2. Replay: a serial event loop replays the window's arrivals in
+//     virtual time over N cells: every cell completes its work up to
+//     the arrival, a route picks the admitting cell, and that cell
+//     assigns measured service times to its servers, accumulates
+//     queue-wait cycles and decides drops. A queued job keeps its
+//     measured record with its pending result, so it may start in a
+//     later window.
 //
-// Because admission is decided in phase 2, a dropped job's measurement
-// is discarded — the price of measuring in parallel — but its payload
-// still counts as offered load. Results are byte-reproducible: the same
-// trace, seed and service discipline produce identical JSONL across
-// runs and across worker counts.
+// Results leave the loop in arrival order: a job's result is emitted
+// once it and every earlier job are final (started, dropped or failed),
+// and the JSONL line, the summaries and the metric families fold it as
+// it is emitted. So the first record waits for one window, not the
+// trace, and a serve holds, beyond the caller's trace and its arrival
+// order, one window of measurements per serving class, the queued jobs,
+// the results from the oldest queued job to the newest arrival, and 16
+// bytes per served job for exact wait and latency percentiles. A write
+// error ends the serve before the next window is measured.
+//
+// Because admission is decided in the replay, a dropped job's
+// measurement is discarded — the price of measuring in parallel — but
+// its payload still counts as offered load. Results are
+// byte-reproducible: the same trace, seed and service discipline
+// produce identical JSONL, across runs and across worker counts.
 //
 // A job's timing path follows its ChainConfig.Timing, decided by
 // campaign.Resolve, the resolution path campaigns share: cycle-accurate

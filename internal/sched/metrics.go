@@ -43,38 +43,82 @@ func withLabels(base []string, extra ...string) []string {
 	return append(out, extra...)
 }
 
-// RecordServiceMetrics folds one run's per-job outcomes and aggregate
-// summary into the registry: outcome counters, wait/sojourn histograms
-// over served jobs, the queue depth after each admission decision,
-// payload counters and the utilization gauge. cell labels the series
-// inside a fleet ("" for a standalone scheduler). The fleet layer reuses
-// it per cell, so fleet and standalone runs expose the same families.
-func RecordServiceMetrics(reg *obs.Registry, cell string, results []JobResult, sum *report.ServiceSummary) {
+// ServiceMetrics is one cell's sched metric families: outcome counters,
+// wait/sojourn histograms over served jobs, the queue depth after each
+// admission decision, payload counters and the utilization gauge. Every
+// series is registered up front and each emitted job folds in as it is
+// emitted, so a scrape during a serve shows its progress and the final
+// exposition does not depend on when it was scraped. A nil
+// *ServiceMetrics records nothing.
+type ServiceMetrics struct {
+	wait, lat, depth                                 *obs.Histogram
+	served, dropped, failed, offeredBits, servedBits *obs.Counter
+	util                                             *obs.Gauge
+}
+
+// NewServiceMetrics registers cell's sched families in reg. cell labels
+// the series inside a fleet ("" for a standalone scheduler, which keeps
+// its families label-free), so fleet and standalone runs expose the
+// same family names. A nil reg gives a nil *ServiceMetrics.
+func NewServiceMetrics(reg *obs.Registry, cell string) *ServiceMetrics {
 	if reg == nil {
-		return
+		return nil
 	}
 	lb := cellLabels(cell)
-	waitH := reg.Histogram(MetricWaitCycles, "queue wait of served jobs in simulated cycles", obs.DefaultCycleBuckets, lb...)
-	latH := reg.Histogram(MetricLatencyCycles, "arrival-to-finish sojourn of served jobs in simulated cycles", obs.DefaultCycleBuckets, lb...)
-	depthH := reg.Histogram(MetricQueueDepth, "wait-queue depth sampled at each admission decision, over virtual time", obs.DepthBuckets, lb...)
-	for i := range results {
-		r := &results[i]
-		if r.Outcome == Failed {
-			continue
-		}
-		depthH.Observe(int64(r.QueueDepth))
-		if r.Outcome == Served {
-			waitH.Observe(r.Record.WaitCycles)
-			latH.Observe(r.Record.LatencyCycles)
-		}
-	}
 	const jobsHelp = "slot jobs by final outcome"
-	reg.Counter(MetricJobsTotal, jobsHelp, withLabels(lb, "outcome", "served")...).Add(int64(sum.Served))
-	reg.Counter(MetricJobsTotal, jobsHelp, withLabels(lb, "outcome", "dropped")...).Add(int64(sum.Dropped))
-	reg.Counter(MetricJobsTotal, jobsHelp, withLabels(lb, "outcome", "failed")...).Add(int64(sum.Failed))
-	reg.Counter(MetricOfferedBits, "payload bits offered by arriving jobs", lb...).Add(sum.OfferedBits)
-	reg.Counter(MetricServedBits, "payload bits of served jobs", lb...).Add(sum.ServedBits)
-	reg.Gauge(MetricUtilization, "busy server-cycles over server capacity on the run horizon", lb...).Set(sum.Utilization)
+	return &ServiceMetrics{
+		wait:        reg.Histogram(MetricWaitCycles, "queue wait of served jobs in simulated cycles", obs.DefaultCycleBuckets, lb...),
+		lat:         reg.Histogram(MetricLatencyCycles, "arrival-to-finish sojourn of served jobs in simulated cycles", obs.DefaultCycleBuckets, lb...),
+		depth:       reg.Histogram(MetricQueueDepth, "wait-queue depth sampled at each admission decision, over virtual time", obs.DepthBuckets, lb...),
+		served:      reg.Counter(MetricJobsTotal, jobsHelp, withLabels(lb, "outcome", "served")...),
+		dropped:     reg.Counter(MetricJobsTotal, jobsHelp, withLabels(lb, "outcome", "dropped")...),
+		failed:      reg.Counter(MetricJobsTotal, jobsHelp, withLabels(lb, "outcome", "failed")...),
+		offeredBits: reg.Counter(MetricOfferedBits, "payload bits offered by arriving jobs", lb...),
+		servedBits:  reg.Counter(MetricServedBits, "payload bits of served jobs", lb...),
+		util:        reg.Gauge(MetricUtilization, "busy server-cycles over server capacity on the run horizon", lb...),
+	}
+}
+
+// Observe folds one final job result.
+func (m *ServiceMetrics) Observe(r *JobResult) {
+	if m == nil {
+		return
+	}
+	switch r.Outcome {
+	case Served:
+		m.served.Inc()
+		m.offeredBits.Add(r.Record.PayloadBits)
+		m.servedBits.Add(r.Record.PayloadBits)
+		m.wait.Observe(r.Record.WaitCycles)
+		m.lat.Observe(r.Record.LatencyCycles)
+	case Dropped:
+		m.dropped.Inc()
+		m.offeredBits.Add(r.OfferedBits)
+	case Failed:
+		m.failed.Inc()
+		return
+	}
+	m.depth.Observe(int64(r.QueueDepth))
+}
+
+// Finish sets the utilization gauge from the cell's final summary.
+func (m *ServiceMetrics) Finish(sum *report.ServiceSummary) {
+	if m == nil {
+		return
+	}
+	m.util.Set(sum.Utilization)
+}
+
+// RecordServiceMetrics folds one run's per-job outcomes and aggregate
+// summary into the registry: the fold a serve applies to each cell as
+// it emits results, over a slice. cell labels the series as in
+// NewServiceMetrics.
+func RecordServiceMetrics(reg *obs.Registry, cell string, results []JobResult, sum *report.ServiceSummary) {
+	m := NewServiceMetrics(reg, cell)
+	for i := range results {
+		m.Observe(&results[i])
+	}
+	m.Finish(sum)
 }
 
 // RecordHostMetrics folds the host-side fast-path picture — the

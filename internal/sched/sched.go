@@ -49,10 +49,10 @@ type Config struct {
 	// jobs whose ChainConfig does not pin its own (0 means 1).
 	Seed uint64
 	// Cache, when non-nil, memoizes measured service times by scenario
-	// coordinate (pusch.ChainConfig.CacheKey): phase-1 measurement
-	// consults it before touching the machine pool and populates it on
-	// miss. Because the simulator is deterministic a hit is exact, so
-	// the cache changes wall-clock time only, never results. Jobs whose
+	// coordinate (pusch.ChainConfig.CacheKey): measurement consults it
+	// before touching the machine pool and populates it on miss.
+	// Because the simulator is deterministic a hit is exact, so the
+	// cache changes wall-clock time only, never results. Jobs whose
 	// configuration has no replayable coordinate bypass it.
 	Cache *timecache.Cache
 	// Model resolves jobs whose ChainConfig.Timing is analytic: their
@@ -64,11 +64,12 @@ type Config struct {
 	Model *timing.Model
 	// Metrics, when non-nil, receives the run's deterministic metric
 	// families (job outcomes, wait/sojourn histograms, queue depth,
-	// cache and machine-pool traffic) for Prometheus exposition. Every
-	// recorded value is a count or a simulated-cycle quantity, so a
-	// snapshot after Serve is byte-identical across runs and worker
-	// counts (host-side pool/cache counters excepted — they mirror
-	// HostStats and vary with the fan-out). Nil records nothing.
+	// cache and machine-pool traffic) for Prometheus exposition. The
+	// service families fold each job as it is emitted. Every recorded
+	// value is a count or a simulated-cycle quantity, so a snapshot
+	// after Serve is byte-identical across runs and worker counts
+	// (host-side pool/cache counters excepted — they mirror HostStats
+	// and vary with the fan-out). Nil records nothing.
 	Metrics *obs.Registry
 }
 

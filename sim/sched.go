@@ -10,8 +10,8 @@ import (
 // Slot-traffic scheduler re-exports: the streaming basestation layer
 // that serves a trace of slot jobs through a bounded queue on pooled
 // simulator machines and reports service-level metrics. See
-// internal/sched for the full model (deterministic two-phase G/D/c/K
-// queue) and cmd/puschd for the server binary.
+// internal/sched for the full model (deterministic G/D/c/K queue,
+// measured and replayed window by window) and cmd/puschd for the server binary.
 type (
 	// SlotJob is one slot of offered traffic: a chain configuration plus
 	// an arrival cycle.

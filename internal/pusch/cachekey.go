@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/report"
@@ -99,8 +100,35 @@ func (c ChainConfig) CacheKey() (string, error) {
 // time differently can never share cache entries, whatever their names
 // say. The analytic timing calibration (internal/timing) keys its
 // per-cluster coefficients by the same fingerprint, so a calibration
-// fitted on one geometry can never be evaluated on another.
+// fitted on one geometry can never be evaluated on another. Results
+// are memoized by configuration value, so a mutated copy is a new key
+// and never reads a stale fingerprint.
 func ArchFingerprint(cfg *arch.Config) string {
+	fingerprints.RLock()
+	fp, ok := fingerprints.m[*cfg]
+	fingerprints.RUnlock()
+	if ok {
+		return fp
+	}
+	fp = archFingerprint(cfg)
+	fingerprints.Lock()
+	fingerprints.m[*cfg] = fp
+	fingerprints.Unlock()
+	return fp
+}
+
+// fingerprints memoizes ArchFingerprint: a process times only a few
+// cluster configurations, and rendering one through fmt's reflection
+// costs more than the rest of a cache key or an analytic prediction.
+var fingerprints = struct {
+	sync.RWMutex
+	m map[arch.Config]string
+}{m: make(map[arch.Config]string)}
+
+// archFingerprint is ArchFingerprint without the memo: the fnv64a hash
+// of the configuration's %+v rendering, the bytes persisted cache keys
+// and the committed calibration were derived from.
+func archFingerprint(cfg *arch.Config) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", *cfg)
 	return strconv.FormatUint(h.Sum64(), 16)

@@ -2,11 +2,14 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/pusch"
 	"repro/internal/report"
 )
@@ -130,5 +133,38 @@ func BenchmarkServeHugeServers(b *testing.B) {
 		if _, sum := s.Serve(jobs); sum.Served != len(jobs) {
 			b.Fatalf("served %d of %d", sum.Served, len(jobs))
 		}
+	}
+}
+
+// TestMetricsFoldAsEmitted: the service families fold each job as its
+// record is emitted, so a scrape while the k-th line is written counts
+// exactly k served jobs and k latency samples.
+func TestMetricsFoldAsEmitted(t *testing.T) {
+	jobs := make([]Job, 3*window)
+	for i := range jobs {
+		jobs[i] = stubJob("", int64(i)*1000, 500) // never queues: every job serves
+	}
+	reg := obs.NewRegistry()
+	s := stubScheduler(Config{Servers: 1, Workers: 1, Metrics: reg})
+	w := &lineWriter{onLine: func(lines int) error {
+		if lines%500 != 0 || lines > len(jobs) {
+			return nil
+		}
+		var prom strings.Builder
+		if err := reg.WriteProm(&prom); err != nil {
+			return err
+		}
+		for _, want := range []string{
+			fmt.Sprintf("pusch_sched_jobs_total{outcome=\"served\"} %d\n", lines),
+			fmt.Sprintf("pusch_sched_latency_cycles_count %d\n", lines),
+		} {
+			if !strings.Contains(prom.String(), want) {
+				t.Errorf("scrape at line %d lacks %q", lines, want)
+			}
+		}
+		return nil
+	}}
+	if _, err := s.WriteJSONL(w, jobs); err != nil {
+		t.Fatal(err)
 	}
 }

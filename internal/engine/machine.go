@@ -103,12 +103,15 @@ type Machine struct {
 	allCores    []int   // cached identity core list for nil core sets
 	barArrive   []int64 // ClusterBarrier arrival times, one per core
 
-	// RunSynced's memo of simulated units. The storage survives Reset,
-	// which drops only the entries, so a steady-state slot allocates
-	// nothing; replayed counts the units replayed since the last Reset.
-	memos     []syncMemo
-	memoStats []Stats // every core's Stats at the current unit's entry
-	replayed  int
+	// RunSynced's memo of simulated units, at most syncMemoCap entries
+	// kept across Reset. A unit records into memoScratch and is then
+	// copied into an entry; memoClock stamps each use for LRU eviction,
+	// and replayed counts the units replayed since the last Reset.
+	memos       []syncMemo
+	memoScratch syncMemo
+	memoStats   []Stats // every core's Stats at the current unit's entry
+	memoClock   uint64
+	replayed    int
 }
 
 type tileICache struct {
@@ -178,12 +181,15 @@ func (m *Machine) reserveBarrierRows() {
 }
 
 // Reset returns the machine to its just-constructed state — clocks,
-// counters, instruction caches, race-detector state, RunSynced's memo
-// and the TCDM arenas (including stored words) are all cleared and the
-// barrier rows re-reserved — so one Machine (and its multi-MiB memory
-// arena) can be reused across independent runs instead of reallocated.
-// A reused machine reproduces a fresh machine's timing and results
-// exactly.
+// counters, instruction caches, race-detector state and the TCDM arenas
+// (including stored words) are all cleared and the barrier rows
+// re-reserved — so one Machine (and its multi-MiB memory arena) can be
+// reused across independent runs instead of reallocated. A reused
+// machine reproduces a fresh machine's timing and results exactly.
+//
+// RunSynced's memo is kept: its entries are keyed by value and state
+// their entry conditions, which a Reset machine meets like any other,
+// so a unit rebuilt after Reset replays what an earlier one recorded.
 //
 // An attached Tracer is not detached, but its recorded events are
 // dropped so a new run starts with an empty timeline.
@@ -202,7 +208,6 @@ func (m *Machine) Reset() {
 	}
 	m.phaseCounter = 0
 	clear(m.raceWriters)
-	m.dropMemos()
 	m.replayed = 0
 	if m.Tracer != nil {
 		m.Tracer.Reset()

@@ -12,11 +12,17 @@ type Mark struct {
 
 // Mark snapshots the current per-core clocks and counters.
 func (m *Machine) Mark() Mark {
-	mk := Mark{
-		time:  append([]int64(nil), m.coreTime...),
-		stats: append([]Stats(nil), m.coreStats...),
-	}
+	var mk Mark
+	m.MarkInto(&mk)
 	return mk
+}
+
+// MarkInto refills mk with the current per-core clocks and counters,
+// reusing its storage, so a caller measuring window after window keeps
+// one snapshot.
+func (m *Machine) MarkInto(mk *Mark) {
+	mk.time = append(mk.time[:0], m.coreTime...)
+	mk.stats = append(mk.stats[:0], m.coreStats...)
 }
 
 // Report summarizes one measured window for a set of cores: wall cycles,

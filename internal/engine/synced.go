@@ -1,43 +1,76 @@
 package engine
 
-import "slices"
+import (
+	"slices"
 
-// syncMemo is the measured effect of one simulated RunSynced unit: the
-// instruction-cache state it started from and what its jobs added to
-// every core's clock and Stats and to the reservation counters. The
-// closing barrier is not part of it; it always runs for real.
+	"repro/internal/tcdm"
+)
+
+// SyncKey names a RunSynced unit by value, so a unit rebuilt after
+// Reset finds what its twin recorded. Equal keys must name equal jobs:
+// the same phases, footprints and cores over the same TCDM addresses. A
+// caller whose plans are a deterministic function of a few dimensions
+// and of the allocator position they were laid out from keys them by
+// exactly that. The zero key memoizes nothing.
+type SyncKey struct {
+	Dims  [6]int        // the plans' dimensions and options, in the caller's order
+	Arena tcdm.Position // the allocator position the plans were laid out from
+	Unit  int           // which of the plans' units
+}
+
+// syncMemoCap bounds a machine's memo entries. A sequential chain
+// coordinate takes 13 (one per stage and entry I$ state: four FFT and
+// four beamforming entries, two channel estimations, the noise combine
+// and two detections), so a pooled machine keeps four coordinates
+// whole; past the cap the least recently used entry is recorded over.
+const syncMemoCap = 64
+
+// syncMemo is the measured effect of one simulated RunSynced unit from
+// one entry I$ state: what its jobs added to every core's clock and
+// Stats and to the reservation counters. The closing barrier is not
+// part of it; it always runs for real.
 type syncMemo struct {
-	key any
-	ok  bool // the deltas belong to the entry state below
+	key  SyncKey
+	used uint64 // the memo clock at the entry's last use
 
-	// Entry I$ state, every tile in order: icOrder[icEnd[t-1]:icEnd[t]]
-	// is tile t's LRU order and icLines the matching footprints.
+	// Entry I$ state, one copy per distinct tile state: tile t is in
+	// state icOf[t], whose LRU order is icOrder[icEnd[s-1]:icEnd[s]]
+	// and footprints the matching icLines.
+	icOf    []int32
 	icOrder []string
 	icLines []int
 	icEnd   []int
 
-	dTime                 []int64
-	dStats                []Stats
+	// Per-core deltas, one copy per distinct delta: core c adds
+	// delta[deltaOf[c]].
+	deltaOf               []int32
+	delta                 []coreDelta
 	dAccesses, dConflicts int64
 }
 
+// coreDelta is what a unit adds to one core's clock and Stats.
+type coreDelta struct {
+	time  int64
+	stats Stats
+}
+
 // RunSynced runs jobs and then the closing ClusterBarrier, one stage of
-// a sequential-layout chain. key names the jobs' instruction stream,
-// typically the kernel plan that built them; it must be comparable, and
-// it must not name other jobs until the machine is Reset. A nil key
-// memoizes nothing.
+// a sequential-layout chain. key names the jobs by value (see SyncKey);
+// entries survive Reset, so a rebuilt unit under the same key replays
+// what an earlier one recorded.
 //
 // The result is Run followed by ClusterBarrier, cycle for cycle, but a
 // unit that repeats is not simulated again. When a key starts again
-// from the state it was last simulated from — every core at one cycle
-// and every tile's I$ contents, footprints and LRU order unchanged —
-// its phases run untimed (data reads and writes, I$ and phase-counter
+// from a state it was simulated from — every core at one cycle and
+// every tile's I$ contents, footprints and LRU order as then — its
+// phases run untimed (data reads and writes, I$ and phase-counter
 // updates, no bank booking) and the memoized per-core clock, Stats and
-// reservation-counter deltas are applied. Units with a NotBefore job,
-// or on a machine with a Tracer, DebugRaces or RotatePriority, are
-// always simulated (see docs/ARCHITECTURE.md, "Steady-state symbol
-// replay").
-func (m *Machine) RunSynced(key any, jobs ...Job) error {
+// reservation-counter deltas are applied. A key keeps one entry per
+// entry I$ state, up to syncMemoCap entries per machine. Units with a
+// NotBefore job, or on a machine with a Tracer, DebugRaces or
+// RotatePriority, are always simulated (see docs/ARCHITECTURE.md,
+// "Steady-state symbol replay").
+func (m *Machine) RunSynced(key SyncKey, jobs ...Job) error {
 	if err := m.validateJobs(jobs); err != nil {
 		return err
 	}
@@ -51,11 +84,10 @@ func (m *Machine) RunSynced(key any, jobs ...Job) error {
 		m.memoStats = make([]Stats, len(m.coreStats))
 	}
 	copy(m.memoStats, m.coreStats)
-	e := m.memoFor(key)
-	if e.matches(m.icache) {
+	if e := m.memoFind(key); e != nil {
 		m.replay(e, jobs, t0)
 	} else {
-		m.record(e, jobs, t0)
+		m.record(key, jobs, t0)
 	}
 	m.ClusterBarrier()
 	return nil
@@ -63,8 +95,8 @@ func (m *Machine) RunSynced(key any, jobs ...Job) error {
 
 // replayable reports whether a unit may use the memo: its timing must
 // be a function of the key and the I$ state alone.
-func (m *Machine) replayable(key any, jobs []Job) bool {
-	if key == nil || m.Tracer != nil || m.DebugRaces || m.RotatePriority {
+func (m *Machine) replayable(key SyncKey, jobs []Job) bool {
+	if key == (SyncKey{}) || m.Tracer != nil || m.DebugRaces || m.RotatePriority {
 		return false
 	}
 	for ji := range jobs {
@@ -82,29 +114,42 @@ func (m *Machine) replayable(key any, jobs []Job) bool {
 	return true
 }
 
-// record simulates the unit's jobs from cycle t0 and memoizes their
-// entry I$ state and deltas in e.
-func (m *Machine) record(e *syncMemo, jobs []Job, t0 int64) {
-	e.ok = false
-	e.icOrder, e.icLines, e.icEnd = e.icOrder[:0], e.icLines[:0], e.icEnd[:0]
-	for t := range m.icache {
-		ic := &m.icache[t]
-		for _, k := range ic.order {
-			e.icOrder = append(e.icOrder, k)
-			e.icLines = append(e.icLines, ic.resident[k])
+// memoFind returns key's entry recorded from the current I$ state, or
+// nil.
+func (m *Machine) memoFind(key SyncKey) *syncMemo {
+	m.memoClock++
+	for i := range m.memos {
+		if e := &m.memos[i]; e.key == key && e.matches(m.icache) {
+			e.used = m.memoClock
+			return e
 		}
-		e.icEnd = append(e.icEnd, len(e.icOrder))
 	}
+	return nil
+}
+
+// record simulates the unit's jobs from cycle t0 and memoizes their
+// entry I$ state and deltas under key. The recording goes to scratch
+// first, so a phase that panics leaves every entry as it was.
+func (m *Machine) record(key SyncKey, jobs []Job, t0 int64) {
+	s := &m.memoScratch
+	s.snapICache(m.icache)
 	res := m.Mem.Res
 	acc, confl := res.Accesses(), res.ConflictCycles()
 	m.run(jobs)
-	e.dTime, e.dStats = e.dTime[:0], e.dStats[:0]
+	s.dAccesses, s.dConflicts = res.Accesses()-acc, res.ConflictCycles()-confl
+	s.deltaOf, s.delta = s.deltaOf[:0], s.delta[:0]
 	for c, t := range m.coreTime {
-		e.dTime = append(e.dTime, t-t0)
-		e.dStats = append(e.dStats, m.coreStats[c].Sub(m.memoStats[c]))
+		d := coreDelta{time: t - t0, stats: m.coreStats[c].Sub(m.memoStats[c])}
+		i := slices.Index(s.delta, d)
+		if i < 0 {
+			i = len(s.delta)
+			s.delta = append(s.delta, d)
+		}
+		s.deltaOf = append(s.deltaOf, int32(i))
 	}
-	e.dAccesses, e.dConflicts = res.Accesses()-acc, res.ConflictCycles()-confl
-	e.ok = true
+	e := m.memoVictim()
+	e.store(s)
+	e.key, e.used = key, m.memoClock
 }
 
 // replay runs the unit's jobs untimed and applies e's deltas to the
@@ -116,60 +161,107 @@ func (m *Machine) replay(e *syncMemo, jobs []Job, t0 int64) {
 	defer func() { m.procScratch.untimed = false }()
 	m.run(jobs)
 	for c := range m.coreTime {
-		m.coreTime[c] = t0 + e.dTime[c]
+		d := &e.delta[e.deltaOf[c]]
+		m.coreTime[c] = t0 + d.time
 		st := m.memoStats[c]
-		st.Add(e.dStats[c])
+		st.Add(d.stats)
 		m.coreStats[c] = st
 	}
 	m.Mem.Res.AddReplayed(e.dAccesses, e.dConflicts)
 	m.replayed++
 }
 
+// memoVictim returns the entry a new recording goes to: a new one below
+// the cap, else the least recently used.
+func (m *Machine) memoVictim() *syncMemo {
+	if n := len(m.memos); n < syncMemoCap {
+		if m.memos == nil {
+			m.memos = make([]syncMemo, 0, syncMemoCap)
+		}
+		m.memos = m.memos[:n+1]
+		return &m.memos[n]
+	}
+	v := &m.memos[0]
+	for i := range m.memos {
+		if m.memos[i].used < v.used {
+			v = &m.memos[i]
+		}
+	}
+	return v
+}
+
+// snapICache records every tile's I$ state in e, one copy per distinct
+// state.
+func (e *syncMemo) snapICache(icache []tileICache) {
+	e.icOf, e.icOrder, e.icLines, e.icEnd = e.icOf[:0], e.icOrder[:0], e.icLines[:0], e.icEnd[:0]
+	for t := range icache {
+		ic := &icache[t]
+		s, lo := len(e.icEnd), 0
+		for i, hi := range e.icEnd {
+			if e.holds(ic, lo, hi) {
+				s = i
+				break
+			}
+			lo = hi
+		}
+		if s == len(e.icEnd) {
+			for _, k := range ic.order {
+				e.icOrder = append(e.icOrder, k)
+				e.icLines = append(e.icLines, ic.resident[k])
+			}
+			e.icEnd = append(e.icEnd, len(e.icOrder))
+		}
+		e.icOf = append(e.icOf, int32(s))
+	}
+}
+
 // matches reports whether every tile's I$ is in e's entry state.
 func (e *syncMemo) matches(icache []tileICache) bool {
-	if !e.ok {
-		return false
-	}
-	lo := 0
 	for t := range icache {
-		ic, hi := &icache[t], e.icEnd[t]
-		if !slices.Equal(ic.order, e.icOrder[lo:hi]) {
+		s, lo := e.icOf[t], 0
+		if s > 0 {
+			lo = e.icEnd[s-1]
+		}
+		if !e.holds(&icache[t], lo, e.icEnd[s]) {
 			return false
 		}
-		for i, k := range ic.order {
-			if ic.resident[k] != e.icLines[lo+i] {
-				return false
-			}
-		}
-		lo = hi
 	}
 	return true
 }
 
-// memoFor returns key's memo entry, claiming recycled storage for a new
-// key.
-func (m *Machine) memoFor(key any) *syncMemo {
-	for i := range m.memos {
-		if m.memos[i].key == key {
-			return &m.memos[i]
+// holds reports whether ic's LRU order and footprints are
+// icOrder[lo:hi] and icLines[lo:hi].
+func (e *syncMemo) holds(ic *tileICache, lo, hi int) bool {
+	if !slices.Equal(ic.order, e.icOrder[lo:hi]) {
+		return false
+	}
+	for i, k := range ic.order {
+		if ic.resident[k] != e.icLines[lo+i] {
+			return false
 		}
 	}
-	if n := len(m.memos); n < cap(m.memos) {
-		m.memos = m.memos[:n+1] // an entry Reset dropped
-	} else {
-		m.memos = append(m.memos, syncMemo{})
-	}
-	e := &m.memos[len(m.memos)-1]
-	e.key = key
-	return e
+	return true
 }
 
-// dropMemos forgets every memo entry but keeps its storage.
-func (m *Machine) dropMemos() {
-	for i := range m.memos {
-		e := &m.memos[i]
-		e.key, e.ok = nil, false
-		clear(e.icOrder)
+// store copies the recording in s into e, each slice sized to fit once:
+// an evicted entry's storage is reused when it is large enough.
+func (e *syncMemo) store(s *syncMemo) {
+	e.icOf = refill(e.icOf, s.icOf)
+	e.icOrder = refill(e.icOrder, s.icOrder)
+	e.icLines = refill(e.icLines, s.icLines)
+	e.icEnd = refill(e.icEnd, s.icEnd)
+	e.deltaOf = refill(e.deltaOf, s.deltaOf)
+	e.delta = refill(e.delta, s.delta)
+	e.dAccesses, e.dConflicts = s.dAccesses, s.dConflicts
+}
+
+// refill copies src into dst's storage, allocating exactly len(src)
+// when dst is too small.
+func refill[T any](dst, src []T) []T {
+	if cap(dst) < len(src) {
+		dst = make([]T, len(src))
 	}
-	m.memos = m.memos[:0]
+	dst = dst[:len(src)]
+	copy(dst, src)
+	return dst
 }

@@ -1,6 +1,9 @@
 package engine_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"math/rand"
 	"testing"
 
 	"repro/internal/arch"
@@ -15,9 +18,11 @@ import (
 // combine, the first detection) and symbol 3 records the steady state;
 // from symbol 4 on, the FFT, beamforming and MIMO stages each repeat
 // their entry state: 30 replays in a 14-symbol slot and 6 in a
-// 6-symbol one, again after a Reset. Pipelined beats hold NotBefore
-// handshakes and replay nothing. A change that turns replay off fails
-// here.
+// 6-symbol one. After a Reset the same plans come back under the same
+// keys and the memo keeps every entry, so the slot replays whole: 43
+// and 19 stages. Pipelined beats hold NotBefore handshakes and replay
+// nothing. A change that turns replay off, or drops the memo on Reset,
+// fails here.
 func TestChainSlotReplays(t *testing.T) {
 	base := pusch.ChainConfig{
 		Cluster: arch.MemPool(),
@@ -31,11 +36,11 @@ func TestChainSlotReplays(t *testing.T) {
 		name      string
 		symbols   int
 		pipelined bool
-		want      int
+		want      [2]int // replays on the first run and after Reset
 	}{
-		{"sequential 14-symbol", 14, false, 30},
-		{"sequential 6-symbol", 6, false, 6},
-		{"pipelined 14-symbol", 14, true, 0},
+		{"sequential 14-symbol", 14, false, [2]int{30, 43}},
+		{"sequential 6-symbol", 6, false, [2]int{6, 19}},
+		{"pipelined 14-symbol", 14, true, [2]int{0, 0}},
 	}
 	for _, row := range rows {
 		cfg := base
@@ -51,9 +56,208 @@ func TestChainSlotReplays(t *testing.T) {
 			if _, err := pusch.RunChainOn(m, cfg); err != nil {
 				t.Fatal(err)
 			}
-			if got := m.Replayed(); got != row.want {
-				t.Errorf("%s, run %d: %d stages replayed, want %d", row.name, run, got, row.want)
+			if got := m.Replayed(); got != row.want[run] {
+				t.Errorf("%s, run %d: %d stages replayed, want %d", row.name, run, got, row.want[run])
 			}
 		}
+	}
+}
+
+// slotBytes runs cfg on m, which must be fresh or Reset, and returns the
+// slot's record as JSON. After the slot every core's attributed cycles
+// must equal its clock, as on a fresh machine.
+func slotBytes(t *testing.T, m *engine.Machine, cfg pusch.ChainConfig) []byte {
+	t.Helper()
+	rec, err := pusch.RunChainRecordOn(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range m.Cfg.NumCores() {
+		if busy, now := m.CoreStats(c).Busy(), m.CoreTime(c); busy != now {
+			t.Fatalf("core %d attributes %d cycles at cycle %d", c, busy, now)
+		}
+	}
+	js, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return js
+}
+
+// freshBytes is slotBytes on a newly built machine, after prep (when
+// non-nil) has run on it.
+func freshBytes(t *testing.T, cfg pusch.ChainConfig, prep func(*engine.Machine)) []byte {
+	t.Helper()
+	m := engine.NewMachine(cfg.Cluster)
+	if prep != nil {
+		prep(m)
+	}
+	return slotBytes(t, m, cfg)
+}
+
+// poolCoords returns the MemPool coordinates of the pooled-machine
+// sequence: every pair of 64 or 256 subcarriers and 1, 2 or 4 UEs, two
+// of them pipelined, with random symbol counts (3-14) and interpolation
+// flags; then the first again with another symbol count, which plans
+// the same kernels; and one small TeraPool coordinate.
+func poolCoords(rng *rand.Rand) []pusch.ChainConfig {
+	var coords []pusch.ChainConfig
+	for i := range 6 {
+		cfg := pusch.ChainConfig{
+			Cluster: arch.MemPool(),
+			NSC:     []int{64, 256}[i%2],
+			NR:      16, NB: 8,
+			NL:     []int{1, 2, 4}[i%3],
+			NSymb:  3 + rng.Intn(12),
+			NPilot: 2,
+			Scheme: waveform.QPSK,
+			SNRdB:  20,
+
+			InterpolateChannel: rng.Intn(2) == 1,
+		}
+		if i == 2 || i == 3 {
+			cfg.Layout = pusch.StockPipelined(cfg.Cluster)
+		}
+		coords = append(coords, cfg)
+	}
+	again := coords[0]
+	again.NSymb = 3 + (again.NSymb-3+1+rng.Intn(11))%12
+	tera := pusch.ChainConfig{
+		Cluster: arch.TeraPool(),
+		NSC:     64, NR: 16, NB: 8, NL: 2,
+		NSymb: 5, NPilot: 2,
+		Scheme: waveform.QPSK,
+		SNRdB:  20,
+	}
+	return append(coords, again, tera)
+}
+
+// TestPooledMachineMatchesFresh runs a random sequence of chain
+// coordinates (poolCoords, each at least twice) through one machine
+// pool, which Resets a machine on every Get, so a slot replays whatever
+// earlier slots with the same plans recorded. Every record must
+// byte-equal a fresh machine's, with payload seeds varying between
+// repeats.
+func TestPooledMachineMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	coords := poolCoords(rng)
+	var order []int
+	for i := range coords {
+		order = append(order, i, i)
+	}
+	for range 4 {
+		order = append(order, rng.Intn(len(coords)))
+	}
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+
+	pool := engine.NewMachines()
+	fresh := map[[2]int][]byte{}
+	for slot, i := range order {
+		cfg := coords[i]
+		cfg.Seed = uint64(1 + rng.Intn(2))
+		id := [2]int{i, int(cfg.Seed)}
+		if fresh[id] == nil {
+			fresh[id] = freshBytes(t, cfg, nil)
+		}
+		m := pool.Get(cfg.Cluster)
+		got := slotBytes(t, m, cfg)
+		pool.Put(m)
+		if !bytes.Equal(got, fresh[id]) {
+			t.Fatalf("slot %d (coordinate %d, %s, %d SC, %d UEs, %d symbols, seed %d): pooled record\n%s\nfresh\n%s",
+				slot, i, cfg.Layout, cfg.NSC, cfg.NL, cfg.NSymb, cfg.Seed, got, fresh[id])
+		}
+	}
+}
+
+// TestPooledMachineShiftedArena plans a slot after one extra TCDM
+// allocation on a machine whose memo holds that coordinate's entries at
+// the usual arena position. A sequential word moves the key's arena
+// position, so the slot records entries of its own; a tile-local row
+// leaves the tile floors unequal, with no position to key, so nothing
+// replays. Either way the slot must replay exactly the stages a fresh
+// machine with the same allocation replays, and match its record; the
+// entries at the usual position must still replay the slot whole.
+func TestPooledMachineShiftedArena(t *testing.T) {
+	cfg := pusch.ChainConfig{
+		Cluster: arch.MemPool(),
+		NSC:     64, NR: 16, NB: 8, NL: 4,
+		NSymb: 6, NPilot: 2,
+		Scheme: waveform.QPSK,
+		SNRdB:  20,
+		Seed:   3,
+	}
+	rows := []struct {
+		name  string
+		alloc func(m *engine.Machine) error
+	}{
+		{"sequential word", func(m *engine.Machine) error { _, err := m.Mem.AllocSeq(1); return err }},
+		{"tile-local row", func(m *engine.Machine) error { _, err := m.Mem.AllocTileLocal(0, 1); return err }},
+	}
+	m := engine.NewMachine(cfg.Cluster)
+	want := slotBytes(t, m, cfg)
+	for _, row := range rows {
+		prep := func(m *engine.Machine) {
+			if err := row.alloc(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		twin := engine.NewMachine(cfg.Cluster)
+		prep(twin)
+		wantShifted := slotBytes(t, twin, cfg)
+		m.Reset()
+		prep(m)
+		if got := slotBytes(t, m, cfg); !bytes.Equal(got, wantShifted) {
+			t.Fatalf("%s: pooled record\n%s\nfresh\n%s", row.name, got, wantShifted)
+		}
+		if m.Replayed() != twin.Replayed() {
+			t.Errorf("%s: %d stages replayed, a fresh machine with the same allocation replays %d", row.name, m.Replayed(), twin.Replayed())
+		}
+		m.Reset()
+		if got := slotBytes(t, m, cfg); !bytes.Equal(got, want) {
+			t.Fatalf("%s, then the usual position: record\n%s\nwant\n%s", row.name, got, want)
+		}
+		if m.Replayed() != 19 {
+			t.Errorf("%s, then the usual position: %d of 19 stages replayed", row.name, m.Replayed())
+		}
+	}
+}
+
+// TestPooledMachineMemoCap cycles twice through more sequential
+// coordinates than one machine's memo holds. The entry count stays at
+// the cap, the least recently used entries are recorded over, and
+// every record still matches a fresh machine's.
+func TestPooledMachineMemoCap(t *testing.T) {
+	var coords []pusch.ChainConfig
+	for _, nr := range []int{8, 16} {
+		for _, nl := range []int{1, 2, 4} {
+			for _, interp := range []bool{false, true} {
+				coords = append(coords, pusch.ChainConfig{
+					Cluster: arch.MemPool(),
+					NSC:     64, NR: nr, NB: nr / 2, NL: nl,
+					NSymb: 4, NPilot: 2,
+					Scheme: waveform.QPSK,
+					SNRdB:  20,
+					Seed:   uint64(nl),
+
+					InterpolateChannel: interp,
+				})
+			}
+		}
+	}
+	m := engine.NewMachine(arch.MemPool())
+	fresh := make([][]byte, len(coords))
+	for pass := range 2 {
+		for i, cfg := range coords {
+			if fresh[i] == nil {
+				fresh[i] = freshBytes(t, cfg, nil)
+			}
+			m.Reset()
+			if got := slotBytes(t, m, cfg); !bytes.Equal(got, fresh[i]) {
+				t.Fatalf("pass %d, coordinate %d: pooled record\n%s\nfresh\n%s", pass, i, got, fresh[i])
+			}
+		}
+	}
+	if n := m.MemoEntries(); n != engine.SyncMemoCap {
+		t.Fatalf("%d memo entries after %d coordinates, want the cap %d", n, len(coords), engine.SyncMemoCap)
 	}
 }

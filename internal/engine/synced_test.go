@@ -79,17 +79,36 @@ func sameMachine(t *testing.T, where string, a, b *Machine) {
 	}
 }
 
+// Memo keys of the units checkSynced runs.
+var (
+	unitKey = SyncKey{Unit: 1}
+	nextKey = SyncKey{Unit: 2}
+)
+
+// runBoth runs jobs on a through RunSynced under key and on its twin b
+// through Run + ClusterBarrier.
+func runBoth(t *testing.T, a, b *Machine, key SyncKey, jobs []Job) {
+	t.Helper()
+	if err := a.RunSynced(key, jobs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Run(jobs...); err != nil {
+		t.Fatal(err)
+	}
+	b.ClusterBarrier()
+}
+
 // checkSynced runs prelude, then a warm pass of unit, each closed by a
 // ClusterBarrier, on two patterned machines. Machine a then runs unit
 // twice through RunSynced and next once; its twin b runs the same units
 // through Run + ClusterBarrier. Every piece of machine state must agree
 // at the end, so units simulated after a replay see no trace of the
 // skipped bookings. The second unit must replay exactly when it starts
-// from the I$ state the first started from. checkSynced returns the
-// number of replays.
-func checkSynced(t *testing.T, where string, cfg *arch.Config, prelude, unit, next []Job) int {
+// from the I$ state the first started from. checkSynced returns both
+// machines.
+func checkSynced(t *testing.T, where string, cfg *arch.Config, prelude, unit, next []Job) (a, b *Machine) {
 	t.Helper()
-	a, b := newPatterned(cfg), newPatterned(cfg)
+	a, b = newPatterned(cfg), newPatterned(cfg)
 	for _, m := range []*Machine{a, b} {
 		for _, jobs := range [][]Job{prelude, unit} {
 			if err := m.Run(jobs...); err != nil {
@@ -101,21 +120,9 @@ func checkSynced(t *testing.T, where string, cfg *arch.Config, prelude, unit, ne
 	var entry [2][]tileICache
 	for pass := range entry {
 		entry[pass] = copyICache(b)
-		if err := a.RunSynced(&unit[0], unit...); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Run(unit...); err != nil {
-			t.Fatal(err)
-		}
-		b.ClusterBarrier()
+		runBoth(t, a, b, unitKey, unit)
 	}
-	if err := a.RunSynced(&next[0], next...); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Run(next...); err != nil {
-		t.Fatal(err)
-	}
-	b.ClusterBarrier()
+	runBoth(t, a, b, nextKey, next)
 	sameMachine(t, where, a, b)
 	want := 0
 	if sameICache(entry[0], entry[1]) {
@@ -124,7 +131,7 @@ func checkSynced(t *testing.T, where string, cfg *arch.Config, prelude, unit, ne
 	if a.replayed != want {
 		t.Fatalf("%s: %d units replayed, want %d", where, a.replayed, want)
 	}
-	return a.replayed
+	return a, b
 }
 
 // fitICache gives the unit's kernels names of their own and caps their
@@ -171,7 +178,7 @@ func TestRunSyncedReplayMatchesSimulation(t *testing.T) {
 			unit := genWarmJobs(rng, cfg, "job")
 			fitICache(cfg, unit)
 			next := genWarmJobs(rng, cfg, "nxt")
-			if checkSynced(t, where, cfg, prelude, unit, next) != 1 {
+			if a, _ := checkSynced(t, where, cfg, prelude, unit, next); a.replayed != 1 {
 				t.Fatalf("%s: the repeated unit did not replay", where)
 			}
 		}
@@ -250,13 +257,7 @@ func TestRunSyncedSimulates(t *testing.T) {
 					row.prep(a)
 					row.prep(b)
 				}
-				if err := a.RunSynced(&unit[0], jobs...); err != nil {
-					t.Fatal(err)
-				}
-				if err := b.Run(jobs...); err != nil {
-					t.Fatal(err)
-				}
-				b.ClusterBarrier()
+				runBoth(t, a, b, unitKey, jobs)
 			}
 			sameMachine(t, row.name, a, b)
 			if got := a.replayed == 1; got != row.replays {
@@ -266,32 +267,50 @@ func TestRunSyncedSimulates(t *testing.T) {
 	}
 }
 
-// TestRunSyncedAllocsNothing: once a unit is memoized, replaying it
-// allocates nothing, and neither does a Reset machine recording it
-// again, since the memo's storage survives Reset.
+// TestRunSyncedAllocsNothing: a unit records its cold-I$ and warm
+// entries once; replaying them allocates nothing, and neither does
+// replaying them after a Reset, which keeps the entries. Past the cap,
+// recording over the least recently used entry reuses its storage and
+// allocates nothing either.
 func TestRunSyncedAllocsNothing(t *testing.T) {
 	m := NewMachine(arch.MemPool())
 	unit := syncUnit(m.Cfg)
-	cycle := func() {
-		for range 3 {
-			if err := m.RunSynced(&unit[0], unit...); err != nil {
+	passes := func(key SyncKey) {
+		for range 3 { // cold I$, then warm twice
+			if err := m.RunSynced(key, unit...); err != nil {
 				t.Fatal(err)
 			}
 		}
-		m.Reset()
 	}
-	cycle() // size the memo
-	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
-		t.Fatalf("RunSynced record+replay+Reset allocates %.1f objects/op, want 0", avg)
-	}
-	cycle()
-	for range 3 {
-		if err := m.RunSynced(&unit[0], unit...); err != nil {
-			t.Fatal(err)
-		}
-	}
+	passes(unitKey)
 	if m.replayed != 1 {
 		t.Fatalf("%d of 3 passes replayed, want 1 (the first loads the I$, the second records from the warm state)", m.replayed)
+	}
+	cycle := func() {
+		m.Reset()
+		passes(unitKey)
+	}
+	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+		t.Fatalf("RunSynced Reset+replay allocates %.1f objects/op, want 0", avg)
+	}
+	if m.replayed != 3 {
+		t.Fatalf("after Reset %d of 3 passes replayed, want 3", m.replayed)
+	}
+
+	churn := func() {
+		for u := range syncMemoCap + 1 {
+			if err := m.RunSynced(SyncKey{Unit: 3 + u}, unit...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	churn() // fill the memo to its cap
+	m.replayed = 0
+	if avg := testing.AllocsPerRun(5, churn); avg != 0 {
+		t.Fatalf("RunSynced recording over evicted entries allocates %.1f objects/op, want 0", avg)
+	}
+	if m.replayed != 0 || len(m.memos) != syncMemoCap {
+		t.Fatalf("%d units cycling through %d entries: %d replayed, want 0 (LRU order)", syncMemoCap+1, len(m.memos), m.replayed)
 	}
 }
 
@@ -314,8 +333,10 @@ func (r *fuzzReader) next(n int) int {
 // decodeUnit reads one unit: 1-3 jobs on disjoint cores, each with 1-3
 // phases. A phase has a kernel name (or the default), a footprint (0 is
 // the default), a fetch distance and one program of strided loads and
-// stores that every lane runs, shifted by a per-phase lane step.
-func decodeUnit(r *fuzzReader, cfg *arch.Config, prefix string) []Job {
+// stores that every lane runs, shifted by a per-phase lane step. shift
+// moves every program's base, as if the unit were planned at a later
+// arena position.
+func decodeUnit(r *fuzzReader, cfg *arch.Config, prefix string, shift int) []Job {
 	limit := (cfg.BankWords - 1) * cfg.NumBanks() // clear of the barrier rows
 	n := cfg.NumCores()
 	free := make([]int, n)
@@ -340,7 +361,7 @@ func decodeUnit(r *fuzzReader, cfg *arch.Config, prefix string) []Job {
 				for i := range progs[l] {
 					op := &progs[l][i]
 					span := (op.n - 1) * op.stride
-					a := (int(op.base) + l*step) % limit
+					a := (int(op.base) + shift + l*step) % limit
 					a = min(a, limit-1-max(span, 0))
 					a = max(a, -min(span, 0))
 					op.base = arch.Addr(a)
@@ -359,8 +380,11 @@ func decodeUnit(r *fuzzReader, cfg *arch.Config, prefix string) []Job {
 
 // FuzzRunSyncedReplay checks RunSynced against Run + ClusterBarrier on
 // programs decoded from the fuzz bytes (geometry, then a prelude, the
-// repeated unit and a later unit; see decodeUnit), as
-// TestRunSyncedReplayMatchesSimulation does on random ones.
+// repeated unit, a later unit and an address shift; see decodeUnit), as
+// TestRunSyncedReplayMatchesSimulation does on random ones. Both
+// machines are then Reset, which keeps a's memo, and run the unit from
+// the cold I$ twice, the unit re-planned at the shifted address under
+// the key of its new arena position, and the unit again.
 func FuzzRunSyncedReplay(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 3, 2, 5, 1, 0, 200, 7, 3, 1, 9, 12, 4, 0, 9, 2, 30, 1, 2, 8})
@@ -369,9 +393,22 @@ func FuzzRunSyncedReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{b: data}
 		cfg := cfgs[r.next(len(cfgs))]
-		prelude := decodeUnit(r, cfg, "pre")
-		unit := decodeUnit(r, cfg, "job")
-		next := decodeUnit(r, cfg, "nxt")
-		checkSynced(t, cfg.Name, cfg, prelude, unit, next)
+		prelude := decodeUnit(r, cfg, "pre", 0)
+		at := *r // the unit's bytes, decoded again at the shifted address
+		unit := decodeUnit(r, cfg, "job", 0)
+		next := decodeUnit(r, cfg, "nxt", 0)
+		shift := r.next(cfg.BankWords * cfg.NumBanks())
+		moved := decodeUnit(&at, cfg, "job", shift)
+		movedKey := unitKey
+		movedKey.Arena.Seq = arch.Addr(shift)
+
+		a, b := checkSynced(t, cfg.Name, cfg, prelude, unit, next)
+		a.Reset()
+		b.Reset()
+		runBoth(t, a, b, unitKey, unit)
+		runBoth(t, a, b, unitKey, unit)
+		runBoth(t, a, b, movedKey, moved)
+		runBoth(t, a, b, unitKey, unit)
+		sameMachine(t, cfg.Name+" after Reset", a, b)
 	})
 }

@@ -67,6 +67,15 @@ type Pipeline struct {
 	detected []fixed.C15
 	stages   map[Stage]engine.Report
 
+	// mark is the one window snapshot every measured stage or beat
+	// refills.
+	mark engine.Mark
+	// key names the sequential plans in the replay memo; runStage sets
+	// Unit to tell the stages apart. It stays zero, which turns the memo
+	// off, on a pipelined layout or when the allocator position has no
+	// value (sequentialKey).
+	key engine.SyncKey
+
 	// trace, when non-nil, receives one stage-level span per measured
 	// window (RunChainTracedOn sets it). Spans are pure observations —
 	// they never feed back into timing.
@@ -85,6 +94,7 @@ func NewPipeline(m *engine.Machine, cfg ChainConfig) (*Pipeline, error) {
 	if cfg.Layout.Pipelined() {
 		err = pl.planPipelined()
 	} else {
+		pl.key = sequentialKey(m, &cfg)
 		err = pl.planSequential()
 	}
 	if err != nil {
@@ -115,6 +125,35 @@ func chainPilotWords(cfg *ChainConfig) []fixed.C15 {
 		pq[sc] = fixed.FromComplex(pilots[sc])
 	}
 	return pq
+}
+
+// Replay-memo units of the sequential stages (engine.SyncKey.Unit);
+// pilot i's channel estimation is unitCHE+i.
+const (
+	unitFFT = iota + 1
+	unitBF
+	unitNE
+	unitMIMO
+	unitCHE
+)
+
+// sequentialKey returns the replay-memo key of a sequential pipeline
+// about to be planned on m: the dimensions and options its plans are
+// built from and the allocator position they start at. Planning is
+// deterministic, so equal keys lay out equal plans at equal addresses,
+// on this machine or after a Reset; a pipeline planned at any other
+// position never shares an entry. It returns the zero key, which turns
+// the memo off, when the position has no value (tcdm.Mem.Position).
+func sequentialKey(m *engine.Machine, cfg *ChainConfig) engine.SyncKey {
+	pos, ok := m.Mem.Position()
+	if !ok {
+		return engine.SyncKey{}
+	}
+	interp := 0
+	if cfg.InterpolateChannel {
+		interp = 1
+	}
+	return engine.SyncKey{Dims: [6]int{cfg.NSC, cfg.NR, cfg.NB, cfg.NL, cfg.NPilot, interp}, Arena: pos}
 }
 
 // planSequential lays out the original single-symbol chain: every plan
@@ -233,20 +272,21 @@ func (pl *Pipeline) planPipelined() error {
 	return nil
 }
 
-// accumulate folds one measured window into the per-stage aggregate.
-func (pl *Pipeline) accumulate(stage Stage, mark engine.Mark, name string, sym int) {
-	pl.accumulateOn(stage, mark, name, nil, sym)
+// accumulate folds the window since pl.mark into the per-stage
+// aggregate.
+func (pl *Pipeline) accumulate(stage Stage, name string, sym int) {
+	pl.accumulateOn(stage, name, nil, sym)
 }
 
-// accumulateOn folds one measured window over an explicit core set (the
-// stage's partition; nil means the whole cluster) into the per-stage
-// aggregate. Under a pipelined layout the window includes the
+// accumulateOn folds the window since pl.mark over an explicit core set
+// (the stage's partition; nil means the whole cluster) into the
+// per-stage aggregate. Under a pipelined layout the window includes the
 // partition's NotBefore wait, so a stage's Wall reads as partition
 // occupancy and the per-stage walls of one slot overlap in time. When a
 // trace is attached, the same window becomes one stage-level span named
 // "<name> s<sym>" on the partition's track.
-func (pl *Pipeline) accumulateOn(stage Stage, mark engine.Mark, name string, cores []int, sym int) {
-	rep := pl.m.ReportSince(mark, name, cores)
+func (pl *Pipeline) accumulateOn(stage Stage, name string, cores []int, sym int) {
+	rep := pl.m.ReportSince(pl.mark, name, cores)
 	agg := pl.stages[stage]
 	agg.Name = string(stage)
 	agg.Cores = rep.Cores
@@ -254,7 +294,7 @@ func (pl *Pipeline) accumulateOn(stage Stage, mark engine.Mark, name string, cor
 	agg.Stats.Add(rep.Stats)
 	pl.stages[stage] = agg
 	if pl.trace != nil {
-		start, end := pl.m.WindowSince(mark, cores)
+		start, end := pl.m.WindowSince(pl.mark, cores)
 		pl.trace.Add(pl.trackFor(cores), fmt.Sprintf("%s s%d", name, sym), start, end)
 	}
 }
@@ -329,40 +369,44 @@ func (pl *Pipeline) RunSymbol(s int, rx [][]complex128) error {
 // all cores, a cluster-wide barrier after each.
 func (pl *Pipeline) runSymbolSequential(s int) error {
 	cfg := &pl.cfg
-	if err := pl.runStage(StageOFDM, "fft", s, pl.fftPlan, pl.fftPlan.JobsList()...); err != nil {
+	if err := pl.runStage(StageOFDM, "fft", s, unitFFT, pl.fftPlan.JobsList()...); err != nil {
 		return err
 	}
-	if err := pl.runStage(StageBF, "bf", s, pl.bfPlan, pl.bfPlan.Job()); err != nil {
+	if err := pl.runStage(StageBF, "bf", s, unitBF, pl.bfPlan.Job()); err != nil {
 		return err
 	}
 	if s >= cfg.NPilot {
-		if err := pl.runStage(StageMIMO, "mimo", s, pl.mimoPlan, pl.mimoPlan.JobsList()...); err != nil {
+		if err := pl.runStage(StageMIMO, "mimo", s, unitMIMO, pl.mimoPlan.JobsList()...); err != nil {
 			return err
 		}
 		pl.detected = append(pl.detected, pl.mimoPlan.ReadX()...)
 		return nil
 	}
 	chest := pl.chestPlans[s]
-	if err := pl.runStage(StageCHE, "chest", s, chest, chest.JobsList()...); err != nil {
+	if err := pl.runStage(StageCHE, "chest", s, unitCHE+s, chest.JobsList()...); err != nil {
 		return err
 	}
 	if s == cfg.NPilot-1 {
-		return pl.runStage(StageNE, "combine", s, pl.comb, pl.comb.Job())
+		return pl.runStage(StageNE, "combine", s, unitNE, pl.comb.Job())
 	}
 	return nil
 }
 
 // runStage runs one sequential stage — its jobs and the closing cluster
-// barrier — as a unit keyed by the plan that built the jobs, so a stage
-// that repeats from the same state replays instead of simulating again
+// barrier — as the memo unit named by pl.key and unit, so a stage that
+// repeats from a recorded state replays instead of simulating again
 // (engine.Machine.RunSynced), and folds its window into the stage's
 // aggregate.
-func (pl *Pipeline) runStage(stage Stage, name string, s int, plan any, jobs ...engine.Job) error {
-	mark := pl.m.Mark()
-	if err := pl.m.RunSynced(plan, jobs...); err != nil {
+func (pl *Pipeline) runStage(stage Stage, name string, s, unit int, jobs ...engine.Job) error {
+	key := pl.key
+	if key != (engine.SyncKey{}) {
+		key.Unit = unit
+	}
+	pl.m.MarkInto(&pl.mark)
+	if err := pl.m.RunSynced(key, jobs...); err != nil {
 		return err
 	}
-	pl.accumulate(stage, mark, name, s)
+	pl.accumulate(stage, name, s)
 	return nil
 }
 
@@ -445,7 +489,7 @@ func (pl *Pipeline) issueBeat(beat int) error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	mark := pl.m.Mark()
+	pl.m.MarkInto(&pl.mark)
 	if err := pl.m.Run(jobs...); err != nil {
 		return err
 	}
@@ -455,36 +499,36 @@ func (pl *Pipeline) issueBeat(beat int) error {
 	pl.m.TrimReservations()
 	if doFFT {
 		pl.finFFT[sFFT] = pl.m.MaxTime(lay.FFT)
-		pl.accumulateOn(StageOFDM, mark, "fft", lay.FFT, sFFT)
+		pl.accumulateOn(StageOFDM, "fft", lay.FFT, sFFT)
 	}
 	if doBF {
 		pl.finBF[sBF] = pl.m.MaxTime(lay.BF)
-		pl.accumulateOn(StageBF, mark, "bf", lay.BF, sBF)
+		pl.accumulateOn(StageBF, "bf", lay.BF, sBF)
 	}
 	if !doDet {
 		return nil
 	}
 	if sDet >= cfg.NPilot {
 		pl.finDet[sDet] = pl.m.MaxTime(lay.MIMO)
-		pl.accumulateOn(StageMIMO, mark, "mimo", lay.MIMO, sDet)
+		pl.accumulateOn(StageMIMO, "mimo", lay.MIMO, sDet)
 		pl.detected = append(pl.detected, pl.mimoPlans[sDet&1].ReadX()...)
 		return nil
 	}
 	pl.finDet[sDet] = pl.m.MaxTime(lay.CHE)
-	pl.accumulateOn(StageCHE, mark, "chest", lay.CHE, sDet)
+	pl.accumulateOn(StageCHE, "chest", lay.CHE, sDet)
 	if sDet == cfg.NPilot-1 {
 		// Noise combine: needs both pilot estimates. On a layout where NE
 		// shares the detection partition this serializes behind the chest
 		// task by clock continuity; on a dedicated NE partition the
 		// NotBefore handshake carries the dependency.
-		mark = pl.m.Mark()
+		pl.m.MarkInto(&pl.mark)
 		j := pl.comb.Job()
 		j.NotBefore = max(pl.finDet[0], pl.finDet[cfg.NPilot-1])
 		if err := pl.m.Run(j); err != nil {
 			return err
 		}
 		pl.finNE = pl.m.MaxTime(lay.NE)
-		pl.accumulateOn(StageNE, mark, "combine", lay.NE, sDet)
+		pl.accumulateOn(StageNE, "combine", lay.NE, sDet)
 	}
 	return nil
 }

@@ -121,6 +121,27 @@ func (m *Mem) AllocTileLocal(tile, rows int) (TileBlock, error) {
 	return TileBlock{cfg: m.Cfg, Tile: tile, Row0: newFloor, Rows: rows}, nil
 }
 
+// Position is where the arenas' next allocations land: the next
+// sequential word and the tile-local floor every tile shares. The
+// allocators are deterministic, so the same allocation sequence started
+// from equal positions returns equal addresses.
+type Position struct {
+	Seq   arch.Addr
+	Floor int
+}
+
+// Position returns the arenas' position, or false when the tiles'
+// tile-local floors differ and no Position describes them.
+func (m *Mem) Position() (Position, bool) {
+	floor := m.localFloor[0]
+	for _, f := range m.localFloor[1:] {
+		if f != floor {
+			return Position{}, false
+		}
+	}
+	return Position{Seq: m.seqNext, Floor: floor}, true
+}
+
 // Reset releases all allocations, clears contention history and zeroes
 // the stored words, returning the memory to its just-constructed state.
 // Zeroing matters for reuse: a fresh Mem reads 0 everywhere, and a reused

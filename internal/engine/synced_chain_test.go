@@ -84,15 +84,10 @@ func slotBytes(t *testing.T, m *engine.Machine, cfg pusch.ChainConfig) []byte {
 	return js
 }
 
-// freshBytes is slotBytes on a newly built machine, after prep (when
-// non-nil) has run on it.
-func freshBytes(t *testing.T, cfg pusch.ChainConfig, prep func(*engine.Machine)) []byte {
+// freshBytes is slotBytes on a newly built machine.
+func freshBytes(t *testing.T, cfg pusch.ChainConfig) []byte {
 	t.Helper()
-	m := engine.NewMachine(cfg.Cluster)
-	if prep != nil {
-		prep(m)
-	}
-	return slotBytes(t, m, cfg)
+	return slotBytes(t, engine.NewMachine(cfg.Cluster), cfg)
 }
 
 // poolCoords returns the MemPool coordinates of the pooled-machine
@@ -157,7 +152,7 @@ func TestPooledMachineMatchesFresh(t *testing.T) {
 		cfg.Seed = uint64(1 + rng.Intn(2))
 		id := [2]int{i, int(cfg.Seed)}
 		if fresh[id] == nil {
-			fresh[id] = freshBytes(t, cfg, nil)
+			fresh[id] = freshBytes(t, cfg)
 		}
 		m := pool.Get(cfg.Cluster)
 		got := slotBytes(t, m, cfg)
@@ -249,7 +244,7 @@ func TestPooledMachineMemoCap(t *testing.T) {
 	for pass := range 2 {
 		for i, cfg := range coords {
 			if fresh[i] == nil {
-				fresh[i] = freshBytes(t, cfg, nil)
+				fresh[i] = freshBytes(t, cfg)
 			}
 			m.Reset()
 			if got := slotBytes(t, m, cfg); !bytes.Equal(got, fresh[i]) {

@@ -275,20 +275,20 @@ func TestRunSyncedSimulates(t *testing.T) {
 func TestRunSyncedAllocsNothing(t *testing.T) {
 	m := NewMachine(arch.MemPool())
 	unit := syncUnit(m.Cfg)
-	passes := func(key SyncKey) {
+	passes := func() {
 		for range 3 { // cold I$, then warm twice
-			if err := m.RunSynced(key, unit...); err != nil {
+			if err := m.RunSynced(unitKey, unit...); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	passes(unitKey)
+	passes()
 	if m.replayed != 1 {
 		t.Fatalf("%d of 3 passes replayed, want 1 (the first loads the I$, the second records from the warm state)", m.replayed)
 	}
 	cycle := func() {
 		m.Reset()
-		passes(unitKey)
+		passes()
 	}
 	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
 		t.Fatalf("RunSynced Reset+replay allocates %.1f objects/op, want 0", avg)

@@ -12,7 +12,8 @@ import (
 // interconnect level, and the LSU-ring push with its stall when the ring
 // is full. Scalar Load, Store and AmoAdd are one-word calls of it; the
 // span ops below issue a whole run of regularly-strided or gathered
-// words per call. Either way, bulkBegin copies the core's clock, tax
+// words per call. An untimed replay never reaches it: each span op then
+// only reads or writes its words. Either way, bulkBegin copies the core's clock, tax
 // accumulator and LSU ring position into a bulkState, the words run out
 // of registers, and bulkEnd flushes them and the counters once. A span
 // op also tracks each word's bank incrementally (bank' = bank + stride
@@ -69,8 +70,7 @@ func (s *bulkState) retire(lsu []int64) {
 
 // issueWord advances one load/store issue: one cycle, the fetch tax,
 // the bank booking, and the LSU-ring push — the per-word timing of every
-// memory op. It returns the access completion cycle; an untimed replay
-// books nothing and returns the issue clock instead.
+// timed memory op. It returns the access completion cycle.
 func (p *Proc) issueWord(s *bulkState, bank int) int64 {
 	issueAt := s.now
 	s.now++
@@ -82,9 +82,6 @@ func (p *Proc) issueWord(s *bulkState, bank int) int64 {
 			s.now += stall
 			s.icStall += stall
 		}
-	}
-	if p.untimed {
-		return s.now
 	}
 	lvl := arch.LevelRemote
 	if bank >= p.tLo && bank < p.tHi {
@@ -125,6 +122,12 @@ func (p *Proc) LoadVec(base arch.Addr, stride int, dst []W) {
 	if len(dst) == 0 {
 		return
 	}
+	if p.untimed {
+		for i := range dst {
+			dst[i] = W{B: fixed.C15(p.m.Mem.Read(base + arch.Addr(i*stride)))}
+		}
+		return
+	}
 	s := p.bulkBegin()
 	bank := p.bankOf(base)
 	step := p.bankStep(stride)
@@ -153,6 +156,12 @@ func (p *Proc) LoadSpan(base arch.Addr, dst []W) { p.LoadVec(base, 1, dst) }
 // scalar loop over p.Load(addrs[i]).
 func (p *Proc) LoadGather(addrs []arch.Addr, dst []W) {
 	if len(addrs) == 0 {
+		return
+	}
+	if p.untimed {
+		for i, addr := range addrs {
+			dst[i] = W{B: fixed.C15(p.m.Mem.Read(addr))}
+		}
 		return
 	}
 	s := p.bulkBegin()
@@ -200,6 +209,12 @@ func (p *Proc) StoreVec(base arch.Addr, stride int, src []W) {
 	if len(src) == 0 {
 		return
 	}
+	if p.untimed {
+		for i, w := range src {
+			p.m.Mem.Write(base+arch.Addr(i*stride), uint32(w.B))
+		}
+		return
+	}
 	s := p.bulkBegin()
 	bank := p.bankOf(base)
 	step := p.bankStep(stride)
@@ -223,6 +238,12 @@ func (p *Proc) StoreSpan(base arch.Addr, src []W) { p.StoreVec(base, 1, src) }
 // draining src. Cycle-identical to the scalar loop over p.Store.
 func (p *Proc) StoreScatter(addrs []arch.Addr, src []W) {
 	if len(addrs) == 0 {
+		return
+	}
+	if p.untimed {
+		for i, addr := range addrs {
+			p.m.Mem.Write(addr, uint32(src[i].B))
+		}
 		return
 	}
 	s := p.bulkBegin()

@@ -471,8 +471,8 @@ func (m *Machine) run(jobs []Job) {
 				// more cores sharing the tile cache the service cost
 				// grows as (ports+active)/(2*ports).
 				taxNum := (ports + active) * 4 / ports
-				if active == 1 || m.procScratch.untimed {
-					taxNum = 0 // an untimed replay accrues no stalls either
+				if active == 1 {
+					taxNum = 0
 				}
 				// One reusable Proc: every per-phase field is reassigned
 				// here (the cluster invariants m/lsu/nb/lat* are set once

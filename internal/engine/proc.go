@@ -28,7 +28,8 @@ type A struct {
 }
 
 // Proc is the per-core execution context a kernel phase runs on. All
-// methods advance the core's cycle counter and update its Stats.
+// methods advance the core's cycle counter and update its Stats, except
+// during an untimed replay, when they do only their data work.
 type Proc struct {
 	Core  int // global core id
 	Lane  int // index of this core within the job's core list
@@ -64,9 +65,11 @@ type Proc struct {
 	gLo, gHi        int
 	latReq, latResp [3]int64
 
-	// untimed marks a RunSynced replay: memory words are read and
-	// written but book no bank cycle and take no LSU slot, since the
-	// unit's timing is already known.
+	// untimed marks a RunSynced replay, which overwrites every core's
+	// clock and Stats from the memo: each op only computes its value or
+	// reads and writes its memory words, and returns before any operand
+	// wait, issue slot, Stats count, divider booking, fetch tax, bank
+	// booking or LSU slot.
 	untimed bool
 }
 
@@ -115,9 +118,6 @@ func (p *Proc) wait(t int64, fromMem bool) {
 // waitW waits for a register operand.
 func (p *Proc) waitW(w W) { p.wait(w.At, w.Mem) }
 
-// waitA waits for an accumulator operand.
-func (p *Proc) waitA(a A) { p.wait(a.At, false) }
-
 // waitBarrier waits for the barrier counter's response, attributing the
 // queueing delay (increments serialize through the counter's bank) to
 // the WFI bucket: the core is parked, not blocked on data.
@@ -130,6 +130,9 @@ func (p *Proc) waitBarrier(w W) {
 
 // Tick issues n independent single-cycle integer/address instructions.
 func (p *Proc) Tick(n int) {
+	if p.untimed {
+		return
+	}
 	p.now += int64(n)
 	p.st.Instrs += int64(n)
 	p.st.IAlu += int64(n)
@@ -154,11 +157,14 @@ func (p *Proc) Store(addr arch.Addr, w W) {
 // AmoAdd performs an atomic fetch-and-add of one on a memory word,
 // returning the previous value. Barriers use it on their counters.
 func (p *Proc) AmoAdd(addr arch.Addr) W {
+	old := p.m.Mem.Read(addr)
+	p.m.Mem.Write(addr, old+1)
+	if p.untimed {
+		return W{B: fixed.C15(old)}
+	}
 	s := p.bulkBegin()
 	done := p.issueWord(&s, p.bankOf(addr))
 	p.bulkEnd(&s, 0, 1)
-	old := p.m.Mem.Read(addr)
-	p.m.Mem.Write(addr, old+1)
 	return W{B: fixed.C15(old), At: done, Mem: true}
 }
 
@@ -184,6 +190,9 @@ func (p *Proc) mulIssue() int64 {
 
 // alu issues a 1-cycle packed-SIMD arithmetic instruction.
 func (p *Proc) alu(v fixed.C15, ops ...W) W {
+	if p.untimed {
+		return W{B: v}
+	}
 	for _, w := range ops {
 		p.waitW(w)
 	}
@@ -213,6 +222,9 @@ func (p *Proc) CHalf(a W) W { return p.alu(fixed.Half(a.B), a) }
 
 // mul issues one packed complex multiply-class instruction.
 func (p *Proc) mul(v fixed.C15, ops ...W) W {
+	if p.untimed {
+		return W{B: v}
+	}
 	for _, w := range ops {
 		p.waitW(w)
 	}
@@ -225,103 +237,104 @@ func (p *Proc) CMul(a, b W) W { return p.mul(fixed.Mul(a.B, b.B), a, b) }
 // CMulConj returns a*conj(b).
 func (p *Proc) CMulConj(a, b W) W { return p.mul(fixed.MulConj(a.B, b.B), a, b) }
 
+// accALU issues a 1-cycle ALU instruction with an accumulator result.
+func (p *Proc) accALU(v fixed.Acc, ops ...W) A {
+	if p.untimed {
+		return A{Acc: v}
+	}
+	for _, w := range ops {
+		p.waitW(w)
+	}
+	return A{Acc: v, At: p.issue(&p.st.IAlu) + 1}
+}
+
+// accMul issues one multiply-class instruction with an accumulator
+// result.
+func (p *Proc) accMul(v fixed.Acc, ops ...W) A {
+	if p.untimed {
+		return A{Acc: v}
+	}
+	for _, w := range ops {
+		p.waitW(w)
+	}
+	return A{Acc: v, At: p.mulIssue() + p.m.Cfg.MulLatency}
+}
+
+// op returns the register operand an instruction reading a waits on:
+// its ready cycle, attributed as a RAW stall.
+func (a A) op() W { return W{At: a.At} }
+
 // Mac returns acc + a*b. The accumulator chains through the MAC unit, so
 // only a and b can cause RAW stalls.
-func (p *Proc) Mac(acc A, a, b W) A {
-	p.waitW(a)
-	p.waitW(b)
-	return A{Acc: fixed.MacInto(acc.Acc, a.B, b.B), At: p.mulIssue() + p.m.Cfg.MulLatency}
-}
+func (p *Proc) Mac(acc A, a, b W) A { return p.accMul(fixed.MacInto(acc.Acc, a.B, b.B), a, b) }
 
 // MacConj returns acc + a*conj(b).
 func (p *Proc) MacConj(acc A, a, b W) A {
-	p.waitW(a)
-	p.waitW(b)
-	return A{Acc: fixed.MacConjInto(acc.Acc, a.B, b.B), At: p.mulIssue() + p.m.Cfg.MulLatency}
+	return p.accMul(fixed.MacConjInto(acc.Acc, a.B, b.B), a, b)
 }
 
 // MacAbs2 returns acc + |a|^2 (accumulated into the real component).
-func (p *Proc) MacAbs2(acc A, a W) A {
-	p.waitW(a)
-	return A{Acc: fixed.MacAbs2Into(acc.Acc, a.B), At: p.mulIssue() + p.m.Cfg.MulLatency}
-}
+func (p *Proc) MacAbs2(acc A, a W) A { return p.accMul(fixed.MacAbs2Into(acc.Acc, a.B), a) }
 
 // CAddW returns a+b exactly, widened into an accumulator (one ALU op on
 // the widened datapath).
 func (p *Proc) CAddW(a, b W) A {
-	p.waitW(a)
-	p.waitW(b)
-	return A{Acc: fixed.AddAcc(fixed.AccFromC15(a.B), fixed.AccFromC15(b.B)), At: p.issue(&p.st.IAlu) + 1}
+	return p.accALU(fixed.AddAcc(fixed.AccFromC15(a.B), fixed.AccFromC15(b.B)), a, b)
 }
 
 // CSubW returns a-b exactly, widened into an accumulator.
 func (p *Proc) CSubW(a, b W) A {
-	p.waitW(a)
-	p.waitW(b)
-	return A{Acc: fixed.SubAcc(fixed.AccFromC15(a.B), fixed.AccFromC15(b.B)), At: p.issue(&p.st.IAlu) + 1}
+	return p.accALU(fixed.SubAcc(fixed.AccFromC15(a.B), fixed.AccFromC15(b.B)), a, b)
 }
 
 // AccAdd returns a+b on accumulators (one ALU op).
-func (p *Proc) AccAdd(a, b A) A {
-	p.waitA(a)
-	p.waitA(b)
-	return A{Acc: fixed.AddAcc(a.Acc, b.Acc), At: p.issue(&p.st.IAlu) + 1}
-}
+func (p *Proc) AccAdd(a, b A) A { return p.accALU(fixed.AddAcc(a.Acc, b.Acc), a.op(), b.op()) }
 
 // AccMulNegJ returns a*(-j) exactly (a swap-negate on the accumulator).
-func (p *Proc) AccMulNegJ(a A) A {
-	p.waitA(a)
-	return A{Acc: fixed.MulNegJAcc(a.Acc), At: p.issue(&p.st.IAlu) + 1}
-}
+func (p *Proc) AccMulNegJ(a A) A { return p.accALU(fixed.MulNegJAcc(a.Acc), a.op()) }
 
 // MulTw multiplies a widened accumulator by a packed twiddle, scaling by
 // 2^-shift with a single rounding: the fused twiddle multiply of the FFT
 // butterfly (one multiply-class instruction).
 func (p *Proc) MulTw(a A, w W, shift uint) W {
-	p.waitA(a)
-	p.waitW(w)
-	return W{B: fixed.MulAccTw(a.Acc, w.B, shift), At: p.mulIssue() + p.m.Cfg.MulLatency}
+	return p.mul(fixed.MulAccTw(a.Acc, w.B, shift), a.op(), w)
 }
 
 // Widen converts a register sample to an accumulator (one ALU op).
-func (p *Proc) Widen(a W) A {
-	p.waitW(a)
-	return A{Acc: fixed.AccFromC15(a.B), At: p.issue(&p.st.IAlu) + 1}
-}
+func (p *Proc) Widen(a W) A { return p.accALU(fixed.AccFromC15(a.B), a) }
 
 // AccSub returns a-b on accumulators (one ALU op per component pair).
-func (p *Proc) AccSub(a, b A) A {
-	p.waitA(a)
-	p.waitA(b)
-	return A{Acc: fixed.SubAcc(a.Acc, b.Acc), At: p.issue(&p.st.IAlu) + 1}
-}
+func (p *Proc) AccSub(a, b A) A { return p.accALU(fixed.SubAcc(a.Acc, b.Acc), a.op(), b.op()) }
 
 // Narrow rounds the accumulator back to a packed Q1.15 register value,
 // scaling down by 2^shift.
-func (p *Proc) Narrow(acc A, shift uint) W {
-	p.waitA(acc)
-	return p.alu(acc.Acc.Narrow(shift))
-}
+func (p *Proc) Narrow(acc A, shift uint) W { return p.alu(acc.Acc.Narrow(shift), acc.op()) }
 
-// divIssue runs one operation on the non-pipelined divide/sqrt unit.
-// Operands must already be waited for by the caller.
-func (p *Proc) divIssue() (issueAt int64) {
-	if p.divFree > p.now {
-		p.st.ExtStalls += p.divFree - p.now
-		p.now = p.divFree
+// div runs n back-to-back operations on the non-pipelined divide/sqrt
+// unit once ops are ready, and returns v when the last one completes.
+func (p *Proc) div(v fixed.C15, n int, ops ...W) W {
+	if p.untimed {
+		return W{B: v}
 	}
-	issueAt = p.issue(&p.st.Divs)
-	p.divFree = issueAt + p.m.Cfg.DivSqrt.Init
-	return issueAt
+	for _, w := range ops {
+		p.waitW(w)
+	}
+	var issueAt int64
+	for range n {
+		if p.divFree > p.now {
+			p.st.ExtStalls += p.divFree - p.now
+			p.now = p.divFree
+		}
+		issueAt = p.issue(&p.st.Divs)
+		p.divFree = issueAt + p.m.Cfg.DivSqrt.Init
+	}
+	return W{B: v, At: issueAt + p.m.Cfg.DivSqrt.Latency}
 }
 
 // SqrtRe computes sqrt of the accumulator's real component (Q2.30) as a
 // real Q1.15 value, through the iterative unit.
 func (p *Proc) SqrtRe(acc A) W {
-	p.waitA(acc)
-	issueAt := p.divIssue()
-	v := fixed.SqrtQ30toQ15(acc.Acc.Re)
-	return W{B: fixed.Pack(v, 0), At: issueAt + p.m.Cfg.DivSqrt.Latency}
+	return p.div(fixed.Pack(fixed.SqrtQ30toQ15(acc.Acc.Re), 0), 1, acc.op())
 }
 
 // DivByRe divides the accumulator (Q2.30 complex) by the real component
@@ -329,26 +342,20 @@ func (p *Proc) SqrtRe(acc A) W {
 // runs the two component divisions back to back on the iterative unit.
 func (p *Proc) DivByRe(num A, den W) W {
 	d := den.B.Re()
-	p.waitA(num)
-	p.waitW(den)
-	p.divIssue()
-	re := fixed.DivQ30byQ15(num.Acc.Re, d)
-	issueIm := p.divIssue()
-	im := fixed.DivQ30byQ15(num.Acc.Im, d)
-	return W{B: fixed.Pack(re, im), At: issueIm + p.m.Cfg.DivSqrt.Latency}
+	return p.div(fixed.Pack(fixed.DivQ30byQ15(num.Acc.Re, d), fixed.DivQ30byQ15(num.Acc.Im, d)), 2, num.op(), den)
 }
 
 // CDiv computes the full complex division a/b through the iterative unit
 // (used by the channel-estimation kernel): |b|^2 via one MAC, then two
 // divisions.
 func (p *Proc) CDiv(a, b W) W {
+	v := fixed.CDiv(a.B, b.B)
+	if p.untimed {
+		return W{B: v}
+	}
 	den := p.MacAbs2(A{}, b)
 	num := p.MacConj(A{}, a, b)
-	p.waitA(num)
-	p.waitA(den)
-	p.divIssue()
-	issueIm := p.divIssue()
-	return W{B: fixed.CDiv(a.B, b.B), At: issueIm + p.m.Cfg.DivSqrt.Latency}
+	return p.div(v, 2, num.op(), den.op())
 }
 
 // Imm materializes a constant into a register (one ALU instruction).

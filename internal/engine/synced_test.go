@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/fixed"
 )
 
 // syncCfgs are the three geometries of the replay property: the
@@ -330,12 +332,216 @@ func (r *fuzzReader) next(n int) int {
 	return v % n
 }
 
+// fuzzOp is one step of a replay program: procOps[kind] on the words
+// at base, base+stride, ..., n of them, with operands picked by arg.
+type fuzzOp struct {
+	kind, n, stride, arg int
+	base                 arch.Addr
+}
+
+// at returns the address of the op's i-th word.
+func (op *fuzzOp) at(i int) arch.Addr { return op.base + arch.Addr(i*op.stride) }
+
+// fuzzLane is one lane's registers while it runs a replay program: the
+// values and accumulators its ops produced, which later ops read.
+type fuzzLane struct {
+	p    *Proc
+	vals []W
+	accs []A
+}
+
+// w returns a produced value, or an immediate before the first.
+func (l *fuzzLane) w(i int) W {
+	if len(l.vals) == 0 {
+		return l.p.Imm(fixed.C15(0x00010002))
+	}
+	return l.vals[i%len(l.vals)]
+}
+
+// a returns a produced accumulator, or zero before the first.
+func (l *fuzzLane) a(i int) A {
+	if len(l.accs) == 0 {
+		return A{}
+	}
+	return l.accs[i%len(l.accs)]
+}
+
+// ws returns n produced values starting at the i-th.
+func (l *fuzzLane) ws(i, n int) []W {
+	src := make([]W, n)
+	for k := range src {
+		src[k] = l.w(i + k)
+	}
+	return src
+}
+
+// putW stores w at the op's first word and keeps it as an operand.
+func (l *fuzzLane) putW(op *fuzzOp, w W) {
+	l.p.Store(op.base, w)
+	l.vals = append(l.vals, w)
+}
+
+// putA stores a exactly, the raw 32-bit halves of both components
+// moved through Imm into the op's first four words, and keeps it as an
+// operand.
+func (l *fuzzLane) putA(op *fuzzOp, a A) {
+	var ws [4]W
+	for i, v := range [4]uint64{uint64(a.Acc.Re), uint64(a.Acc.Re) >> 32, uint64(a.Acc.Im), uint64(a.Acc.Im) >> 32} {
+		ws[i] = l.p.Imm(fixed.C15(uint32(v)))
+	}
+	l.p.StoreSpan(op.base, ws[:])
+	l.accs = append(l.accs, a)
+}
+
+// spanWords is how many words from an op's base the span ops, and the
+// stored accumulators, touch.
+const spanWords = 4
+
+// procOps lists every exported Proc data op as replay programs run it:
+// each result is stored to memory, so comparing memory words compares
+// what the op computed. TestProcOpsCoverProc keeps the list complete.
+var procOps = []struct {
+	name string
+	run  func(l *fuzzLane, op *fuzzOp)
+}{
+	{"Tick", func(l *fuzzLane, op *fuzzOp) { l.p.Tick(op.n) }},
+	{"Load", func(l *fuzzLane, op *fuzzOp) { l.vals = append(l.vals, l.p.Load(op.base)) }},
+	{"Load2", func(l *fuzzLane, op *fuzzOp) {
+		a, b := l.p.Load2(op.base, op.at(op.n-1))
+		l.vals = append(l.vals, a, b)
+	}},
+	{"LoadVec", func(l *fuzzLane, op *fuzzOp) {
+		dst := make([]W, op.n)
+		l.p.LoadVec(op.base, op.stride, dst)
+		l.vals = append(l.vals, dst...)
+	}},
+	{"LoadSpan", func(l *fuzzLane, op *fuzzOp) {
+		dst := make([]W, min(op.n, spanWords))
+		l.p.LoadSpan(op.base, dst)
+		l.vals = append(l.vals, dst...)
+	}},
+	{"LoadGather", func(l *fuzzLane, op *fuzzOp) {
+		addrs, dst := make([]arch.Addr, op.n), make([]W, op.n)
+		for i := range addrs {
+			addrs[i] = op.at(op.n - 1 - i)
+		}
+		l.p.LoadGather(addrs, dst)
+		l.vals = append(l.vals, dst...)
+	}},
+	{"Store", func(l *fuzzLane, op *fuzzOp) { l.p.Store(op.base, l.w(op.arg)) }},
+	{"StoreVec", func(l *fuzzLane, op *fuzzOp) { l.p.StoreVec(op.base, op.stride, l.ws(op.arg, op.n)) }},
+	{"StoreSpan", func(l *fuzzLane, op *fuzzOp) { l.p.StoreSpan(op.base, l.ws(op.arg, min(op.n, spanWords))) }},
+	{"StoreScatter", func(l *fuzzLane, op *fuzzOp) {
+		addrs := make([]arch.Addr, op.n)
+		for i := range addrs {
+			addrs[i] = op.at(op.n - 1 - i)
+		}
+		l.p.StoreScatter(addrs, l.ws(op.arg, op.n))
+	}},
+	{"AmoAdd", func(l *fuzzLane, op *fuzzOp) { l.vals = append(l.vals, l.p.AmoAdd(op.base)) }},
+	{"Imm", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.Imm(fixed.C15(uint32(op.arg)*0x01230457))) }},
+	{"CAdd", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CAdd(l.w(op.arg), l.w(op.arg+1))) }},
+	{"CSub", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CSub(l.w(op.arg), l.w(op.arg+1))) }},
+	{"CNeg", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CNeg(l.w(op.arg))) }},
+	{"CConj", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CConj(l.w(op.arg))) }},
+	{"CMulJ", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CMulJ(l.w(op.arg))) }},
+	{"CMulNegJ", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CMulNegJ(l.w(op.arg))) }},
+	{"CHalf", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CHalf(l.w(op.arg))) }},
+	{"CMul", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CMul(l.w(op.arg), l.w(op.arg+1))) }},
+	{"CMulConj", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CMulConj(l.w(op.arg), l.w(op.arg+1))) }},
+	{"Mac", func(l *fuzzLane, op *fuzzOp) { l.putA(op, l.p.Mac(l.a(op.arg), l.w(op.arg), l.w(op.arg+1))) }},
+	{"MacConj", func(l *fuzzLane, op *fuzzOp) {
+		l.putA(op, l.p.MacConj(l.a(op.arg), l.w(op.arg), l.w(op.arg+1)))
+	}},
+	{"MacAbs2", func(l *fuzzLane, op *fuzzOp) { l.putA(op, l.p.MacAbs2(l.a(op.arg), l.w(op.arg))) }},
+	{"CAddW", func(l *fuzzLane, op *fuzzOp) { l.putA(op, l.p.CAddW(l.w(op.arg), l.w(op.arg+1))) }},
+	{"CSubW", func(l *fuzzLane, op *fuzzOp) { l.putA(op, l.p.CSubW(l.w(op.arg), l.w(op.arg+1))) }},
+	{"AccAdd", func(l *fuzzLane, op *fuzzOp) { l.putA(op, l.p.AccAdd(l.a(op.arg), l.a(op.arg+1))) }},
+	{"AccSub", func(l *fuzzLane, op *fuzzOp) { l.putA(op, l.p.AccSub(l.a(op.arg), l.a(op.arg+1))) }},
+	{"AccMulNegJ", func(l *fuzzLane, op *fuzzOp) { l.putA(op, l.p.AccMulNegJ(l.a(op.arg))) }},
+	{"Widen", func(l *fuzzLane, op *fuzzOp) { l.putA(op, l.p.Widen(l.w(op.arg))) }},
+	{"MulTw", func(l *fuzzLane, op *fuzzOp) {
+		l.putW(op, l.p.MulTw(l.a(op.arg), l.w(op.arg), uint(op.arg%16)))
+	}},
+	{"Narrow", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.Narrow(l.a(op.arg), uint(op.arg%16))) }},
+	{"SqrtRe", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.SqrtRe(l.a(op.arg))) }},
+	{"DivByRe", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.DivByRe(l.a(op.arg), l.w(op.arg))) }},
+	{"CDiv", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CDiv(l.w(op.arg), l.w(op.arg+1))) }},
+}
+
+// fuzzWork runs each lane's replay program as a phase body.
+func fuzzWork(progs [][]fuzzOp) func(p *Proc) {
+	return func(p *Proc) {
+		l := &fuzzLane{p: p}
+		for i := range progs[p.Lane] {
+			op := &progs[p.Lane][i]
+			procOps[op.kind].run(l, op)
+		}
+	}
+}
+
+// placeOp moves op's base so that every word it may touch — its n
+// strided words and the spanWords from its base — lies in [0, limit).
+func placeOp(op *fuzzOp, a, limit int) {
+	span := (op.n - 1) * op.stride
+	a = min(a, limit-1-max(span, spanWords-1))
+	a = max(a, -min(span, 0))
+	op.base = arch.Addr(a)
+}
+
+// TestProcOpsCoverProc fails on an exported Proc method that the replay
+// programs never run and that has no data work to check.
+func TestProcOpsCoverProc(t *testing.T) {
+	exempt := map[string]bool{"Now": true, "Config": true, "String": true, "Drain": true}
+	typ := reflect.TypeFor[*Proc]()
+	listed := map[string]bool{}
+	for _, op := range procOps {
+		if _, ok := typ.MethodByName(op.name); !ok || listed[op.name] {
+			t.Errorf("procOps lists %q twice or names no Proc method", op.name)
+		}
+		listed[op.name] = true
+	}
+	for i := range typ.NumMethod() {
+		if name := typ.Method(i).Name; !listed[name] && !exempt[name] {
+			t.Errorf("Proc.%s is neither in procOps nor exempt", name)
+		}
+	}
+}
+
+// TestRunSyncedReplaysEveryOp replays a unit whose lanes run every op of
+// procOps, each at its own words, on the three geometries: the replayed
+// unit must leave memory, like everything else, as simulating it does.
+func TestRunSyncedReplaysEveryOp(t *testing.T) {
+	for _, cfg := range syncCfgs() {
+		limit := (cfg.BankWords - 1) * cfg.NumBanks()
+		progs := make([][]fuzzOp, cfg.NumCores())
+		for lane := range progs {
+			for k := range procOps {
+				op := fuzzOp{kind: k, n: 1 + (lane+k)%8, stride: (lane+k)%9 - 4, arg: lane + 3*k}
+				placeOp(&op, (lane*len(procOps)+k)*spanWords, limit)
+				progs[lane] = append(progs[lane], op)
+			}
+		}
+		cores := make([]int, cfg.NumCores())
+		for i := range cores {
+			cores[i] = i
+		}
+		unit := []Job{{Name: "ops", Cores: cores, Phases: []Phase{
+			{Name: "a", Kernel: "ops/a", Lines: 8, Work: fuzzWork(progs)},
+			{Name: "b", Kernel: "ops/b", Lines: 8, FetchEvery: 3, Work: fuzzWork(progs)},
+		}}}
+		if a, _ := checkSynced(t, cfg.Name, cfg, nil, unit, syncUnit(cfg)); a.replayed != 1 {
+			t.Fatalf("%s: the unit did not replay", cfg.Name)
+		}
+	}
+}
+
 // decodeUnit reads one unit: 1-3 jobs on disjoint cores, each with 1-3
 // phases. A phase has a kernel name (or the default), a footprint (0 is
-// the default), a fetch distance and one program of strided loads and
-// stores that every lane runs, shifted by a per-phase lane step. shift
-// moves every program's base, as if the unit were planned at a later
-// arena position.
+// the default), a fetch distance and one program of 1-6 procOps steps
+// that every lane runs, shifted by a per-phase lane step. shift moves
+// every program's base, as if the unit were planned at a later arena
+// position.
 func decodeUnit(r *fuzzReader, cfg *arch.Config, prefix string, shift int) []Job {
 	limit := (cfg.BankWords - 1) * cfg.NumBanks() // clear of the barrier rows
 	n := cfg.NumCores()
@@ -350,24 +556,20 @@ func decodeUnit(r *fuzzReader, cfg *arch.Config, prefix string, shift int) []Job
 		free = free[k:]
 		phases := make([]Phase, 1+r.next(3))
 		for pi := range phases {
-			ops := make([]bulkOp, 1+r.next(4))
+			ops := make([]fuzzOp, 1+r.next(6))
 			for i := range ops {
-				ops[i] = bulkOp{kind: opLoadVec + r.next(2), n: 1 + r.next(8), stride: r.next(9) - 4, tick: r.next(4), base: arch.Addr(r.next(limit))}
+				ops[i] = fuzzOp{kind: r.next(len(procOps)), n: 1 + r.next(8), stride: r.next(9) - 4, arg: r.next(64), base: arch.Addr(r.next(limit))}
 			}
 			step := r.next(16)
-			progs := make([][]bulkOp, len(cores))
+			progs := make([][]fuzzOp, len(cores))
 			for l := range progs {
 				progs[l] = slices.Clone(ops)
 				for i := range progs[l] {
 					op := &progs[l][i]
-					span := (op.n - 1) * op.stride
-					a := (int(op.base) + shift + l*step) % limit
-					a = min(a, limit-1-max(span, 0))
-					a = max(a, -min(span, 0))
-					op.base = arch.Addr(a)
+					placeOp(op, (int(op.base)+shift+l*step)%limit, limit)
 				}
 			}
-			ph := Phase{Name: fmt.Sprintf("p%d", pi), Lines: r.next(41), FetchEvery: r.next(12), Work: progWork(progs, true)}
+			ph := Phase{Name: fmt.Sprintf("p%d", pi), Lines: r.next(41), FetchEvery: r.next(12), Work: fuzzWork(progs)}
 			if kernel := r.next(5); kernel > 0 {
 				ph.Kernel = fmt.Sprintf("k%d", kernel)
 			}

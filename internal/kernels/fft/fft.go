@@ -15,6 +15,12 @@
 // stage of several independent FFTs between consecutive barriers to
 // amortize synchronization, exactly as the paper's "16 independent FFTs
 // run between barriers" configuration.
+//
+// The folded addresses are fixed once a plan is laid out, so the plan
+// composes them once into per-lane tables: each butterfly's stage-load
+// base, twiddle gather and redistribution scatter, and each input
+// element's position. Stages read addresses from the tables; the
+// simulated address-generation cost stays in each stage's Tick counts.
 package fft
 
 import (
@@ -66,18 +72,27 @@ type Plan struct {
 	Lay   Layout
 
 	m        *engine.Machine
-	twSeq    arch.Addr          // shared sequential twiddle table (serial + interleaved layout)
-	outBase  []arch.Addr        // per FFT instance: sequential output buffer
-	bufTiles [][]tcdm.TileBlock // [job][tileInJob] folded working storage (A and B interleaved rows)
-	seqBufs  [][2]arch.Addr     // [instance][pingpong] for Interleaved layout
+	twSeq    arch.Addr      // shared sequential twiddle table (serial + interleaved layout)
+	outBase  []arch.Addr    // per FFT instance: sequential output buffer
+	seqBufs  [][2]arch.Addr // [instance][pingpong] for Interleaved layout
 	jobCores [][]int
-	// jobTileIdx maps a global tile id to its index in bufTiles[job]
-	// (-1 when the tile hosts no lane of the job): partitions need not
-	// occupy contiguous tiles, so the folded addressing cannot assume
-	// tile - firstTile. A dense slice, not a map — this sits on the
-	// per-element address-computation path of every butterfly.
-	jobTileIdx [][]int
-	twWords    []fixed.C15 // host copy of the twiddle table
+	// laneBase holds, at job*Lanes+lane, the address of row 0 of the
+	// lane's first bank in the folded block of the lane's tile, which
+	// holds the ping and pong working sets and the twiddle replicas.
+	// Partitions need not occupy contiguous tiles, so each lane's base
+	// comes from its own tile's block.
+	laneBase []arch.Addr
+	twWords  []fixed.C15 // host copy of the twiddle table
+
+	// Folded-layout address tables, composed once by buildTables from
+	// foldedAddr and laneTwAddr. Butterfly k of a lane at stage s of a
+	// job has index bf = pl.bfly(job, s, lane, k), stage-major; the
+	// tables hold batch entry 0, and entry b sits b*batchStep words on.
+	loadTab   []arch.Addr // [bf]: the butterfly's four input legs start here
+	twTab     []arch.Addr // [3*bf+t]: its twiddle gather
+	storeTab  []arch.Addr // [4*bf+leg], stages before the last: its redistribution scatter
+	inTab     []arch.Addr // [job*N+i]: stage-0 position of input element i
+	batchStep arch.Addr
 
 	jobs []engine.Job // built by the first JobsList call
 }
@@ -144,7 +159,6 @@ func NewPlanOn(m *engine.Machine, cores []int, n, count, batch int, lay Layout) 
 	}
 	// Core assignment: lane sets carved from the core set in order.
 	pl.jobCores = make([][]int, jobs)
-	pl.jobTileIdx = make([][]int, jobs)
 	for j := range pl.jobCores {
 		set := make([]int, lanes)
 		for l := range set {
@@ -155,16 +169,6 @@ func NewPlanOn(m *engine.Machine, cores []int, n, count, batch int, lay Layout) 
 			}
 		}
 		pl.jobCores[j] = set
-	}
-	for j := range pl.jobTileIdx {
-		idx := make([]int, cfg.NumTiles())
-		for i := range idx {
-			idx[i] = -1
-		}
-		for ti, tile := range pl.jobTiles(j) {
-			idx[tile] = ti
-		}
-		pl.jobTileIdx[j] = idx
 	}
 	switch lay {
 	case Folded:
@@ -191,41 +195,81 @@ func NewPlanOn(m *engine.Machine, cores []int, n, count, batch int, lay Layout) 
 }
 
 // allocFolded reserves, for every tile hosting lanes of a job, the rows
-// holding the ping/pong working sets and the per-lane twiddle replicas.
+// holding the ping/pong working sets and the per-lane twiddle replicas,
+// in the order the job's lanes first reach each tile, and records every
+// lane's base address in its tile's block.
 func (pl *Plan) allocFolded() error {
-	pl.bufTiles = make([][]tcdm.TileBlock, pl.Jobs)
-	for j := range pl.bufTiles {
-		tiles := pl.jobTiles(j)
-		blocks := make([]tcdm.TileBlock, len(tiles))
-		// Rows per tile: ping + pong working sets (4 rows per batch entry
-		// each) plus 3 twiddle rows per stage.
-		rows := 2*rowsPerButterflySet*pl.Batch + 3*pl.S
-		for ti, tile := range tiles {
-			blk, err := pl.m.Mem.AllocTileLocal(tile, rows)
-			if err != nil {
-				return fmt.Errorf("fft: folded buffer, job %d tile %d: %w", j, tile, err)
+	cfg := pl.m.Cfg
+	// Rows per tile: ping + pong working sets (4 rows per batch entry
+	// each) plus 3 twiddle rows per stage.
+	rows := 2*rowsPerButterflySet*pl.Batch + 3*pl.S
+	pl.laneBase = make([]arch.Addr, pl.Jobs*pl.Lanes)
+	for j := 0; j < pl.Jobs; j++ {
+		blocks := map[int]tcdm.TileBlock{}
+		for lane, core := range pl.jobCores[j] {
+			tile := cfg.TileOfCore(core)
+			blk, ok := blocks[tile]
+			if !ok {
+				var err error
+				if blk, err = pl.m.Mem.AllocTileLocal(tile, rows); err != nil {
+					return fmt.Errorf("fft: folded buffer, job %d tile %d: %w", j, tile, err)
+				}
+				blocks[tile] = blk
 			}
-			blocks[ti] = blk
+			pl.laneBase[j*pl.Lanes+lane] = blk.Addr(core%cfg.CoresPerTile*cfg.BanksPerCore, 0)
 		}
-		pl.bufTiles[j] = blocks
-		pl.writeLaneTwiddles(j)
 	}
+	pl.buildTables()
+	pl.writeLaneTwiddles()
 	return nil
 }
 
-// jobTiles lists the tiles covered by a job's cores, in order.
-func (pl *Plan) jobTiles(job int) []int {
-	cfg := pl.m.Cfg
-	seen := make(map[int]bool)
-	var tiles []int
-	for _, c := range pl.jobCores[job] {
-		t := cfg.TileOfCore(c)
-		if !seen[t] {
-			seen[t] = true
-			tiles = append(tiles, t)
+// bfly returns the address-table index of butterfly k of lane at stage
+// s of job. Stages are outermost, so the store table, which has no last
+// stage, is a prefix of the index space.
+func (pl *Plan) bfly(job, s, lane, k int) int {
+	return ((s*pl.Jobs+job)*pl.Lanes+lane)*4 + k
+}
+
+// legs returns the element indexes of butterfly j's four legs at a
+// stage with distance d.
+func legs(j, d int) [4]int {
+	i0 := j/d*4*d + j%d
+	return [4]int{i0, i0 + d, i0 + 2*d, i0 + 3*d}
+}
+
+// buildTables composes the folded-layout address tables of batch entry
+// 0, one allocation per table.
+func (pl *Plan) buildTables() {
+	perStage := pl.Jobs * pl.Lanes * 4
+	pl.loadTab = make([]arch.Addr, pl.S*perStage)
+	pl.twTab = make([]arch.Addr, 3*pl.S*perStage)
+	pl.storeTab = make([]arch.Addr, 4*(pl.S-1)*perStage)
+	pl.inTab = make([]arch.Addr, pl.Jobs*pl.N)
+	pl.batchStep = rowsPerButterflySet * pl.m.Cfg.RowStride()
+	for job := 0; job < pl.Jobs; job++ {
+		for s := 0; s < pl.S; s++ {
+			d := pl.N >> (2 * (s + 1))
+			for lane := 0; lane < pl.Lanes; lane++ {
+				for k := 0; k < 4; k++ {
+					bf := pl.bfly(job, s, lane, k)
+					ix := legs(lane*4+k, d)
+					pl.loadTab[bf] = pl.foldedAddr(job, 0, s, ix[0])
+					for t := range 3 {
+						pl.twTab[3*bf+t] = pl.laneTwAddr(job, lane, s, k, t)
+					}
+					if s < pl.S-1 {
+						for leg, i := range ix {
+							pl.storeTab[4*bf+leg] = pl.foldedAddr(job, 0, s+1, i)
+						}
+					}
+				}
+			}
+		}
+		for i := 0; i < pl.N; i++ {
+			pl.inTab[job*pl.N+i] = pl.foldedAddr(job, 0, 0, i)
 		}
 	}
-	return tiles
 }
 
 // butterflyOf maps element index i at stage s (distance d = N/4^(s+1)) to
@@ -239,33 +283,26 @@ func (pl *Plan) butterflyOf(i, d int) (lane, leg, slot int) {
 	return j >> 2, leg, j & 3
 }
 
+// laneAddr returns the address of word (bank, row) of a lane's banks in
+// its tile's folded block; the address map is linear in both.
+func (pl *Plan) laneAddr(job, lane, bank, row int) arch.Addr {
+	return pl.laneBase[job*pl.Lanes+lane] + arch.Addr(bank) + arch.Addr(row)*pl.m.Cfg.RowStride()
+}
+
 // foldedAddr returns the folded address of element i of the stage-s
 // working buffer (pingpong selected by s&1) of batch entry b in job.
 func (pl *Plan) foldedAddr(job, b, s, i int) arch.Addr {
-	cfg := pl.m.Cfg
 	d := pl.N >> (2 * (s + 1))
 	lane, leg, slot := pl.butterflyOf(i, d)
-	core := pl.jobCores[job][lane]
-	tile := cfg.TileOfCore(core)
-	ti := pl.jobTileIdx[job][tile]
-	laneInTile := core % cfg.CoresPerTile
-	bank := laneInTile*cfg.BanksPerCore + leg
 	row := (s&1)*rowsPerButterflySet*pl.Batch + b*rowsPerButterflySet + slot
-	return pl.bufTiles[job][ti].Addr(bank, row)
+	return pl.laneAddr(job, lane, leg, row)
 }
 
 // laneTwAddr returns the folded address of twiddle t (0..2) of butterfly
 // k (0..3) at stage s for the given lane of a job.
 func (pl *Plan) laneTwAddr(job, lane, s, k, t int) arch.Addr {
-	cfg := pl.m.Cfg
-	core := pl.jobCores[job][lane]
-	tile := cfg.TileOfCore(core)
-	ti := pl.jobTileIdx[job][tile]
-	laneInTile := core % cfg.CoresPerTile
 	idx := k*3 + t
-	bank := laneInTile*cfg.BanksPerCore + idx&3
-	row := 2*rowsPerButterflySet*pl.Batch + s*3 + idx>>2
-	return pl.bufTiles[job][ti].Addr(bank, row)
+	return pl.laneAddr(job, lane, idx&3, 2*rowsPerButterflySet*pl.Batch+s*3+idx>>2)
 }
 
 // twiddleIndexes returns the three twiddle exponents of butterfly j at a
@@ -278,15 +315,17 @@ func twiddleIndexes(j, d, n int) (int, int, int) {
 
 // writeLaneTwiddles fills the per-lane twiddle replicas (host setup,
 // untimed: the paper assumes coefficients are resident in L1).
-func (pl *Plan) writeLaneTwiddles(job int) {
-	for lane := 0; lane < pl.Lanes; lane++ {
+func (pl *Plan) writeLaneTwiddles() {
+	for job := 0; job < pl.Jobs; job++ {
 		for s := 0; s < pl.S; s++ {
 			d := pl.N >> (2 * (s + 1))
-			for k := 0; k < 4; k++ {
-				j := lane*4 + k
-				i1, i2, i3 := twiddleIndexes(j, d, pl.N)
-				for t, idx := range [3]int{i1, i2, i3} {
-					pl.m.Mem.Write(pl.laneTwAddr(job, lane, s, k, t), uint32(pl.twWords[idx]))
+			for lane := 0; lane < pl.Lanes; lane++ {
+				for k := 0; k < 4; k++ {
+					i1, i2, i3 := twiddleIndexes(lane*4+k, d, pl.N)
+					bf := pl.bfly(job, s, lane, k)
+					for t, idx := range [3]int{i1, i2, i3} {
+						pl.m.Mem.Write(pl.twTab[3*bf+t], uint32(pl.twWords[idx]))
+					}
 				}
 			}
 		}
@@ -302,17 +341,18 @@ func (pl *Plan) WriteInput(job, b int, x []fixed.C15) error {
 	if len(x) != pl.N {
 		return fmt.Errorf("fft: WriteInput: %d samples, want %d", len(x), pl.N)
 	}
+	if pl.Lay == Folded {
+		off := arch.Addr(b) * pl.batchStep
+		for i, a := range pl.inTab[job*pl.N : (job+1)*pl.N] {
+			pl.m.Mem.Write(a+off, uint32(x[i]))
+		}
+		return nil
+	}
+	base := pl.seqBufs[pl.instance(job, b)][0]
 	for i, v := range x {
-		pl.m.Mem.Write(pl.inputAddr(job, b, i), uint32(v))
+		pl.m.Mem.Write(base+arch.Addr(i), uint32(v))
 	}
 	return nil
-}
-
-func (pl *Plan) inputAddr(job, b, i int) arch.Addr {
-	if pl.Lay == Folded {
-		return pl.foldedAddr(job, b, 0, i)
-	}
-	return pl.seqBufs[pl.instance(job, b)][0] + arch.Addr(i)
 }
 
 // ReadOutput returns the spectrum of one FFT instance in natural order
@@ -332,16 +372,15 @@ func (pl *Plan) stageWork(job, s int) func(p *engine.Proc) {
 	last := s == pl.S-1
 	return func(p *engine.Proc) {
 		for b := 0; b < pl.Batch; b++ {
+			off := arch.Addr(b) * pl.batchStep
 			for k := 0; k < 4; k++ {
 				j := p.Lane*4 + k
-				q := j / d
-				r := j % d
-				base := q*4*d + r
-				i0, i1, i2, i3 := base, base+d, base+2*d, base+3*d
+				bf := pl.bfly(job, s, p.Lane, k)
 				// Load-address generation: the folded layout decomposes
 				// each logical index into (lane, leg, slot) and then into
 				// (tile, bank, row), costing real integer arithmetic per
-				// element (the paper's kernels do the same in C).
+				// element (the paper's kernels do the same in C). The
+				// host reads the result from the plan's tables.
 				p.Tick(18)
 				// Element loads: tile-local in the folded layout. The four
 				// legs of one butterfly land on the four consecutive banks
@@ -350,10 +389,10 @@ func (pl *Plan) stageWork(job, s int) func(p *engine.Proc) {
 				// unit-stride span; the interleaved case strides by d.
 				var el [4]engine.W
 				if pl.Lay == Folded {
-					p.LoadSpan(pl.foldedAddr(job, b, s, i0), el[:])
+					p.LoadSpan(pl.loadTab[bf]+off, el[:])
 				} else {
 					buf := pl.seqBufs[pl.instance(job, b)][s&1]
-					p.LoadVec(buf+arch.Addr(i0), d, el[:])
+					p.LoadVec(buf+arch.Addr(legs(j, d)[0]), d, el[:])
 				}
 				wa, wb, wc, we := el[0], el[1], el[2], el[3]
 				// Twiddle loads: the folded replicas wrap across bank rows
@@ -362,12 +401,7 @@ func (pl *Plan) stageWork(job, s int) func(p *engine.Proc) {
 				// the butterfly needs only W^0).
 				var tw [3]engine.W
 				if pl.Lay == Folded {
-					twa := [3]arch.Addr{
-						pl.laneTwAddr(job, p.Lane, s, k, 0),
-						pl.laneTwAddr(job, p.Lane, s, k, 1),
-						pl.laneTwAddr(job, p.Lane, s, k, 2),
-					}
-					p.LoadGather(twa[:], tw[:])
+					p.LoadGather(pl.twTab[3*bf:3*bf+3], tw[:])
 				} else {
 					x1, _, _ := twiddleIndexes(j, d, pl.N)
 					p.LoadVec(pl.twSeq+arch.Addr(x1), x1, tw[:])
@@ -385,22 +419,20 @@ func (pl *Plan) stageWork(job, s int) func(p *engine.Proc) {
 				if last {
 					// Last stage: d == 1, so the legs are the four base-4
 					// digits' worth apart after reversal — a stride-N/4
-					// vector from the reversed position of i0.
+					// vector from the reversed position of the first leg.
 					out := pl.outBase[pl.instance(job, b)]
-					p.StoreVec(out+arch.Addr(phy.DigitReverse4(i0, pl.N)), pl.N/4, ys[:])
+					p.StoreVec(out+arch.Addr(phy.DigitReverse4(legs(j, d)[0], pl.N)), pl.N/4, ys[:])
 				} else if pl.Lay == Folded {
 					// The next stage's folded placement redistributes the
 					// legs irregularly across tiles: a scatter.
-					sa := [4]arch.Addr{
-						pl.foldedAddr(job, b, s+1, i0),
-						pl.foldedAddr(job, b, s+1, i1),
-						pl.foldedAddr(job, b, s+1, i2),
-						pl.foldedAddr(job, b, s+1, i3),
+					var sa [4]arch.Addr
+					for leg, a := range pl.storeTab[4*bf : 4*bf+4] {
+						sa[leg] = a + off
 					}
 					p.StoreScatter(sa[:], ys[:])
 				} else {
 					buf := pl.seqBufs[pl.instance(job, b)][(s+1)&1]
-					p.StoreVec(buf+arch.Addr(i0), d, ys[:])
+					p.StoreVec(buf+arch.Addr(legs(j, d)[0]), d, ys[:])
 				}
 				p.Tick(2) // loop control and address increments
 			}

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
@@ -153,6 +154,96 @@ func TestFoldedLoadsAreLocal(t *testing.T) {
 							t.Fatalf("twiddle load not local (job %d stage %d lane %d)", j, s, lane)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestAddressTablesMatchLayout pins a plan's address tables to the
+// folded-layout formulas they are built from. Every entry, offset by
+// each batch entry's step, must equal foldedAddr or laneTwAddr, for
+// every job, batch entry, stage, lane and butterfly, and for every
+// input position. The plans cover the whole cluster, an offset
+// partition and the scattered-tile partition of
+// TestPlanOnScatteredPartition, on MemPool and TeraPool, at batch 1 and
+// 16.
+func TestAddressTablesMatchLayout(t *testing.T) {
+	for _, cfg := range []*arch.Config{arch.MemPool(), arch.TeraPool()} {
+		offset := make([]int, 64) // cores 32..95
+		for i := range offset {
+			offset[i] = 32 + i
+		}
+		var scattered []int
+		for _, tile := range []int{1, 3, 5, 7} {
+			lo, hi := cfg.CoresOfTile(tile)
+			for c := lo; c < hi; c++ {
+				scattered = append(scattered, c)
+			}
+		}
+		for _, part := range []struct {
+			name  string
+			cores []int
+		}{{"cluster", nil}, {"offset", offset}, {"scattered", scattered}} {
+			for _, batch := range []int{1, 16} {
+				where := fmt.Sprintf("%s %s batch %d", cfg.Name, part.name, batch)
+				capacity := len(part.cores)
+				if part.cores == nil {
+					capacity = cfg.NumCores()
+				}
+				jobs := capacity / 16
+				pl, err := NewPlanOn(engine.NewMachine(cfg), part.cores, 256, jobs*batch, batch, Folded)
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				checkTables(t, where, pl)
+			}
+		}
+	}
+}
+
+// checkTables fails unless every entry of pl's address tables is the
+// address its formula gives, and the tables hold nothing else.
+func checkTables(t *testing.T, where string, pl *Plan) {
+	t.Helper()
+	perStage := pl.Jobs * pl.Lanes * 4
+	if len(pl.loadTab) != pl.S*perStage || len(pl.twTab) != 3*pl.S*perStage ||
+		len(pl.storeTab) != 4*(pl.S-1)*perStage || len(pl.inTab) != pl.Jobs*pl.N {
+		t.Fatalf("%s: table lengths %d/%d/%d/%d", where, len(pl.loadTab), len(pl.twTab), len(pl.storeTab), len(pl.inTab))
+	}
+	for job := 0; job < pl.Jobs; job++ {
+		for b := 0; b < pl.Batch; b++ {
+			off := arch.Addr(b) * pl.batchStep
+			for s := 0; s < pl.S; s++ {
+				d := pl.N >> (2 * (s + 1))
+				for lane := 0; lane < pl.Lanes; lane++ {
+					for k := 0; k < 4; k++ {
+						bf := pl.bfly(job, s, lane, k)
+						bj := lane*4 + k
+						i0 := bj/d*4*d + bj%d
+						at := fmt.Sprintf("%s: job %d batch %d stage %d lane %d butterfly %d", where, job, b, s, lane, k)
+						if got, want := pl.loadTab[bf]+off, pl.foldedAddr(job, b, s, i0); got != want {
+							t.Fatalf("%s: load base %d, want %d", at, got, want)
+						}
+						for tt := 0; tt < 3; tt++ {
+							if got, want := pl.twTab[3*bf+tt], pl.laneTwAddr(job, lane, s, k, tt); got != want {
+								t.Fatalf("%s: twiddle %d at %d, want %d", at, tt, got, want)
+							}
+						}
+						if s == pl.S-1 {
+							continue
+						}
+						for leg := 0; leg < 4; leg++ {
+							if got, want := pl.storeTab[4*bf+leg]+off, pl.foldedAddr(job, b, s+1, i0+leg*d); got != want {
+								t.Fatalf("%s: leg %d stored at %d, want %d", at, leg, got, want)
+							}
+						}
+					}
+				}
+			}
+			for i := 0; i < pl.N; i++ {
+				if got, want := pl.inTab[job*pl.N+i]+off, pl.foldedAddr(job, b, 0, i); got != want {
+					t.Fatalf("%s: job %d batch %d input %d at %d, want %d", where, job, b, i, got, want)
 				}
 			}
 		}

@@ -9,6 +9,12 @@
 // same way the paper replicates small Cholesky decompositions: each core
 // owns a contiguous slice of subcarriers, with per-core scratch storage
 // folded into its local banks.
+//
+// The channel-estimate addresses the comb gathers read are composed once
+// at plan time, one table row per comb position, and each subcarrier
+// picks its rows once per UE column; like the scratch addresses, they
+// cost the host a table lookup instead of an address-function call per
+// gathered element.
 package mimo
 
 import (
@@ -40,7 +46,6 @@ type Plan struct {
 	yBase     arch.Addr // received beams, sc-major: y[sc*NB+b]
 	xBase     arch.Addr // detected symbols, sc-major: x[sc*NL+l]
 	wBase     arch.Addr // interpolation weight table: w[k] = k/NL in Q1.15
-	hAddr     func(sc, b int) arch.Addr
 	sigmaAddr arch.Addr
 	scratch   []tcdm.TileBlock // per tile: G, L, z, y/x vectors per core
 	// scratchTab caches each plan core's scratch word addresses
@@ -49,6 +54,9 @@ type Plan struct {
 	// are fixed at plan build, so composing them once removes all host
 	// address arithmetic from the inner loops.
 	scratchTab [][]arch.Addr
+	// hTab holds the channel-estimate address hAddr(pos, b) at pos*NB+b:
+	// one row of beam addresses per comb position.
+	hTab []arch.Addr
 
 	jobs []engine.Job // built by the first JobsList call
 }
@@ -88,7 +96,7 @@ func NewPlanOn(m *engine.Machine, cores []int, nsc, nb, nl int, hAddr func(sc, b
 	case hAddr == nil:
 		return nil, fmt.Errorf("mimo: nil channel address function")
 	}
-	pl := &Plan{NSC: nsc, NB: nb, NL: nl, m: m, hAddr: hAddr, sigmaAddr: sigmaAddr}
+	pl := &Plan{NSC: nsc, NB: nb, NL: nl, m: m, sigmaAddr: sigmaAddr}
 	for 1<<pl.Shift < nb {
 		pl.Shift++
 	}
@@ -129,6 +137,12 @@ func NewPlanOn(m *engine.Machine, cores []int, nsc, nb, nl int, hAddr func(sc, b
 			}
 		}
 		pl.scratchTab[core] = tab
+	}
+	pl.hTab = make([]arch.Addr, nsc*nb)
+	for pos := 0; pos < nsc; pos++ {
+		for b := 0; b < nb; b++ {
+			pl.hTab[pos*nb+b] = hAddr(pos, b)
+		}
 	}
 	return pl, nil
 }
@@ -209,21 +223,39 @@ func (pl *Plan) combBracket(sc, l int) (p0, p1, k int) {
 	return p0, p1, sc - p0
 }
 
-// gatherH loads the channel estimate for (sc, l, b), either nearest-hold
-// or linearly interpolated between the bracketing comb positions.
-func (pl *Plan) gatherH(p *engine.Proc, sc, l, b int) engine.W {
+// comb is the channel-estimate gather of one UE column at one data
+// subcarrier: the address rows of the bracketing comb positions and the
+// interpolation numerator k. With k == 0 the gather reads lo alone.
+type comb struct {
+	lo, hi []arch.Addr
+	k      int
+}
+
+// hRow returns the beam addresses of comb position pos.
+func (pl *Plan) hRow(pos int) []arch.Addr { return pl.hTab[pos*pl.NB : (pos+1)*pl.NB] }
+
+// combOf returns the gather of column l at data subcarrier sc:
+// nearest-hold, or the interpolation bracket.
+func (pl *Plan) combOf(sc, l int) comb {
 	if !pl.Interp {
-		return p.Load(pl.hAddr(pl.combSC(sc, l), b))
+		return comb{lo: pl.hRow(pl.combSC(sc, l))}
 	}
 	p0, p1, k := pl.combBracket(sc, l)
-	if k == 0 {
-		return p.Load(pl.hAddr(p0, b))
+	return comb{lo: pl.hRow(p0), hi: pl.hRow(p1), k: k}
+}
+
+// gatherH loads the channel estimate of column c for beam b, either
+// nearest-hold or linearly interpolated between the bracketing comb
+// positions.
+func (pl *Plan) gatherH(p *engine.Proc, c *comb, b int) engine.W {
+	if c.k == 0 {
+		return p.Load(c.lo[b])
 	}
 	// The two bracketing estimates and the two interpolation weights
 	// issue back to back: one gather burst.
 	ga := [4]arch.Addr{
-		pl.hAddr(p0, b), pl.hAddr(p1, b),
-		pl.wBase + arch.Addr(pl.NL-k), pl.wBase + arch.Addr(k),
+		c.lo[b], c.hi[b],
+		pl.wBase + arch.Addr(pl.NL-c.k), pl.wBase + arch.Addr(c.k),
 	}
 	var gv [4]engine.W
 	p.LoadGather(ga[:], gv[:])
@@ -234,12 +266,12 @@ func (pl *Plan) gatherH(p *engine.Proc, sc, l, b int) engine.W {
 // gatherH2 loads the channel estimates of two UE columns for one beam.
 // Without interpolation the two loads issue back to back (one burst);
 // with interpolation each column runs its own gatherH arithmetic.
-func (pl *Plan) gatherH2(p *engine.Proc, sc, l0, l1, b int) (engine.W, engine.W) {
+func (pl *Plan) gatherH2(p *engine.Proc, c0, c1 *comb, b int) (engine.W, engine.W) {
 	if !pl.Interp {
-		return p.Load2(pl.hAddr(pl.combSC(sc, l0), b), pl.hAddr(pl.combSC(sc, l1), b))
+		return p.Load2(c0.lo[b], c1.lo[b])
 	}
-	h0 := pl.gatherH(p, sc, l0, b)
-	h1 := pl.gatherH(p, sc, l1, b)
+	h0 := pl.gatherH(p, c0, b)
+	h1 := pl.gatherH(p, c1, b)
 	return h0, h1
 }
 
@@ -247,6 +279,10 @@ func (pl *Plan) gatherH2(p *engine.Proc, sc, l0, l1, b int) (engine.W, engine.W)
 func (pl *Plan) detect(p *engine.Proc, core, sc int) {
 	nl, nb := pl.NL, pl.NB
 	gA := pl.gAddr(core)
+	var cs [4]comb // NL <= 4
+	for l := 0; l < nl; l++ {
+		cs[l] = pl.combOf(sc, l)
+	}
 	sigma := p.Load(pl.sigmaAddr)
 	// Gramian G = H^H H * 2^-shift + sigma^2... the noise term is kept in
 	// Q1.15 (sigma is already a variance), matching phy.Gramian.
@@ -254,7 +290,7 @@ func (pl *Plan) detect(p *engine.Proc, core, sc int) {
 		for j := 0; j < nl; j++ {
 			var acc engine.A
 			for b := 0; b < nb; b++ {
-				hj, hi := pl.gatherH2(p, sc, j, i, b)
+				hj, hi := pl.gatherH2(p, &cs[j], &cs[i], b)
 				acc = p.MacConj(acc, hj, hi)
 				p.Tick(1)
 			}
@@ -273,10 +309,10 @@ func (pl *Plan) detect(p *engine.Proc, core, sc int) {
 			var y, h engine.W
 			if !pl.Interp {
 				// Beam sample and nearest-hold estimate: one issue burst.
-				y, h = p.Load2(pl.yBase+arch.Addr(sc*nb+b), pl.hAddr(pl.combSC(sc, l), b))
+				y, h = p.Load2(pl.yBase+arch.Addr(sc*nb+b), cs[l].lo[b])
 			} else {
 				y = p.Load(pl.yBase + arch.Addr(sc*nb+b))
-				h = pl.gatherH(p, sc, l, b)
+				h = pl.gatherH(p, &cs[l], b)
 			}
 			acc = p.MacConj(acc, y, h)
 			p.Tick(1)

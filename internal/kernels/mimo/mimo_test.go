@@ -274,6 +274,41 @@ func buildRampEnv(rng *rand.Rand, nsc, nb, nl int) *synthEnv {
 	return e
 }
 
+// TestCombTableMatchesGather pins the comb gather to its formulas: for
+// every data subcarrier, UE column and beam, with interpolation off and
+// on, the plan gathers hAddr at combSC's position, or at combBracket's
+// two positions with its interpolation numerator. The subcarrier count
+// is not a multiple of the layer count, so the last comb wraps back.
+func TestCombTableMatchesGather(t *testing.T) {
+	const nsc, nb, nl = 62, 8, 4
+	hAddr := func(sc, b int) arch.Addr { return arch.Addr(1000 + 37*sc + 5*b) }
+	pl, err := NewPlan(engine.NewMachine(arch.MemPool()), nsc, nb, nl, 16, hAddr, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, interp := range []bool{false, true} {
+		pl.Interp = interp
+		for sc := 0; sc < nsc; sc++ {
+			for l := 0; l < nl; l++ {
+				p0, p1, k := pl.combSC(sc, l), 0, 0
+				if interp {
+					p0, p1, k = pl.combBracket(sc, l)
+				}
+				c := pl.combOf(sc, l)
+				if c.k != k {
+					t.Fatalf("interp %v sc %d column %d: numerator %d, want %d", interp, sc, l, c.k, k)
+				}
+				for b := 0; b < nb; b++ {
+					if c.lo[b] != hAddr(p0, b) || k > 0 && c.hi[b] != hAddr(p1, b) {
+						t.Fatalf("interp %v sc %d column %d beam %d: gathers %d/%d, want %d/%d (k %d)",
+							interp, sc, l, b, c.lo[b], c.hi[b], hAddr(p0, b), hAddr(p1, b), k)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestInterpolationImprovesDetection: on a linearly varying channel the
 // interpolated gather must beat nearest-hold.
 func TestInterpolationImprovesDetection(t *testing.T) {

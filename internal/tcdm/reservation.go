@@ -84,7 +84,8 @@ func (b *bankRes) all() []pageSlot {
 // and every answer — and every page label — is the one an eager table
 // would give. A single core's requests to one bank strictly increase, so
 // a serial stream never leaves the log: it pays 8 bytes per access
-// instead of a 512-byte page.
+// instead of a 512-byte page. The log is kept in fixed-size chunks, so a
+// long stream never copies what it has logged.
 type Reservation struct {
 	banks []bankRes
 
@@ -103,10 +104,13 @@ type Reservation struct {
 	free []*page
 
 	// log holds frontier bookings not yet written to pages, each packed
-	// as bank<<logCycleBits | cycle. Its storage survives Reset. epoch
-	// labels the log's contents: it advances whenever the log empties.
-	log   []int64
-	epoch uint32
+	// as bank<<logCycleBits | cycle, in order: the first logLen entries
+	// of the chunks, logChunk to a chunk. Emptied chunks are kept for
+	// reuse across Reset and Retire. epoch labels the log's contents: it
+	// advances whenever the log empties.
+	log    []*[logChunk]int64
+	logLen int
+	epoch  uint32
 
 	conflicts int64 // total cycles of delay handed out
 	accesses  int64
@@ -120,11 +124,13 @@ const ringSlots = 4
 // at later cycles (beyond any realistic run) claim their page directly.
 const logCycleBits = 40
 
-// NewReservation creates tables for nBanks banks. The log starts with
-// room for one booking per bank, so a fresh table does not grow it step
-// by step through its first phase.
+// logChunk is the number of bookings one frontier-log chunk holds
+// (128 KiB).
+const logChunk = 1 << 14
+
+// NewReservation creates tables for nBanks banks.
 func NewReservation(nBanks int) *Reservation {
-	r := &Reservation{banks: make([]bankRes, nBanks), log: make([]int64, 0, nBanks), epoch: 1}
+	r := &Reservation{banks: make([]bankRes, nBanks), epoch: 1}
 	for i := range r.banks {
 		r.banks[i].mask = ringSlots - 1
 	}
@@ -167,23 +173,38 @@ func (r *Reservation) pageFor(b *bankRes, idx int64) *page {
 	return r.claimPage(b, idx)
 }
 
+// logAppend adds entry e to the log, taking a new chunk when the last
+// one is full.
+func (r *Reservation) logAppend(e int64) {
+	c := r.logLen / logChunk
+	if c == len(r.log) {
+		r.log = append(r.log, new([logChunk]int64))
+	}
+	r.log[c][r.logLen%logChunk] = e
+	r.logLen++
+}
+
 // flush writes the logged bookings whose page index is at least from
-// into pages and empties the log; entries below from are dropped.
+// into pages, in logging order, and empties the log; entries below from
+// are dropped.
 func (r *Reservation) flush(from int64) {
-	for _, e := range r.log {
-		t := e & (1<<logCycleBits - 1)
-		if idx := t >> pageBits; idx >= from {
-			off := t & (1<<pageBits - 1)
-			r.pageFor(&r.banks[e>>logCycleBits], idx)[off>>6] |= 1 << uint(off&63)
+	for c, left := 0, r.logLen; left > 0; c, left = c+1, left-logChunk {
+		for _, e := range r.log[c][:min(left, logChunk)] {
+			t := e & (1<<logCycleBits - 1)
+			if idx := t >> pageBits; idx >= from {
+				off := t & (1<<pageBits - 1)
+				r.pageFor(&r.banks[e>>logCycleBits], idx)[off>>6] |= 1 << uint(off&63)
+			}
 		}
 	}
 	r.truncateLog()
 }
 
-// truncateLog empties the log; a new epoch disowns every bank's logHi.
+// truncateLog empties the log, keeping its chunks; a new epoch disowns
+// every bank's logHi.
 func (r *Reservation) truncateLog() {
-	if len(r.log) > 0 {
-		r.log = r.log[:0]
+	if r.logLen > 0 {
+		r.logLen = 0
 		r.epoch++
 	}
 }
@@ -266,7 +287,7 @@ func (r *Reservation) Acquire(bank int, t int64) int64 {
 			// Nothing live on this page and nothing logged at or after
 			// t on this bank, so t is free: log it.
 			b.logHi, b.logEpoch = t, r.epoch
-			r.log = append(r.log, int64(bank)<<logCycleBits|t)
+			r.logAppend(int64(bank)<<logCycleBits | t)
 			return t
 		}
 		r.flush(0)
@@ -282,7 +303,7 @@ func (r *Reservation) Acquire(bank int, t int64) int64 {
 	}
 	// Scan word by word, page by page, for the first free bit. Later
 	// pages may have logged bookings, so flush first.
-	if len(r.log) > 0 {
+	if r.logLen > 0 {
 		r.flush(0)
 	}
 	for {

@@ -151,10 +151,68 @@ func TestReservationMatchesReference(t *testing.T) {
 	}
 }
 
+// TestReservationLogChunks drives one core's stream across several
+// frontier-log chunk boundaries, with a Retire and a Reset partway, and
+// checks every Acquire answer against the eagerly paged reference. Each
+// time the log holds several chunks, every Busy bit of the stream so far
+// is checked too, which flushes the chunks in order. Emptied chunks are
+// reused, not reallocated.
+func TestReservationLogChunks(t *testing.T) {
+	const nBanks = 8
+	r, ref := NewReservation(nBanks), newRefReservation()
+	var now int64
+	stream := func(n int) {
+		for i := range n {
+			bank := i % nBanks
+			if got, want := r.Acquire(bank, now), ref.Acquire(bank, now); got != want {
+				t.Fatalf("Acquire(%d, %d) = %d, reference %d", bank, now, got, want)
+			}
+			now++
+		}
+	}
+	busy := func(where string) {
+		for at := int64(0); at < now; at++ {
+			for bank := range nBanks {
+				if got, want := r.Busy(bank, at), ref.Busy(bank, at); got != want {
+					t.Fatalf("%s: Busy(%d, %d) = %v, reference %v", where, bank, at, got, want)
+				}
+			}
+		}
+	}
+	// chunks checks the chunk count and how many bookings are logged.
+	chunks := func(where string, want, logged int) {
+		if len(r.log) != want || r.logLen != logged {
+			t.Fatalf("%s: %d bookings in %d log chunks, want %d in %d", where, r.logLen, len(r.log), logged, want)
+		}
+	}
+
+	stream(2*logChunk + logChunk/2)
+	chunks("first stream", 3, 2*logChunk+logChunk/2)
+	busy("first stream")
+	stream(logChunk + 100)
+	chunks("second stream", 3, logChunk+100)
+	at := now - logChunk/2 // drops the older logged bookings
+	r.Retire(at)
+	ref.Retire(at)
+	chunks("after Retire", 3, 0)
+	busy("after Retire")
+	stream(3*logChunk + logChunk/2) // less one page that Retire left live
+	if len(r.log) != 4 {
+		t.Fatalf("after Retire: %d log chunks, want 4", len(r.log))
+	}
+	r.Reset()
+	ref.Reset()
+	now = 0
+	chunks("after Reset", 4, 0)
+	stream(2*logChunk + 1)
+	chunks("after Reset", 4, 2*logChunk+1)
+	busy("after Reset")
+}
+
 // TestSerialStreamAllocsLogarithmic pins the frontier log's purpose: one
 // core streaming 10⁶ accesses round-robin over 4096 banks never revisits
-// a bank within a page, yet must allocate only for log growth (O(log N)),
-// not one 512-byte page per access.
+// a bank within a page, yet must allocate only for the log's chunks, not
+// one 512-byte page per access.
 func TestSerialStreamAllocsLogarithmic(t *testing.T) {
 	const n, nBanks = 1_000_000, 4096
 	var conflicts int64

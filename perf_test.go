@@ -2,9 +2,10 @@
 // the paper's simulated metrics, these measure the host machine's cost
 // of running the simulator — the service-time cache's cold/warm gap on
 // a repeated-coordinate trace, the allocation footprint of the engine
-// hot path, and the Fig. 3 table rendering. Run with
+// hot path, a slot replayed whole, and the Fig. 3 table rendering. Run
+// with
 //
-//	go test -bench='SchedulerTrace|MachineRun|Fig3Table' -benchmem
+//	go test -bench='SchedulerTrace|MachineRun|ChainReplayedSlot|Fig3Table' -benchmem
 package repro
 
 import (
@@ -89,6 +90,35 @@ func BenchmarkMachineRun(b *testing.B) {
 		if _, err := ipusch.RunChainRecordOn(m, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkChainReplayedSlot measures the host cost of a slot whose
+// stages all replay: one repeated 256-SC, 6-symbol MemPool coordinate
+// on a Reset machine that already holds the coordinate's stage memo, as
+// a pooled serving machine does. Every stage then runs untimed, so what
+// remains is TX, the kernels' data path and scoring.
+func BenchmarkChainReplayedSlot(b *testing.B) {
+	cfg := ipusch.ChainConfig{
+		Cluster: arch.MemPool(),
+		NSC:     256, NR: 16, NB: 8, NL: 4,
+		NSymb: 6, NPilot: 2,
+		Scheme: waveform.QPSK,
+		SNRdB:  20,
+		Seed:   1,
+	}
+	m := engine.NewMachine(cfg.Cluster)
+	slot := func() {
+		m.Reset()
+		if _, err := ipusch.RunChainRecordOn(m, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	slot() // records every stage
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot()
 	}
 }
 

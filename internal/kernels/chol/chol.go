@@ -47,7 +47,7 @@ func NewPairPlan(m *engine.Machine, n, pairs int) (*PairPlan, error) {
 		return nil, fmt.Errorf("chol: pairs %d must be positive", pairs)
 	}
 	lanes := n / 4
-	if pairs*lanes > m.Cfg.NumCores() {
+	if pairs > m.Cfg.NumCores()/lanes { // divided: pairs*lanes can overflow
 		return nil, fmt.Errorf("chol: %d pairs of size %d need %d cores, cluster has %d",
 			pairs, n, pairs*lanes, m.Cfg.NumCores())
 	}

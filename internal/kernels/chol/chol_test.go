@@ -278,11 +278,28 @@ func TestPlanValidation(t *testing.T) {
 	if _, err := NewReplicatedPlan(m, 4, 4, 0, 1); err == nil {
 		t.Error("zero rounds accepted")
 	}
+	// puschsim -chol-batch 1099511627776: the input table alone would
+	// exceed the address space.
+	if _, err := NewReplicatedPlan(m, 4, m.Cfg.NumCores(), 1, 1<<40); err == nil {
+		t.Error("replicated inputs beyond L1 accepted")
+	}
+	if _, err := NewReplicatedPlan(m, 4, 4, 1<<40, 1<<40); err == nil {
+		t.Error("overflowing rounds x perRound accepted")
+	}
+	if _, err := NewPairPlan(m, 4<<32, 1<<32); err == nil {
+		t.Error("overflowing pairs x lanes accepted")
+	}
 	if _, err := NewSerialPlan(m, 0, 1, 1); err == nil {
 		t.Error("size 1 accepted")
 	}
 	if _, err := NewSerialPlan(m, 0, 4, 0); err == nil {
 		t.Error("zero count accepted")
+	}
+	if _, err := NewSerialPlan(m, 0, 4, 1<<40); err == nil {
+		t.Error("serial decompositions beyond L1 accepted")
+	}
+	if _, err := NewSerialPlan(m, 0, 1<<32, 1); err == nil {
+		t.Error("overflowing serial size accepted")
 	}
 }
 

@@ -43,6 +43,12 @@ func NewReplicatedPlan(m *engine.Machine, n, coreCount, rounds, perRound int) (*
 	case rounds <= 0 || perRound <= 0:
 		return nil, fmt.Errorf("chol: rounds %d and perRound %d must be positive", rounds, perRound)
 	}
+	// Every decomposition holds an n*n-word input in L1. Dividing the
+	// word budget keeps coreCount*rounds*perRound from overflowing.
+	if maxReps := m.Cfg.MemWords() / (coreCount * n * n); rounds > maxReps || perRound > maxReps/rounds {
+		return nil, fmt.Errorf("chol: %d cores x %d rounds x %d per round of %dx%d inputs exceed the %d-word L1",
+			coreCount, rounds, perRound, n, n, m.Cfg.MemWords())
+	}
 	pl := &ReplicatedPlan{N: n, Rounds: rounds, PerRound: perRound, m: m}
 	pl.Cores = make([]int, coreCount)
 	for i := range pl.Cores {
@@ -216,6 +222,11 @@ func NewSerialPlan(m *engine.Machine, core, n, count int) (*SerialPlan, error) {
 	}
 	if count <= 0 {
 		return nil, fmt.Errorf("chol: count %d must be positive", count)
+	}
+	// Each decomposition holds an n*n input and an n*n output in L1;
+	// bounded by division, as in NewReplicatedPlan.
+	if words := m.Cfg.MemWords(); n > words/n || count > words/(2*n*n) {
+		return nil, fmt.Errorf("chol: %d serial %dx%d decompositions exceed the %d-word L1", count, n, n, words)
 	}
 	pl := &SerialPlan{N: n, Count: count, Core: core, m: m}
 	pl.gBase = make([]arch.Addr, count)

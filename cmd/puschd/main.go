@@ -88,6 +88,13 @@
 // and "pipe/f<F>/b<B>/d<D>" pins an explicit one. Individual job specs
 // can override it per slot with their own layout field.
 //
+// The flags shared with cmd/puschsim (-cluster, -scheme, -snr, -snr-min,
+// -snr-max, -channel, -doppler, -layout, -timing, -calibration, -cache,
+// -cache-cap, -cache-file, -workers, -seed) live in internal/cli: names
+// parse without regard to case, and a bad value stops the server at
+// start-up with an error naming the flag, as -jobs and -cells do above
+// their caps.
+//
 // Examples:
 //
 //	puschd -gen poisson -jobs 100 -rate 2 -servers 2
@@ -113,55 +120,49 @@ import (
 	"syscall"
 
 	"repro/internal/campaign"
+	"repro/internal/cli"
 	"repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/pusch"
 	"repro/internal/report"
 	"repro/internal/sched"
-	"repro/internal/timecache"
-	"repro/internal/timing"
 )
 
 // maxJobs caps -jobs at about ten times the longest benchmarked trace
 // (100k jobs), far below what would exhaust memory.
 const maxJobs = 1 << 20
 
+// maxCells caps -cells. Every cell holds its own queue state and tallies
+// and ends the stream with a cell-summary line, and the least-queue and
+// sinr policies scan every cell for each job, so 4096 cells is far past
+// any deployment served here; tens of millions exhaust host memory.
+const maxCells = 1 << 12
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("puschd: ")
+	shared := cli.Register(flag.CommandLine, "mempool", 20)
 	inPath := flag.String("in", "", "JSONL job-spec stream to serve (a path, or - for stdin); empty uses -gen")
 	gen := flag.String("gen", "poisson", "trace generator when -in is empty: poisson, bursty, mix or campaign")
 	jobs := flag.Int("jobs", 100, "generated trace length in slots (at most 1048576)")
 	rate := flag.Float64("rate", 2, "offered load in slots per millisecond of simulated time")
 	burst := flag.Int("burst", 8, "bursty: slots per on-period")
 	gapMs := flag.Float64("gap-ms", 2, "bursty: mean off-period in milliseconds")
-	snrMin := flag.Float64("snr-min", 8, "campaign: first SNR point in dB")
-	snrMax := flag.Float64("snr-max", 26, "campaign: last SNR point in dB")
 	traceOut := flag.String("trace-out", "", "also write the offered trace as replayable JSONL specs to this file")
-	clusterFlag := flag.String("cluster", "mempool", "default cluster for jobs that do not pin one: mempool or terapool")
-	schemeFlag := flag.String("scheme", "qpsk", "default modulation: qpsk, 16qam or 64qam")
-	snr := flag.Float64("snr", 20, "default SNR in dB")
-	channelFlag := flag.String("channel", "", "fading profile: iid, tdl-a, tdl-b or tdl-c (empty = legacy per-slot iid draw)")
-	doppler := flag.Float64("doppler", 0, "maximum Doppler shift in Hz (UE mobility; 0 = static fading)")
 	ricianK := flag.Float64("rician-k", 0, "linear Rician K-factor on the strongest tap (0 = Rayleigh)")
-	layoutFlag := flag.String("layout", "", "default chain-stage core layout: sequential, pipe, or pipe/f<F>/b<B>/d<D>")
-	cacheFlag := flag.Bool("cache", false, "memoize slot service times by scenario coordinate (exact: cached replay is byte-identical)")
-	cacheCap := flag.Int("cache-cap", 0, "service-time cache capacity in entries (0 = default)")
-	cacheFile := flag.String("cache-file", "", "warm-start the service-time cache from this JSONL file and save it back after serving (implies -cache)")
-	timingFlag := flag.String("timing", "", "default timing path for served slots: cycle-accurate (default) or analytic (calibrated closed-form model)")
-	calibration := flag.String("calibration", timing.DefaultPath, "calibration artifact for -timing analytic")
-	cellsFlag := flag.Int("cells", 1, "serve through a fleet of N identical cells (internal/fleet); 1 without other fleet flags keeps the plain scheduler")
+	cellsFlag := flag.Int("cells", 1, "serve through a fleet of N identical cells (internal/fleet; at most 4096); 1 without other fleet flags keeps the plain scheduler")
 	cellConfig := flag.String("cell-config", "", "JSON array of per-cell overrides (name, cluster, layout, timing, servers, queue); implies fleet mode")
 	balance := flag.String("balance", "", "fleet load-balancing policy: round-robin (default), least-queue, or sinr; implies fleet mode")
 	servers := flag.Int("servers", 1, "virtual slot processors serving the queue in simulated time")
 	queue := flag.Int("queue", sched.DefaultQueueDepth, "bounded wait-queue depth in slots (0 = default, negative = no queue)")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus metrics and net/http/pprof on this address (e.g. 127.0.0.1:9109); the endpoint stays live after serving until SIGINT/SIGTERM")
-	workers := flag.Int("workers", 0, "host measurement goroutines (0 = GOMAXPROCS); never affects results")
-	seed := flag.Uint64("seed", 1, "trace and payload base seed")
 	flag.Parse()
 	if *jobs > maxJobs {
 		log.Fatalf("-jobs %d exceeds the cap of %d slots", *jobs, maxJobs)
+	}
+	if *cellsFlag > maxCells {
+		log.Fatalf("-cells %d exceeds the cap of %d cells", *cellsFlag, maxCells)
 	}
 	if math.IsNaN(*rate) {
 		log.Fatal("-rate is not a number")
@@ -169,13 +170,9 @@ func main() {
 	if math.IsNaN(*gapMs) {
 		log.Fatal("-gap-ms is not a number")
 	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"snr", *snr}, {"doppler", *doppler}, {"rician-k", *ricianK}} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			log.Fatalf("-%s %g is not a finite number", f.name, f.v)
-		}
+	setup, err := shared.Resolve(*ricianK)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var reg *obs.Registry
@@ -184,48 +181,22 @@ func main() {
 		startMetrics(*metricsAddr, reg)
 	}
 
-	cluster, err := sched.ParseCluster(*clusterFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	scheme, err := sched.ParseScheme(*schemeFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// The server's default slot: the same reduced-dimension chain the
-	// campaign engine sweeps (the functional path keeps every
-	// intermediate buffer resident, bounding NSC).
-	base := pusch.ChainConfig{
-		Cluster: cluster,
-		NSC:     256, NR: 16, NB: 8, NL: 4,
-		NSymb: 6, NPilot: 2,
-		Scheme: scheme,
-		SNRdB:  *snr,
-	}
-	layout, err := pusch.ParseLayout(*layoutFlag, cluster)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mode, err := pusch.ParseTimingMode(*timingFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// Fleet mode: serving coordinates (cluster, layout, timing) become
 	// the default CELL's class instead of being stamped into every
 	// generated job, so per-cell overrides from -cell-config can take
 	// effect; jobs that pin their own still win. The plain path keeps
-	// stamping them into the base, byte-for-byte the pre-fleet server.
+	// them in the base, byte-for-byte the pre-fleet server.
+	base := setup.Base
 	fleetMode := *cellsFlag > 1 || *cellConfig != "" || *balance != ""
 	var cells []fleet.Cell
 	if fleetMode {
-		base.Cluster = nil
 		defCell := fleet.Cell{
-			Cluster: cluster,
-			Layout:  layout,
-			Timing:  mode,
+			Cluster: base.Cluster,
+			Layout:  base.Layout,
+			Timing:  base.Timing,
 			Servers: *servers, QueueDepth: *queue,
 		}
+		base.Cluster, base.Layout, base.Timing = nil, pusch.Layout{}, pusch.TimingCycleAccurate
 		if *cellConfig != "" {
 			cells, err = fleet.LoadCells(*cellConfig, defCell)
 			if err != nil {
@@ -237,42 +208,28 @@ func main() {
 		} else {
 			cells = fleet.Homogeneous(*cellsFlag, defCell)
 		}
-	} else {
-		base.Layout = layout
-		base.Timing = mode
 	}
 	policy, err := fleet.ParsePolicy(*balance)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	var model *timing.Model
-	needModel := mode == pusch.TimingAnalytic
+	needModel := false
 	for _, c := range cells {
 		needModel = needModel || c.Timing == pusch.TimingAnalytic
 	}
-	if needModel {
-		model, err = timing.Load(*calibration)
-		if err != nil {
-			log.Fatalf("loading calibration: %v (regenerate with `go run ./cmd/benchgate -update-calibration`)", err)
-		}
-	}
-	// An explicit fading profile (or any mobility/LOS parameter) makes
-	// the generators serve mobile UEs: every generated job gets a per-UE
-	// fading identity and an arrival-time channel coordinate, so one
-	// UE's slots see a coherently evolving channel.
-	if *channelFlag != "" || *doppler != 0 || *ricianK != 0 {
-		profile, err := sched.ParseChannelProfile(*channelFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		base = sched.Mobile(base, profile, *doppler, *ricianK)
+	model, err := setup.Model(needModel)
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	// Generated traces draw their mobile-UE identities from a population
-	// scaled to the deployment: cells × DefaultUEPopulation distinct UEs.
+	// A base slot on a fading channel makes the generators serve mobile
+	// UEs: every generated job gets a per-UE fading identity and an
+	// arrival-time channel coordinate, so one UE's slots see a coherently
+	// evolving channel. The identities come from a population scaled to
+	// the deployment: cells × DefaultUEPopulation distinct UEs.
 	pop := fleet.Population(len(cells))
-	trace, err := buildTrace(*inPath, *gen, base, *jobs, *rate, *burst, *gapMs, *snrMin, *snrMax, *seed, pop)
+	trace, err := buildTrace(*inPath, *gen, base, *jobs, *rate, *burst, *gapMs, setup.SNRMin, setup.SNRMax, setup.Seed, pop)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -293,18 +250,9 @@ func main() {
 		}
 	}
 
-	var cache *timecache.Cache
-	if *cacheFlag || *cacheFile != "" {
-		cache = timecache.New(*cacheCap)
-		if *cacheFile != "" {
-			added, rejected, err := cache.LoadFile(*cacheFile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if added > 0 || rejected > 0 {
-				fmt.Fprintf(os.Stderr, "puschd: cache warm-start: %d entries loaded, %d rejected from %s\n", added, rejected, *cacheFile)
-			}
-		}
+	cache, err := setup.Cache()
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var pool *engine.PoolStats
@@ -313,8 +261,8 @@ func main() {
 		f := &fleet.Fleet{Cfg: fleet.Config{
 			Cells:   cells,
 			Policy:  policy,
-			Workers: *workers,
-			Seed:    *seed,
+			Workers: setup.Workers,
+			Seed:    setup.Seed,
 			Cache:   cache,
 			Model:   model,
 			Metrics: reg,
@@ -349,8 +297,8 @@ func main() {
 		s := &sched.Scheduler{Cfg: sched.Config{
 			Servers:    *servers,
 			QueueDepth: *queue,
-			Workers:    *workers,
-			Seed:       *seed,
+			Workers:    setup.Workers,
+			Seed:       setup.Seed,
 			Cache:      cache,
 			Model:      model,
 			Metrics:    reg,
@@ -373,10 +321,8 @@ func main() {
 				sum.LatencyP50Cycles, sum.LatencyP95Cycles, sum.LatencyP99Cycles)
 		}
 	}
-	if cache != nil && *cacheFile != "" {
-		if err := cache.SaveFile(*cacheFile); err != nil {
-			log.Fatal(err)
-		}
+	if err := setup.SaveCache(cache); err != nil {
+		log.Fatal(err)
 	}
 
 	if pool != nil {

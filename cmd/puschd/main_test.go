@@ -140,6 +140,11 @@ func TestCLIErrors(t *testing.T) {
 		{[]string{"-timing", "analytic", "-calibration", "@missing.json", "-jobs", "2"}, "calibration"},
 		{[]string{"-gen", "bogus"}, "gen"},
 		{[]string{"-balance", "bogus", "-jobs", "2"}, "balance"},
+		{[]string{"-cells", "1099511627776", "-jobs", "2"}, "-cells"},
+		{[]string{"-doppler", "-5", "-jobs", "2"}, "-doppler"},
+		{[]string{"-rician-k", "-1", "-jobs", "2"}, "-rician-k"},
+		{[]string{"-workers", "1099511627776", "-jobs", "2"}, "-workers"},
+		{[]string{"-layout", "pipe/f8/b8/d8", "-jobs", "2"}, "-layout"},
 	} {
 		_, stderr, code := run(t, t.TempDir(), r.args...)
 		if code != 1 || !bytes.Contains(stderr, []byte(r.want)) {

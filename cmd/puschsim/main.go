@@ -67,6 +67,14 @@
 // optimizations are graded against — see docs/ARCHITECTURE.md,
 // "Engine performance model". To serve slot traffic as a stream
 // rather than run one experiment, see cmd/puschd.
+//
+// The flags shared with cmd/puschd (-cluster, -scheme, -snr, -snr-min,
+// -snr-max, -channel, -doppler, -layout, -timing, -calibration, -cache,
+// -cache-cap, -cache-file, -workers, -seed) live in internal/cli: names
+// parse without regard to case, and a bad value stops every mode at
+// start-up with an error naming the flag. -chain runs QPSK with payload
+// seed 1 whatever -scheme and -seed say, campaigns run at 20 dB whatever
+// -snr says, and only campaigns read -cache and -cache-file.
 package main
 
 import (
@@ -74,12 +82,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/report"
 	"repro/pusch"
 	"repro/sim"
@@ -89,39 +96,21 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("puschsim: ")
-	clusterFlag := flag.String("cluster", "terapool", "terapool or mempool")
+	shared := cli.Register(flag.CommandLine, "terapool", 26)
 	cholBatch := flag.Int("chol-batch", 16, "Cholesky decompositions per core between barriers (4 = paper's green schedule, 16 = red)")
 	withSerial := flag.Bool("serial", false, "also measure the serial single-core baseline (slow)")
 	fullMIMO := flag.Bool("full-mimo", false, "time the complete MIMO stage (Gramian+Cholesky+solves) instead of bare decompositions")
 	chain := flag.Bool("chain", false, "run the functional end-to-end chain instead of the Fig. 9c budget")
-	snr := flag.Float64("snr", 26, "chain mode: SNR in dB")
-	channelFlag := flag.String("channel", "", "fading profile for chain and campaign modes: iid, tdl-a, tdl-b or tdl-c (empty = legacy per-slot iid draw)")
-	doppler := flag.Float64("doppler", 0, "maximum Doppler shift in Hz (0 = static fading)")
-	layoutFlag := flag.String("layout", "", "chain-stage core layout for chain and campaign modes: sequential (default), pipe, or pipe/f<F>/b<B>/d<D>")
 	jsonOut := flag.Bool("json", false, "emit the Fig. 9c result as a typed JSON slot record instead of tables")
 	campaignFlag := flag.String("campaign", "", "run a scenario campaign: snr, schemes, clusters, chol, profiles, link, layouts or fleet")
-	snrMin := flag.Float64("snr-min", 8, "campaign snr: first SNR point in dB")
-	snrMax := flag.Float64("snr-max", 26, "campaign snr: last SNR point in dB")
 	snrStep := flag.Float64("snr-step", 2, "campaign snr: SNR increment in dB")
-	schemeFlag := flag.String("scheme", "qpsk", "campaign base modulation: qpsk, 16qam or 64qam")
-	workers := flag.Int("workers", 0, "campaign worker goroutines (0 = GOMAXPROCS)")
-	seed := flag.Uint64("seed", 1, "campaign base seed")
-	cacheFlag := flag.Bool("cache", false, "campaign modes: memoize chain service times by scenario coordinate (exact: cached replay is byte-identical)")
-	cacheCap := flag.Int("cache-cap", 0, "service-time cache capacity in entries (0 = default)")
-	cacheFile := flag.String("cache-file", "", "warm-start the service-time cache from this JSONL file and save it back after the campaign (implies -cache)")
-	timingFlag := flag.String("timing", "", "timing path for chain and campaign modes: cycle-accurate (default) or analytic (calibrated closed-form model, no engine run)")
-	calibration := flag.String("calibration", pusch.DefaultCalibrationPath, "calibration artifact for -timing analytic")
 	traceProfile := flag.String("trace-profile", "", "write a Chrome trace-event JSON profile of the run's virtual-time spans to this file (chain and campaign modes; open in Perfetto or chrome://tracing)")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile (pprof) covering the run to this file")
 	memProfile := flag.String("memprofile", "", "write a host heap profile (pprof) at exit to this file")
 	flag.Parse()
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"snr", *snr}, {"doppler", *doppler}} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			log.Fatalf("-%s %g is not a finite number", f.name, f.v)
-		}
+	setup, err := shared.Resolve(0)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Host profiling (runtime/pprof): unlike -trace-profile, which records
@@ -156,90 +145,50 @@ func main() {
 		}()
 	}
 
-	var cluster *sim.Config
-	switch *clusterFlag {
-	case "terapool":
-		cluster = sim.TeraPool()
-	case "mempool":
-		cluster = sim.MemPool()
-	default:
-		log.Fatalf("unknown cluster %q", *clusterFlag)
-	}
-
-	chSpec, err := channelSpec(*channelFlag, *doppler)
+	model, err := setup.Model(false)
 	if err != nil {
 		log.Fatal(err)
-	}
-	layout, err := pusch.ParseLayout(*layoutFlag, cluster)
-	if err != nil {
-		log.Fatal(err)
-	}
-	timing, err := pusch.ParseTimingMode(*timingFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var model *pusch.TimingModel
-	if timing == pusch.TimingAnalytic {
-		model, err = pusch.LoadTimingModel(*calibration)
-		if err != nil {
-			log.Fatalf("loading calibration: %v (regenerate with `go run ./cmd/benchgate -update-calibration`)", err)
-		}
 	}
 
 	if *campaignFlag != "" {
-		var cache *pusch.ServiceCache
-		if *cacheFlag || *cacheFile != "" {
-			cache = pusch.NewServiceCache(*cacheCap)
-			if *cacheFile != "" {
-				added, rejected, err := cache.LoadFile(*cacheFile)
-				if err != nil {
-					log.Fatal(err)
-				}
-				if added > 0 || rejected > 0 {
-					fmt.Fprintf(os.Stderr, "puschsim: cache warm-start: %d entries loaded, %d rejected from %s\n", added, rejected, *cacheFile)
-				}
-			}
+		cache, err := setup.Cache()
+		if err != nil {
+			log.Fatal(err)
 		}
-		runCampaign(cluster, *campaignFlag, *schemeFlag, chSpec, layout, timing, model, *snrMin, *snrMax, *snrStep, *workers, *seed, cache, *traceProfile)
+		runCampaign(setup, *campaignFlag, *snrStep, model, cache, *traceProfile)
 		if cache != nil {
 			st := cache.Stats()
 			fmt.Fprintf(os.Stderr, "puschsim: cache: %d hits / %d misses (%.1f%% hit rate, %d entries)\n",
 				st.Hits, st.Misses, st.HitRate()*100, st.Entries)
-			if *cacheFile != "" {
-				if err := cache.SaveFile(*cacheFile); err != nil {
-					log.Fatal(err)
-				}
+			if err := setup.SaveCache(cache); err != nil {
+				log.Fatal(err)
 			}
 		}
 		return
 	}
 
 	if *chain {
-		runChain(cluster, *snr, chSpec, layout, timing, model, *traceProfile)
+		runChain(setup.Base, model, *traceProfile)
 		return
 	}
 
-	if timing == pusch.TimingAnalytic {
+	if setup.Base.Timing == pusch.TimingAnalytic {
 		log.Fatal("-timing analytic covers the functional chain and chain campaigns only; the Fig. 9c use case always runs cycle-accurately")
 	}
 	if *traceProfile != "" {
 		log.Fatal("-trace-profile covers the functional chain and campaigns only; the Fig. 9c use case records no spans")
 	}
 
-	cfg := pusch.DefaultUseCase()
-	cfg.Cluster = cluster
+	cluster := setup.Base.Cluster
+	cfg := useCase(cluster)
 	cfg.CholPerRound = *cholBatch
 	cfg.WithSerial = *withSerial
 	cfg.FullMIMO = *fullMIMO
-	if cluster.Name == "MemPool" {
-		// The full-scale working set exceeds MemPool's physical 1 MiB;
-		// deepen the banks (timing structure is unaffected) the way the
-		// paper's DMA double-buffering would stream it.
-		cfg.DeepBanks = 8
-	}
 	res, err := pusch.RunUseCase(cfg)
 	if err != nil {
-		log.Fatal(err)
+		// -cluster, -serial and -full-mimo pick fixed, runnable
+		// configurations, so a failure here is the batch's.
+		log.Fatalf("-chol-batch %d: %v", *cholBatch, err)
 	}
 
 	if *jsonOut {
@@ -272,66 +221,38 @@ func main() {
 	}
 }
 
-// channelSpec builds the fading spec from the -channel/-doppler flags;
-// the zero pair keeps the legacy per-slot iid draw.
-func channelSpec(name string, dopplerHz float64) (pusch.ChannelSpec, error) {
-	var spec pusch.ChannelSpec
-	if name == "" && dopplerHz == 0 {
-		return spec, nil
+// useCase is the Fig. 9c configuration on cluster. On MemPool the
+// full-scale working set exceeds the physical 1 MiB, so the banks are
+// deepened (timing structure is unaffected) the way the paper's DMA
+// double-buffering would stream it.
+func useCase(cluster *sim.Config) pusch.UseCaseConfig {
+	cfg := pusch.DefaultUseCase()
+	cfg.Cluster = cluster
+	if cluster.Name == "MemPool" {
+		cfg.DeepBanks = 8
 	}
-	profile, err := pusch.ParseChannelProfile(name)
-	if err != nil {
-		return spec, err
-	}
-	spec.Profile = profile
-	spec.DopplerHz = dopplerHz
-	return spec, nil
+	return cfg
 }
 
-// campaignBase is the chain configuration campaigns sweep around: the
-// same reduced-dimension slot the -chain mode runs (the functional path
-// keeps every intermediate buffer resident, bounding NSC).
-func campaignBase(cluster *sim.Config, scheme waveform.Scheme, chSpec pusch.ChannelSpec, layout pusch.Layout) pusch.ChainConfig {
-	return pusch.ChainConfig{
-		Cluster: cluster,
-		NSC:     256, NR: 16, NB: 8, NL: 4,
-		NSymb: 6, NPilot: 2,
-		Scheme:  scheme,
-		SNRdB:   20, // operating point for grids that do not sweep SNR
-		Channel: chSpec,
-		Layout:  layout,
-	}
-}
-
-func runCampaign(cluster *sim.Config, mode, schemeName string, chSpec pusch.ChannelSpec, layout pusch.Layout, timing pusch.TimingMode, model *pusch.TimingModel, snrMin, snrMax, snrStep float64, workers int, seed uint64, cache *pusch.ServiceCache, traceProfile string) {
-	var scheme waveform.Scheme
-	switch strings.ToLower(schemeName) {
-	case "qpsk":
-		scheme = waveform.QPSK
-	case "16qam", "qam16":
-		scheme = waveform.QAM16
-	case "64qam", "qam64":
-		scheme = waveform.QAM64
-	default:
-		log.Fatalf("unknown scheme %q", schemeName)
-	}
-	base := campaignBase(cluster, scheme, chSpec, layout)
-	base.Timing = timing
+func runCampaign(setup *cli.Setup, mode string, snrStep float64, model *pusch.TimingModel, cache *pusch.ServiceCache, traceProfile string) {
+	// Grids that do not sweep SNR run at 20 dB whatever -snr says.
+	base := setup.Base
+	base.SNRdB = 20
 	if mode == "fleet" {
 		if traceProfile != "" {
 			log.Fatal("-trace-profile does not cover the fleet campaign (serve through puschd for service metrics instead)")
 		}
-		runFleetCampaign(base, workers, seed, cache, model)
+		runFleetCampaign(base, setup.Workers, setup.Seed, cache, model)
 		return
 	}
-	if timing == pusch.TimingAnalytic && mode == "chol" {
+	if base.Timing == pusch.TimingAnalytic && mode == "chol" {
 		log.Fatal("-timing analytic covers chain campaigns only; the chol campaign runs use-case slots, which are always cycle-accurate")
 	}
 
 	var scenarios []pusch.Scenario
 	switch mode {
 	case "snr":
-		scenarios = pusch.SNRSweep(base, snrMin, snrMax, snrStep)
+		scenarios = pusch.SNRSweep(base, setup.SNRMin, setup.SNRMax, snrStep)
 	case "layouts":
 		// Spatial-pipelining search: the sequential reference plus the
 		// default partition-split ladder, each reporting its slot Gb/s.
@@ -345,10 +266,10 @@ func runCampaign(cluster *sim.Config, mode, schemeName string, chSpec pusch.Chan
 		// BER-versus-SNR link curves over the standardized TDL profiles
 		// (-channel narrows the family to one profile).
 		profiles := []pusch.ChannelProfile{pusch.ChannelTDLA, pusch.ChannelTDLB, pusch.ChannelTDLC}
-		if chSpec.Profile != "" {
-			profiles = []pusch.ChannelProfile{chSpec.Profile}
+		if base.Channel.Profile != "" {
+			profiles = []pusch.ChannelProfile{base.Channel.Profile}
 		}
-		scenarios = pusch.LinkCurves(base, profiles, snrMin, snrMax, snrStep)
+		scenarios = pusch.LinkCurves(base, profiles, setup.SNRMin, setup.SNRMax, snrStep)
 	case "schemes":
 		scenarios = pusch.SchemeGrid(base,
 			[]waveform.Scheme{waveform.QPSK, waveform.QAM16, waveform.QAM64},
@@ -359,14 +280,7 @@ func runCampaign(cluster *sim.Config, mode, schemeName string, chSpec pusch.Chan
 		// workload stays fixed.
 		scenarios = pusch.ClusterScaling(base, []int{1, 2, 4, 8})
 	case "chol":
-		uc := pusch.DefaultUseCase()
-		uc.Cluster = cluster
-		if cluster.Name == "MemPool" {
-			// Same capacity extension the default mode applies: the
-			// full-scale working set exceeds MemPool's physical 1 MiB.
-			uc.DeepBanks = 8
-		}
-		scenarios = pusch.CholScheduleSweep(uc, []int{1, 2, 4, 8, 16})
+		scenarios = pusch.CholScheduleSweep(useCase(base.Cluster), []int{1, 2, 4, 8, 16})
 	default:
 		log.Fatalf("unknown campaign %q (want snr, schemes, clusters, chol, profiles, link, layouts or fleet)", mode)
 	}
@@ -374,7 +288,7 @@ func runCampaign(cluster *sim.Config, mode, schemeName string, chSpec pusch.Chan
 	if len(scenarios) == 0 {
 		log.Fatalf("campaign %q is empty (check -snr-min/-snr-max/-snr-step)", mode)
 	}
-	runner := &pusch.Runner{Workers: workers, Seed: seed, Cache: cache, Model: model}
+	runner := &pusch.Runner{Workers: setup.Workers, Seed: setup.Seed, Cache: cache, Model: model}
 	if traceProfile != "" {
 		// Cached, analytic and use-case scenarios contribute no spans;
 		// every engine-run chain scenario gets one trace slot. The
@@ -438,18 +352,12 @@ func runFleetCampaign(base pusch.ChainConfig, workers int, seed uint64, cache *p
 	}
 }
 
-func runChain(cluster *sim.Config, snr float64, chSpec pusch.ChannelSpec, layout pusch.Layout, timing pusch.TimingMode, model *pusch.TimingModel, traceProfile string) {
-	cfg := pusch.ChainConfig{
-		Cluster: cluster,
-		NSC:     256, NR: 16, NB: 8, NL: 4,
-		NSymb: 6, NPilot: 2,
-		Scheme:  waveform.QPSK,
-		SNRdB:   snr,
-		Seed:    1,
-		Channel: chSpec,
-		Layout:  layout,
-	}
-	if timing == pusch.TimingAnalytic {
+// runChain runs the base slot in QPSK with payload seed 1, whatever
+// -scheme and -seed say.
+func runChain(cfg pusch.ChainConfig, model *pusch.TimingModel, traceProfile string) {
+	cfg.Scheme = waveform.QPSK
+	cfg.Seed = 1
+	if cfg.Timing == pusch.TimingAnalytic {
 		if traceProfile != "" {
 			log.Fatal("-trace-profile needs an engine run; -timing analytic predicts cycles without one")
 		}
@@ -460,7 +368,7 @@ func runChain(cluster *sim.Config, snr float64, chSpec pusch.ChannelSpec, layout
 			log.Fatal(err)
 		}
 		fmt.Printf("analytic slot timing on %s, %s layout: %d cycles (%.3f ms at 1 GHz), %.3f Gb/s\n",
-			cluster.Name, layout, rec.TotalCycles, rec.TimeMs, rec.ThroughputGbps)
+			cfg.Cluster.Name, cfg.Layout, rec.TotalCycles, rec.TimeMs, rec.ThroughputGbps)
 		for _, ph := range rec.Phases {
 			fmt.Printf("  %-46s %8d cycles (predicted)\n", ph.Name, ph.Cycles)
 		}
@@ -482,14 +390,14 @@ func runChain(cluster *sim.Config, snr float64, chSpec pusch.ChannelSpec, layout
 		log.Fatal(err)
 	}
 	ch := "iid (legacy)"
-	if !chSpec.Legacy() {
-		ch = fmt.Sprintf("%s at %g Hz Doppler", chSpec.EffectiveProfile(), chSpec.DopplerHz)
+	if !cfg.Channel.Legacy() {
+		ch = fmt.Sprintf("%s at %g Hz Doppler", cfg.Channel.EffectiveProfile(), cfg.Channel.DopplerHz)
 	}
 	fmt.Printf("functional slot on %s, %s channel, %s layout, %.0f dB SNR: BER %.2e, EVM %.1f dB, sigma^2 %.2e\n",
-		cluster.Name, ch, layout, snr, res.BER, res.EVMdB, res.SigmaEst)
+		cfg.Cluster.Name, ch, cfg.Layout, cfg.SNRdB, res.BER, res.EVMdB, res.SigmaEst)
 	fmt.Printf("%d cycles (%.3f ms at 1 GHz)\n", res.TotalCycles, res.TimeMs)
 	kind := "cycles"
-	if layout.Pipelined() {
+	if cfg.Layout.Pipelined() {
 		kind = "cycles of partition occupancy"
 	}
 	for _, st := range pusch.Stages {

@@ -140,6 +140,10 @@ func TestCLIErrors(t *testing.T) {
 		{[]string{"-campaign", "snr", "-cluster", "mempool", "-scheme", "bogus"}, "scheme"},
 		{[]string{"-campaign", "snr", "-cluster", "mempool", "-snr-min", "30", "-snr-max", "20"}, "snr-min"},
 		{[]string{"-campaign", "bogus", "-cluster", "mempool"}, "campaign"},
+		{[]string{"-chain", "-cluster", "mempool", "-scheme", "bogus"}, "-scheme"},
+		{[]string{"-chain", "-cluster", "mempool", "-doppler", "-5"}, "-doppler"},
+		{[]string{"-campaign", "snr", "-cluster", "mempool", "-workers", "1099511627776"}, "-workers"},
+		{[]string{"-cluster", "mempool", "-chol-batch", "1099511627776"}, "-chol-batch"},
 	} {
 		_, stderr, code := run(t, t.TempDir(), r.args...)
 		if code != 1 || !bytes.Contains(stderr, []byte(r.want)) {

@@ -24,12 +24,6 @@ type (
 	ServiceCache = timecache.Cache
 )
 
-// NewServiceCache returns an empty service-time cache holding at most
-// capacity entries (<= 0 uses the package default).
-func NewServiceCache(capacity int) *ServiceCache {
-	return timecache.New(capacity)
-}
-
 // SNRSweep generates one chain scenario per SNR point in [minDB, maxDB].
 func SNRSweep(base ChainConfig, minDB, maxDB, stepDB float64) []Scenario {
 	return campaign.SNRSweep(base, minDB, maxDB, stepDB)

@@ -6,15 +6,11 @@ import (
 )
 
 // Fading-channel subsystem re-exports: named 3GPP TDL power-delay
-// profiles and the per-slot channel Spec carried by ChainConfig. See
+// profiles for the per-slot channel spec ChainConfig.Channel. See
 // internal/channel for the full contract.
-type (
-	// ChannelSpec selects and parameterizes the fading model of one
-	// slot (ChainConfig.Channel). The zero value is the legacy iid draw.
-	ChannelSpec = channel.Spec
-	// ChannelProfile names a power-delay profile.
-	ChannelProfile = channel.Profile
-)
+
+// ChannelProfile names a power-delay profile.
+type ChannelProfile = channel.Profile
 
 // Named TDL fading profiles.
 const (
@@ -25,12 +21,6 @@ const (
 
 // ChannelProfiles lists every named profile in canonical order.
 var ChannelProfiles = channel.Profiles
-
-// ParseChannelProfile maps a flag or wire name to a profile ("" parses
-// to the iid profile).
-func ParseChannelProfile(name string) (ChannelProfile, error) {
-	return channel.ParseProfile(name)
-}
 
 // DopplerFromSpeed converts a UE speed in km/h and a carrier frequency
 // in GHz to the maximum Doppler shift in Hz.

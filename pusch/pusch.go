@@ -6,10 +6,7 @@
 // of scenarios in parallel.
 package pusch
 
-import (
-	"repro/internal/arch"
-	"repro/internal/pusch"
-)
+import "repro/internal/pusch"
 
 type (
 	// Dims captures a PUSCH allocation's air-interface dimensions.
@@ -28,12 +25,6 @@ type (
 	// pipelining axis. The zero value is the sequential layout.
 	Layout = pusch.Layout
 )
-
-// ParseLayout resolves a layout name ("sequential", "pipe",
-// "pipe/f64/b32/d64") against a cluster.
-func ParseLayout(name string, cluster *arch.Config) (Layout, error) {
-	return pusch.ParseLayout(name, cluster)
-}
 
 // Chain stages (Stages lists all five in processing order).
 const (

@@ -74,23 +74,19 @@ func TestPublicUseCase(t *testing.T) {
 	}
 }
 
-// TestChannelFacade exercises the fading-subsystem re-exports: profile
-// parsing, Doppler conversion, link-curve generation and an end-to-end
-// chain run over a TDL profile through the public surface only.
+// TestChannelFacade exercises the fading-subsystem re-exports: Doppler
+// conversion, link-curve generation and an end-to-end chain run over a
+// TDL profile through the public surface only.
 func TestChannelFacade(t *testing.T) {
-	p, err := pusch.ParseChannelProfile("tdl-b")
-	if err != nil || p != pusch.ChannelTDLB {
-		t.Fatalf("ParseChannelProfile(tdl-b) = %q, %v", p, err)
-	}
 	if fd := pusch.DopplerFromSpeed(30, 3.5); fd < 90 || fd > 105 {
 		t.Errorf("DopplerFromSpeed(30, 3.5) = %g Hz", fd)
 	}
 	base := pusch.ChainConfig{
 		NSC: 64, NR: 4, NB: 4, NL: 2,
 		NSymb: 3, NPilot: 2,
-		Scheme:  waveform.QPSK,
-		Channel: pusch.ChannelSpec{DopplerHz: 30},
+		Scheme: waveform.QPSK,
 	}
+	base.Channel.DopplerHz = 30
 	scens := pusch.LinkCurves(base, []pusch.ChannelProfile{pusch.ChannelTDLA}, 20, 24, 4)
 	if len(scens) != 2 {
 		t.Fatalf("%d scenarios, want 2", len(scens))

@@ -6,7 +6,7 @@
 //
 // Quick start:
 //
-//	m := sim.NewMachine(sim.TeraPool())
+//	m := sim.NewMachine(sim.MemPool())
 //	mark := m.Mark()
 //	err := m.Run(sim.Job{
 //		Name:  "hello",
@@ -35,9 +35,6 @@ type (
 
 // MemPool returns the 256-core cluster configuration of the paper.
 func MemPool() *Config { return arch.MemPool() }
-
-// TeraPool returns the 1024-core cluster configuration of the paper.
-func TeraPool() *Config { return arch.TeraPool() }
 
 // Engine types.
 type (

@@ -412,6 +412,9 @@ func buildTrace(inPath, gen string, base pusch.ChainConfig, jobs int, rate float
 			rate = 1
 		}
 		scenarios := campaign.SNRSweep(base, snrMin, snrMax, 2)
+		if len(scenarios) == 0 {
+			return nil, fmt.Errorf("-snr-min %g to -snr-max %g in 2 dB steps is empty or over 1000 points", snrMin, snrMax)
+		}
 		// Capped so the conversion stays in int64 range; FromScenarios
 		// stops the trace where arrivals would pass the same bound.
 		spacing := int64(min(sched.CyclesPerMs/rate, 1<<62))

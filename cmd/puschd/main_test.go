@@ -145,6 +145,7 @@ func TestCLIErrors(t *testing.T) {
 		{[]string{"-rician-k", "-1", "-jobs", "2"}, "-rician-k"},
 		{[]string{"-workers", "1099511627776", "-jobs", "2"}, "-workers"},
 		{[]string{"-layout", "pipe/f8/b8/d8", "-jobs", "2"}, "-layout"},
+		{[]string{"-gen", "campaign", "-snr-min", "20", "-snr-max", "10"}, "-snr-min"},
 	} {
 		_, stderr, code := run(t, t.TempDir(), r.args...)
 		if code != 1 || !bytes.Contains(stderr, []byte(r.want)) {

@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/pusch"
+	"repro/internal/pusch"
 )
 
 func main() {

@@ -86,11 +86,18 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"repro/internal/arch"
+	"repro/internal/campaign"
+	"repro/internal/channel"
 	"repro/internal/cli"
+	"repro/internal/fleet"
+	"repro/internal/obs"
+	"repro/internal/pusch"
 	"repro/internal/report"
-	"repro/pusch"
-	"repro/sim"
-	"repro/waveform"
+	"repro/internal/sched"
+	"repro/internal/timecache"
+	"repro/internal/timing"
+	"repro/internal/waveform"
 )
 
 func main() {
@@ -225,7 +232,7 @@ func main() {
 // full-scale working set exceeds the physical 1 MiB, so the banks are
 // deepened (timing structure is unaffected) the way the paper's DMA
 // double-buffering would stream it.
-func useCase(cluster *sim.Config) pusch.UseCaseConfig {
+func useCase(cluster *arch.Config) pusch.UseCaseConfig {
 	cfg := pusch.DefaultUseCase()
 	cfg.Cluster = cluster
 	if cluster.Name == "MemPool" {
@@ -234,7 +241,7 @@ func useCase(cluster *sim.Config) pusch.UseCaseConfig {
 	return cfg
 }
 
-func runCampaign(setup *cli.Setup, mode string, snrStep float64, model *pusch.TimingModel, cache *pusch.ServiceCache, traceProfile string) {
+func runCampaign(setup *cli.Setup, mode string, snrStep float64, model *timing.Model, cache *timecache.Cache, traceProfile string) {
 	// Grids that do not sweep SNR run at 20 dB whatever -snr says.
 	base := setup.Base
 	base.SNRdB = 20
@@ -249,38 +256,38 @@ func runCampaign(setup *cli.Setup, mode string, snrStep float64, model *pusch.Ti
 		log.Fatal("-timing analytic covers chain campaigns only; the chol campaign runs use-case slots, which are always cycle-accurate")
 	}
 
-	var scenarios []pusch.Scenario
+	var scenarios []campaign.Scenario
 	switch mode {
 	case "snr":
-		scenarios = pusch.SNRSweep(base, setup.SNRMin, setup.SNRMax, snrStep)
+		scenarios = campaign.SNRSweep(base, setup.SNRMin, setup.SNRMax, snrStep)
 	case "layouts":
 		// Spatial-pipelining search: the sequential reference plus the
 		// default partition-split ladder, each reporting its slot Gb/s.
 		// The base layout flag is ignored — the sweep provides layouts.
-		scenarios = pusch.LayoutSweep(base, nil)
+		scenarios = campaign.LayoutSweep(base, nil)
 	case "profiles":
 		// Channel robustness: every fading profile at the base operating
 		// point (use -doppler to put the UEs in motion).
-		scenarios = pusch.ProfileSweep(base, pusch.ChannelProfiles)
+		scenarios = campaign.ProfileSweep(base, channel.Profiles)
 	case "link":
 		// BER-versus-SNR link curves over the standardized TDL profiles
 		// (-channel narrows the family to one profile).
-		profiles := []pusch.ChannelProfile{pusch.ChannelTDLA, pusch.ChannelTDLB, pusch.ChannelTDLC}
+		profiles := []channel.Profile{channel.TDLA, channel.TDLB, channel.TDLC}
 		if base.Channel.Profile != "" {
-			profiles = []pusch.ChannelProfile{base.Channel.Profile}
+			profiles = []channel.Profile{base.Channel.Profile}
 		}
-		scenarios = pusch.LinkCurves(base, profiles, setup.SNRMin, setup.SNRMax, snrStep)
+		scenarios = campaign.LinkCurves(base, profiles, setup.SNRMin, setup.SNRMax, snrStep)
 	case "schemes":
-		scenarios = pusch.SchemeGrid(base,
+		scenarios = campaign.SchemeGrid(base,
 			[]waveform.Scheme{waveform.QPSK, waveform.QAM16, waveform.QAM64},
 			[]int{1, 2, 4})
 	case "clusters":
 		// Scale the selected cluster's tile geometry from 1 to 8 groups
 		// (64..512 cores for MemPool, 128..1024 for TeraPool); the
 		// workload stays fixed.
-		scenarios = pusch.ClusterScaling(base, []int{1, 2, 4, 8})
+		scenarios = campaign.ClusterScaling(base, []int{1, 2, 4, 8})
 	case "chol":
-		scenarios = pusch.CholScheduleSweep(useCase(base.Cluster), []int{1, 2, 4, 8, 16})
+		scenarios = campaign.CholScheduleSweep(useCase(base.Cluster), []int{1, 2, 4, 8, 16})
 	default:
 		log.Fatalf("unknown campaign %q (want snr, schemes, clusters, chol, profiles, link, layouts or fleet)", mode)
 	}
@@ -288,12 +295,12 @@ func runCampaign(setup *cli.Setup, mode string, snrStep float64, model *pusch.Ti
 	if len(scenarios) == 0 {
 		log.Fatalf("campaign %q is empty (check -snr-min/-snr-max/-snr-step)", mode)
 	}
-	runner := &pusch.Runner{Workers: setup.Workers, Seed: setup.Seed, Cache: cache, Model: model}
+	runner := &campaign.Runner{Workers: setup.Workers, Seed: setup.Seed, Cache: cache, Model: model}
 	if traceProfile != "" {
 		// Cached, analytic and use-case scenarios contribute no spans;
 		// every engine-run chain scenario gets one trace slot. The
 		// profile bytes are identical across runs and -workers counts.
-		runner.Profile = pusch.NewTraceProfile()
+		runner.Profile = obs.NewProfile()
 	}
 	if err := runner.WriteJSONL(os.Stdout, scenarios); err != nil {
 		log.Fatal(err)
@@ -305,7 +312,7 @@ func runCampaign(setup *cli.Setup, mode string, snrStep float64, model *pusch.Ti
 
 // writeProfile saves the collected spans as one Chrome trace-event JSON
 // document, viewable in Perfetto or chrome://tracing.
-func writeProfile(path string, prof *pusch.TraceProfile) {
+func writeProfile(path string, prof *obs.Profile) {
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
@@ -325,18 +332,18 @@ func writeProfile(path string, prof *pusch.TraceProfile) {
 // populations), emitting one kind="fleet-summary" JSON line per point.
 // Pool/host figures are stripped so lines stay byte-deterministic
 // across runs and worker counts.
-func runFleetCampaign(base pusch.ChainConfig, workers int, seed uint64, cache *pusch.ServiceCache, model *pusch.TimingModel) {
+func runFleetCampaign(base pusch.ChainConfig, workers int, seed uint64, cache *timecache.Cache, model *timing.Model) {
 	if base.Channel.Legacy() {
 		// Handover and SINR-aware routing need mobile UEs: default to
 		// TDL-B at 30 Hz Doppler when no -channel is given.
-		base = sim.MobileChain(base, pusch.ChannelTDLB, 30, 0)
+		base = sched.Mobile(base, channel.TDLB, 30, 0)
 	}
 	enc := json.NewEncoder(os.Stdout)
 	for _, cells := range []int{1, 2, 4} {
-		jobs := sim.FleetMixedTrace(cells, sim.TableIMix(&base), 24, 2, seed)
-		for _, policy := range sim.BalancePolicies() {
-			f := &sim.Fleet{Cfg: sim.FleetConfig{
-				Cells:   sim.HomogeneousFleet(cells, sim.FleetCell{Servers: 2}),
+		jobs := fleet.MixedTrace(cells, sched.TableIMix(&base), 24, 2, seed)
+		for _, policy := range fleet.Policies() {
+			f := &fleet.Fleet{Cfg: fleet.Config{
+				Cells:   fleet.Homogeneous(cells, fleet.Cell{Servers: 2}),
 				Policy:  policy,
 				Workers: workers,
 				Seed:    seed,
@@ -354,7 +361,7 @@ func runFleetCampaign(base pusch.ChainConfig, workers int, seed uint64, cache *p
 
 // runChain runs the base slot in QPSK with payload seed 1, whatever
 // -scheme and -seed say.
-func runChain(cfg pusch.ChainConfig, model *pusch.TimingModel, traceProfile string) {
+func runChain(cfg pusch.ChainConfig, model *timing.Model, traceProfile string) {
 	cfg.Scheme = waveform.QPSK
 	cfg.Seed = 1
 	if cfg.Timing == pusch.TimingAnalytic {
@@ -377,7 +384,7 @@ func runChain(cfg pusch.ChainConfig, model *pusch.TimingModel, traceProfile stri
 	var res *pusch.ChainResult
 	var err error
 	if traceProfile != "" {
-		prof := pusch.NewTraceProfile()
+		prof := obs.NewProfile()
 		res, err = pusch.RunChainTraced(cfg, prof.Slot(0, "chain"))
 		if err != nil {
 			log.Fatal(err)

@@ -11,10 +11,11 @@ import (
 	"math/cmplx"
 	"strings"
 
-	"repro/fixedpoint"
-	"repro/kernels/mmm"
-	"repro/sim"
-	"repro/waveform"
+	"repro/internal/arch"
+	"repro/internal/engine"
+	"repro/internal/fixed"
+	"repro/internal/kernels/mmm"
+	"repro/internal/waveform"
 )
 
 func main() {
@@ -27,7 +28,7 @@ func main() {
 		arrival = 3
 	)
 
-	m := sim.NewMachine(sim.MemPool())
+	m := engine.NewMachine(arch.MemPool())
 	plan, err := mmm.NewPlan(m, nsc, nAnt, nBeam, 64, mmm.Options{ZeroShift: true})
 	if err != nil {
 		log.Fatal(err)
@@ -35,12 +36,12 @@ func main() {
 
 	// A[sc][ant]: a plane wave hitting the array at the angle of beam 3,
 	// with a per-subcarrier symbol riding on it.
-	a := make([]fixedpoint.C15, nsc*nAnt)
+	a := make([]fixed.C15, nsc*nAnt)
 	for sc := 0; sc < nsc; sc++ {
 		symbol := cmplx.Rect(0.4, 2*math.Pi*float64(sc)/nsc)
 		for ant := 0; ant < nAnt; ant++ {
 			steer := cmplx.Rect(1, 2*math.Pi*float64(arrival)*float64(ant)/nAnt)
-			a[sc*nAnt+ant] = fixedpoint.FromComplex(symbol * steer / complex(float64(nAnt), 0) * 4)
+			a[sc*nAnt+ant] = fixed.FromComplex(symbol * steer / complex(float64(nAnt), 0) * 4)
 		}
 	}
 	if err := plan.WriteA(a); err != nil {
@@ -51,10 +52,10 @@ func main() {
 	// antenna a with weight exp(-2pi*i*a*b/nAnt)/sqrt(nAnt), so a wave
 	// with spatial frequency +b/nAnt adds coherently into beam b.
 	w := waveform.DFTBeams(nBeam, nAnt)
-	b := make([]fixedpoint.C15, nAnt*nBeam)
+	b := make([]fixed.C15, nAnt*nBeam)
 	for ant := 0; ant < nAnt; ant++ {
 		for beam := 0; beam < nBeam; beam++ {
-			b[ant*nBeam+beam] = fixedpoint.FromComplex(w.At(beam, ant))
+			b[ant*nBeam+beam] = fixed.FromComplex(w.At(beam, ant))
 		}
 	}
 	if err := plan.WriteB(b); err != nil {

@@ -11,22 +11,23 @@ import (
 	"log"
 	"math/rand/v2"
 
-	"repro/fixedpoint"
-	"repro/kernels/fft"
-	"repro/sim"
+	"repro/internal/arch"
+	"repro/internal/engine"
+	"repro/internal/fixed"
+	"repro/internal/kernels/fft"
 )
 
-func run(lay fft.Layout) (sim.Report, int64) {
-	m := sim.NewMachine(sim.MemPool())
+func run(lay fft.Layout) (engine.Report, int64) {
+	m := engine.NewMachine(arch.MemPool())
 	plan, err := fft.NewPlan(m, 1024, 4, 1, lay)
 	if err != nil {
 		log.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(11, 13))
 	for j := 0; j < plan.Jobs; j++ {
-		x := make([]fixedpoint.C15, 1024)
+		x := make([]fixed.C15, 1024)
 		for i := range x {
-			x[i] = fixedpoint.FromComplex(complex(rng.Float64()-0.5, rng.Float64()-0.5))
+			x[i] = fixed.FromComplex(complex(rng.Float64()-0.5, rng.Float64()-0.5))
 		}
 		if err := plan.WriteInput(j, 0, x); err != nil {
 			log.Fatal(err)

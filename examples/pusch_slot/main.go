@@ -10,15 +10,15 @@ import (
 	"fmt"
 	"log"
 
-	"repro/pusch"
-	"repro/sim"
-	"repro/waveform"
+	"repro/internal/arch"
+	"repro/internal/pusch"
+	"repro/internal/waveform"
 )
 
 func main() {
 	log.SetFlags(0)
 	cfg := pusch.ChainConfig{
-		Cluster: sim.MemPool(),
+		Cluster: arch.MemPool(),
 		NSC:     256, // subcarriers (= FFT size)
 		NR:      16,  // receive antennas
 		NB:      8,   // beams after beamforming

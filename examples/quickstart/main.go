@@ -8,9 +8,11 @@ import (
 	"log"
 	"math"
 
-	"repro/fixedpoint"
-	"repro/kernels/fft"
-	"repro/sim"
+	"repro/internal/arch"
+	"repro/internal/engine"
+	"repro/internal/fixed"
+	"repro/internal/kernels/fft"
+	"repro/internal/report"
 )
 
 func main() {
@@ -20,17 +22,17 @@ func main() {
 
 	// A machine is one simulated cluster. MemPool has 256 cores; a
 	// 256-point FFT occupies n/16 = 16 of them.
-	m := sim.NewMachine(sim.MemPool())
+	m := engine.NewMachine(arch.MemPool())
 	plan, err := fft.NewPlan(m, n, 1, 1, fft.Folded)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Input: a complex exponential at bin 42, amplitude 0.5.
-	x := make([]fixedpoint.C15, n)
+	x := make([]fixed.C15, n)
 	for i := range x {
 		angle := 2 * math.Pi * toneBin * float64(i) / n
-		x[i] = fixedpoint.FromComplex(complex(0.5*math.Cos(angle), 0.5*math.Sin(angle)))
+		x[i] = fixed.FromComplex(complex(0.5*math.Cos(angle), 0.5*math.Sin(angle)))
 	}
 	if err := plan.WriteInput(0, 0, x); err != nil {
 		log.Fatal(err)
@@ -60,7 +62,7 @@ func main() {
 	}
 
 	fmt.Printf("simulated %d cycles on %d lanes\n", rep.Wall, plan.Lanes)
-	fmt.Printf("IPC %.2f, breakdown: %s\n", rep.IPC(), sim.NewBreakdown(rep))
+	fmt.Printf("IPC %.2f, breakdown: %s\n", rep.IPC(), report.NewBreakdown(rep))
 
 	// Each lane's counters split its cycles into work (issue slots and
 	// stalls on data, units or refills) and WFI, the sleep at the

@@ -41,6 +41,7 @@ func TestFloatToQ15Saturates(t *testing.T) {
 		{0, 0},
 		{0.5, 1 << 14},
 		{-0.5, -(1 << 14)},
+		{-0.25, -(1 << 13)},
 	}
 	for _, tc := range cases {
 		if got := FloatToQ15(tc.in); got != tc.want {

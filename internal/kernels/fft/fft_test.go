@@ -372,6 +372,9 @@ func TestPlanValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if pl.Lanes != 4 {
+		t.Errorf("64-point plan has %d lanes, want 4", pl.Lanes)
+	}
 	if err := pl.WriteInput(0, 0, make([]fixed.C15, 63)); err == nil {
 		t.Error("short input accepted")
 	}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"log"
 
-	"repro/pusch"
-	"repro/sim"
-	"repro/waveform"
+	"repro/internal/arch"
+	"repro/internal/pusch"
+	"repro/internal/waveform"
 )
 
 // ExampleRunChain runs a small end-to-end functional slot — UE
@@ -16,7 +16,7 @@ import (
 // the payload is derived from the fixed seed.
 func ExampleRunChain() {
 	cfg := pusch.ChainConfig{
-		Cluster: sim.MemPool(),
+		Cluster: arch.MemPool(),
 		NSC:     64, NR: 4, NB: 4, NL: 1,
 		NSymb: 3, NPilot: 2,
 		Scheme: waveform.QPSK,
@@ -37,4 +37,17 @@ func ExampleRunChain() {
 	// Output:
 	// BER: 0
 	// chain slot on MemPool: 128 payload bits
+}
+
+// ExampleUseCaseDims prints the Fig. 3 dominant stages for the paper's
+// 4-UE reference configuration.
+func ExampleUseCaseDims() {
+	d := pusch.UseCaseDims(4)
+	shares := d.Shares()
+	fmt.Printf("BF share larger than OFDM share: %v\n",
+		shares[pusch.StageBF] > shares[pusch.StageOFDM])
+	fmt.Printf("MIMO share under 5%%: %v\n", shares[pusch.StageMIMO] < 0.05)
+	// Output:
+	// BF share larger than OFDM share: true
+	// MIMO share under 5%: true
 }

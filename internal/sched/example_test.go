@@ -1,11 +1,12 @@
-package sim_test
+package sched_test
 
 import (
 	"fmt"
 
-	"repro/pusch"
-	"repro/sim"
-	"repro/waveform"
+	"repro/internal/arch"
+	"repro/internal/pusch"
+	"repro/internal/sched"
+	"repro/internal/waveform"
 )
 
 // ExampleScheduler serves a worst-case burst through the slot-traffic
@@ -14,21 +15,21 @@ import (
 // independent of the measured service times, hence stable output.
 func ExampleScheduler() {
 	base := pusch.ChainConfig{
-		Cluster: sim.MemPool(),
+		Cluster: arch.MemPool(),
 		NSC:     64, NR: 4, NB: 4, NL: 1,
 		NSymb: 3, NPilot: 2,
 		Scheme: waveform.QPSK,
 		SNRdB:  20,
 	}
-	var jobs []sim.SlotJob
+	var jobs []sched.Job
 	for i := 0; i < 4; i++ {
-		jobs = append(jobs, sim.SlotJob{
+		jobs = append(jobs, sched.Job{
 			Name:    fmt.Sprintf("slot-%d", i),
 			Arrival: 0,
 			Chain:   base,
 		})
 	}
-	s := &sim.Scheduler{Cfg: sim.ServiceConfig{Servers: 1, QueueDepth: 1}}
+	s := &sched.Scheduler{Cfg: sched.Config{Servers: 1, QueueDepth: 1}}
 	results, sum := s.Serve(jobs)
 	for _, r := range results {
 		fmt.Printf("%s: %s\n", r.Name, r.Outcome)

@@ -173,15 +173,18 @@ func TestChannelValidation(t *testing.T) {
 }
 
 func TestDFTBeamsUnitaryRows(t *testing.T) {
-	w := DFTBeams(4, 8)
-	for b := 0; b < 4; b++ {
-		var p float64
-		for a := 0; a < 8; a++ {
-			v := w.At(b, a)
-			p += real(v)*real(v) + imag(v)*imag(v)
-		}
-		if math.Abs(p-1) > 1e-12 {
-			t.Errorf("beam %d row energy %g", b, p)
+	for _, dim := range [][2]int{{4, 8}, {8, 16}} {
+		nb, na := dim[0], dim[1]
+		w := DFTBeams(nb, na)
+		for b := 0; b < nb; b++ {
+			var p float64
+			for a := 0; a < na; a++ {
+				v := w.At(b, a)
+				p += real(v)*real(v) + imag(v)*imag(v)
+			}
+			if math.Abs(p-1) > 1e-12 {
+				t.Errorf("%dx%d: beam %d row energy %g", nb, na, b, p)
+			}
 		}
 	}
 }
@@ -208,6 +211,11 @@ func TestBERAndEVM(t *testing.T) {
 func TestSchemeString(t *testing.T) {
 	if QPSK.String() != "QPSK" || QAM16.String() != "16QAM" || QAM64.String() != "64QAM" {
 		t.Error("Scheme.String mismatch")
+	}
+	for s, want := range map[Scheme]int{QPSK: 2, QAM16: 4, QAM64: 6} {
+		if got := s.BitsPerSymbol(); got != want {
+			t.Errorf("%s: %d bits per symbol, want %d", s, got, want)
+		}
 	}
 }
 

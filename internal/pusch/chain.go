@@ -198,12 +198,6 @@ func (c *ChainConfig) validate() error {
 // finite reports whether x is neither NaN nor infinite.
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// fftBatch chooses how many FFTs share a lane set so all NR transforms
-// fit on the cluster.
-func (c *ChainConfig) fftBatch() (batch int, err error) {
-	return c.fftBatchOn(c.Cluster.NumCores())
-}
-
 // fftBatchOn chooses how many FFTs share a lane set so all NR
 // transforms fit on a partition of the given size.
 func (c *ChainConfig) fftBatchOn(cores int) (batch int, err error) {
@@ -360,8 +354,7 @@ type combinePlan struct {
 	job engine.Job // built by the first Job call
 }
 
-// newCombinePlan lays the combine job out on an explicit core set (nil
-// means every core of the cluster, the sequential layout's choice).
+// newCombinePlan lays the combine job out on the given core set.
 func newCombinePlan(m *engine.Machine, h1, h2 *chest.Plan, coreSet []int) (*combinePlan, error) {
 	if h1.NSC != h2.NSC || h1.NB != h2.NB {
 		return nil, fmt.Errorf("pusch: mismatched chest plans")
@@ -372,23 +365,13 @@ func newCombinePlan(m *engine.Machine, h1, h2 *chest.Plan, coreSet []int) (*comb
 		return nil, fmt.Errorf("pusch: combine hAvg: %w", err)
 	}
 	cores := len(coreSet)
-	if coreSet == nil {
-		cores = m.Cfg.NumCores()
-	}
 	if c.parts, err = m.Mem.AllocSeq(cores); err != nil {
 		return nil, fmt.Errorf("pusch: combine partials: %w", err)
 	}
 	if c.sigma, err = m.Mem.AllocSeq(1); err != nil {
 		return nil, fmt.Errorf("pusch: combine sigma: %w", err)
 	}
-	if coreSet == nil {
-		c.cores = make([]int, cores)
-		for i := range c.cores {
-			c.cores[i] = i
-		}
-	} else {
-		c.cores = append([]int(nil), coreSet...)
-	}
+	c.cores = append([]int(nil), coreSet...)
 	perLane := (c.nsc + cores - 1) / cores * c.nb
 	for 1<<c.shift < perLane {
 		c.shift++

@@ -19,12 +19,13 @@ import (
 // metrics); RunChainOn composes them, and the campaign runner drives a
 // Pipeline per scenario on a pooled, Reset machine.
 //
-// Execution follows the configured Layout. The sequential layout (the
-// zero value) sizes every kernel to the whole cluster and runs the
-// stages back to back, one OFDM symbol at a time, with a cluster-wide
-// barrier between stages — the original chain. A pipelined layout
-// instead gives each stage its own core partition and overlaps
-// consecutive symbols: per beat, Machine.Run receives the FFT of symbol
+// Both layouts are planned alike: the sequential layout (the zero value)
+// is five all-core partitions with one plan set, a pipelined layout its
+// own partitions with two. Execution follows the configured Layout. The
+// sequential layout runs the stages back to back, one OFDM symbol at a
+// time, with a cluster-wide barrier between stages — the original
+// chain. A pipelined layout instead overlaps consecutive symbols on its
+// partitions: per beat, Machine.Run receives the FFT of symbol
 // k, the beamforming of symbol k-1 and the detection of symbol k-2 as
 // concurrent jobs on disjoint core sets. The inter-stage buffers (FFT
 // output and beamformed grid) are double-buffered by symbol parity, and
@@ -35,18 +36,18 @@ type Pipeline struct {
 	m     *engine.Machine
 	batch int
 
-	// Sequential layout: one plan per stage spanning the whole cluster.
-	fftPlan  *fft.Plan
-	bfPlan   *mmm.Plan
-	mimoPlan *mimo.Plan
-
-	// Pipelined layout: double-buffered plans, parity = symbol index & 1.
+	// lay holds every stage's partition: cfg.Layout, or all cores for
+	// each stage of the sequential layout.
+	lay Layout
+	// bufs counts the plan sets: 1 sequential, 2 pipelined (double
+	// buffered, symbol s uses set s%bufs).
+	bufs      int
 	fftPlans  [2]*fft.Plan
 	bfPlans   [2]*mmm.Plan
 	mimoPlans [2]*mimo.Plan
 
-	// chestPlans is shared by both layouts: one plan per pilot symbol
-	// (the pipelined layout binds plan i to beam-grid parity i&1).
+	// chestPlans holds one plan per pilot symbol; plan i reads the beam
+	// grid of set i%bufs.
 	chestPlans []*chest.Plan
 	comb       *combinePlan
 
@@ -89,15 +90,18 @@ func NewPipeline(m *engine.Machine, cfg ChainConfig) (*Pipeline, error) {
 	if *m.Cfg != *cfg.Cluster {
 		return nil, fmt.Errorf("pusch: pipeline machine is a %s, config wants %s", m.Cfg.Name, cfg.Cluster.Name)
 	}
-	pl := &Pipeline{cfg: cfg, m: m, stages: make(map[Stage]engine.Report), rxq: make([]fixed.C15, cfg.NSC)}
-	var err error
+	pl := &Pipeline{cfg: cfg, m: m, lay: cfg.Layout, bufs: 2, stages: make(map[Stage]engine.Report), rxq: make([]fixed.C15, cfg.NSC)}
 	if cfg.Layout.Pipelined() {
-		err = pl.planPipelined()
+		pl.finFFT = make([]int64, cfg.NSymb)
+		pl.finBF = make([]int64, cfg.NSymb)
+		pl.finDet = make([]int64, cfg.NSymb)
 	} else {
+		all := coreRange(0, m.Cfg.NumCores())
+		pl.lay = Layout{FFT: all, BF: all, CHE: all, NE: all, MIMO: all}
+		pl.bufs = 1
 		pl.key = sequentialKey(m, &cfg)
-		err = pl.planSequential()
 	}
-	if err != nil {
+	if err := pl.plan(); err != nil {
 		return nil, err
 	}
 	pl.start = m.Cycles()
@@ -156,78 +160,27 @@ func sequentialKey(m *engine.Machine, cfg *ChainConfig) engine.SyncKey {
 	return engine.SyncKey{Dims: [6]int{cfg.NSC, cfg.NR, cfg.NB, cfg.NL, cfg.NPilot, interp}, Arena: pos}
 }
 
-// planSequential lays out the original single-symbol chain: every plan
-// sized to the whole cluster, stages chained through shared buffers.
-// The construction (and therefore the TCDM allocation sequence) is
-// bit-identical to the pre-layout pipeline.
-func (pl *Pipeline) planSequential() error {
-	m, cfg := pl.m, &pl.cfg
-	batch, err := cfg.fftBatch()
-	if err != nil {
-		return err
-	}
-	pl.batch = batch
-	if pl.fftPlan, err = fft.NewPlan(m, cfg.NSC, cfg.NR, batch, fft.Folded); err != nil {
-		return err
-	}
-	fftOut := pl.fftPlan.OutBase(0)
-	pl.bfPlan, err = mmm.NewPlan(m, cfg.NSC, cfg.NR, cfg.NB, m.Cfg.NumCores(), mmm.Options{
-		AExternal:   &fftOut,
-		ATransposed: true,
-		ZeroShift:   true,
-	})
-	if err != nil {
-		return err
-	}
-	// Beamforming coefficients: unitary DFT beams, quantized.
-	if err := pl.bfPlan.WriteB(chainBeamWords(cfg)); err != nil {
-		return err
-	}
-	beamBase := pl.bfPlan.CBase()
-
-	pq := chainPilotWords(cfg)
-	pl.chestPlans = make([]*chest.Plan, cfg.NPilot)
-	for i := range pl.chestPlans {
-		p, err := chest.NewPlan(m, cfg.NSC, cfg.NB, cfg.NL, m.Cfg.NumCores(), &beamBase)
-		if err != nil {
-			return err
-		}
-		if err := p.WritePilots(pq); err != nil {
-			return err
-		}
-		pl.chestPlans[i] = p
-	}
-	if pl.comb, err = newCombinePlan(m, pl.chestPlans[0], pl.chestPlans[1], nil); err != nil {
-		return err
-	}
-	pl.mimoPlan, err = mimo.NewPlan(m, cfg.NSC, cfg.NB, cfg.NL, m.Cfg.NumCores(),
-		pl.comb.HAddr, pl.comb.SigmaAddr(), &beamBase)
-	if err != nil {
-		return err
-	}
-	pl.mimoPlan.Interp = cfg.InterpolateChannel
-	return nil
-}
-
-// planPipelined lays out the spatially pipelined chain: per-partition
-// kernel plans with the two inter-stage regions (FFT output, beamformed
-// grid) double-buffered by symbol parity, so symbol k's detection reads
-// one buffer set while symbol k+1's producers fill the other.
-func (pl *Pipeline) planPipelined() error {
-	m, cfg := pl.m, &pl.cfg
-	lay := &cfg.Layout
+// plan lays out every kernel plan on its stage's partition, in the
+// TCDM allocation order of the original chain: the FFT sets, the
+// beamforming sets (set p reads FFT set p's output), one channel
+// estimate per pilot, the noise combine, then the MIMO sets. With two
+// sets the inter-stage regions (FFT output, beamformed grid) are double
+// buffered by symbol parity, so symbol k's detection reads one set
+// while symbol k+1's producers fill the other.
+func (pl *Pipeline) plan() error {
+	m, cfg, lay := pl.m, &pl.cfg, &pl.lay
 	batch, err := cfg.fftBatchOn(len(lay.FFT))
 	if err != nil {
 		return err
 	}
 	pl.batch = batch
-	for p := range pl.fftPlans {
+	for p := range pl.bufs {
 		if pl.fftPlans[p], err = fft.NewPlanOn(m, lay.FFT, cfg.NSC, cfg.NR, batch, fft.Folded); err != nil {
 			return err
 		}
 	}
 	bq := chainBeamWords(cfg)
-	for p := range pl.bfPlans {
+	for p := range pl.bufs {
 		out := pl.fftPlans[p].OutBase(0)
 		pl.bfPlans[p], err = mmm.NewPlanOn(m, lay.BF, cfg.NSC, cfg.NR, cfg.NB, mmm.Options{
 			AExternal:   &out,
@@ -244,7 +197,7 @@ func (pl *Pipeline) planPipelined() error {
 	pq := chainPilotWords(cfg)
 	pl.chestPlans = make([]*chest.Plan, cfg.NPilot)
 	for i := range pl.chestPlans {
-		beam := pl.bfPlans[i&1].CBase()
+		beam := pl.bfPlans[i%pl.bufs].CBase()
 		p, err := chest.NewPlanOn(m, lay.CHE, cfg.NSC, cfg.NB, cfg.NL, &beam)
 		if err != nil {
 			return err
@@ -257,7 +210,7 @@ func (pl *Pipeline) planPipelined() error {
 	if pl.comb, err = newCombinePlan(m, pl.chestPlans[0], pl.chestPlans[1], lay.NE); err != nil {
 		return err
 	}
-	for p := range pl.mimoPlans {
+	for p := range pl.bufs {
 		beam := pl.bfPlans[p].CBase()
 		pl.mimoPlans[p], err = mimo.NewPlanOn(m, lay.MIMO, cfg.NSC, cfg.NB, cfg.NL,
 			pl.comb.HAddr, pl.comb.SigmaAddr(), &beam)
@@ -266,21 +219,11 @@ func (pl *Pipeline) planPipelined() error {
 		}
 		pl.mimoPlans[p].Interp = cfg.InterpolateChannel
 	}
-	pl.finFFT = make([]int64, cfg.NSymb)
-	pl.finBF = make([]int64, cfg.NSymb)
-	pl.finDet = make([]int64, cfg.NSymb)
 	return nil
 }
 
-// accumulate folds the window since pl.mark into the per-stage
-// aggregate.
-func (pl *Pipeline) accumulate(stage Stage, name string, sym int) {
-	pl.accumulateOn(stage, name, nil, sym)
-}
-
-// accumulateOn folds the window since pl.mark over an explicit core set
-// (the stage's partition; nil means the whole cluster) into the
-// per-stage aggregate. Under a pipelined layout the window includes the
+// accumulateOn folds the window since pl.mark over the stage's
+// partition into the per-stage aggregate. Under a pipelined layout the window includes the
 // partition's NotBefore wait, so a stage's Wall reads as partition
 // occupancy and the per-stage walls of one slot overlap in time. When a
 // trace is attached, the same window becomes one stage-level span named
@@ -299,12 +242,8 @@ func (pl *Pipeline) accumulateOn(stage Stage, name string, cores []int, sym int)
 	}
 }
 
-// trackFor names the trace track of a stage's core partition (nil means
-// the whole cluster).
+// trackFor names the trace track of a stage's core partition.
 func (pl *Pipeline) trackFor(cores []int) string {
-	if cores == nil {
-		return obs.CoreTrack(0, pl.m.Cfg.NumCores()-1)
-	}
 	lo, hi := cores[0], cores[0]
 	for _, c := range cores[1:] {
 		if c < lo {
@@ -343,12 +282,7 @@ func (pl *Pipeline) RunSymbol(s int, rx [][]complex128) error {
 			return fmt.Errorf("pusch: RunSymbol(%d): antenna %d has %d samples, want %d", s, a, len(row), cfg.NSC)
 		}
 	}
-	pipelined := cfg.Layout.Pipelined()
-	plan := pl.fftPlan
-	if pipelined {
-		// The symbol's samples go to its parity's FFT buffers.
-		plan = pl.fftPlans[s&1]
-	}
+	plan := pl.fftPlans[s%pl.bufs]
 	for a, row := range rx {
 		for i, v := range row {
 			pl.rxq[i] = fixed.FromComplex(v)
@@ -358,7 +292,7 @@ func (pl *Pipeline) RunSymbol(s int, rx [][]complex128) error {
 		}
 	}
 	pl.issued = s + 1
-	if pipelined {
+	if cfg.Layout.Pipelined() {
 		// One beat issues FFT(s), BF(s-1) and detection(s-2) concurrently.
 		return pl.issueBeat(s)
 	}
@@ -369,17 +303,17 @@ func (pl *Pipeline) RunSymbol(s int, rx [][]complex128) error {
 // all cores, a cluster-wide barrier after each.
 func (pl *Pipeline) runSymbolSequential(s int) error {
 	cfg := &pl.cfg
-	if err := pl.runStage(StageOFDM, "fft", s, unitFFT, pl.fftPlan.JobsList()...); err != nil {
+	if err := pl.runStage(StageOFDM, "fft", s, unitFFT, pl.fftPlans[0].JobsList()...); err != nil {
 		return err
 	}
-	if err := pl.runStage(StageBF, "bf", s, unitBF, pl.bfPlan.Job()); err != nil {
+	if err := pl.runStage(StageBF, "bf", s, unitBF, pl.bfPlans[0].Job()); err != nil {
 		return err
 	}
 	if s >= cfg.NPilot {
-		if err := pl.runStage(StageMIMO, "mimo", s, unitMIMO, pl.mimoPlan.JobsList()...); err != nil {
+		if err := pl.runStage(StageMIMO, "mimo", s, unitMIMO, pl.mimoPlans[0].JobsList()...); err != nil {
 			return err
 		}
-		pl.detected = append(pl.detected, pl.mimoPlan.ReadX()...)
+		pl.detected = append(pl.detected, pl.mimoPlans[0].ReadX()...)
 		return nil
 	}
 	chest := pl.chestPlans[s]
@@ -406,7 +340,7 @@ func (pl *Pipeline) runStage(stage Stage, name string, s, unit int, jobs ...engi
 	if err := pl.m.RunSynced(key, jobs...); err != nil {
 		return err
 	}
-	pl.accumulate(stage, name, s)
+	pl.accumulateOn(stage, name, pl.lay.Part(stage), s)
 	return nil
 }
 
@@ -440,8 +374,7 @@ func (pl *Pipeline) Drain() error {
 // producer finished, and a producer reclaims a parity buffer no earlier
 // than the previous consumer released it.
 func (pl *Pipeline) issueBeat(beat int) error {
-	cfg := &pl.cfg
-	lay := &cfg.Layout
+	cfg, lay := &pl.cfg, &pl.lay
 	sFFT, sBF, sDet := beat, beat-1, beat-2
 	doFFT := sFFT >= 0 && sFFT < pl.issued
 	doBF := sBF >= 0 && sBF < pl.issued

@@ -154,10 +154,8 @@ func progWork(progs [][]bulkOp, bulk bool) func(p *Proc) {
 	}
 }
 
-// runProg interprets per-lane programs on m as three identical phases
-// under rotating priority, so the same program replays at every lane
-// rotation (different bank-conflict winners, still required to match
-// scalar exactly).
+// runProg interprets per-lane programs on m as three identical phases,
+// the later two with the kernel's instructions resident.
 func runProg(t *testing.T, m *Machine, cores []int, progs [][]bulkOp, bulk bool) {
 	t.Helper()
 	work := progWork(progs, bulk)
@@ -189,8 +187,6 @@ func TestBulkOpsMatchScalar(t *testing.T) {
 		for cas := 0; cas < 12; cas++ {
 			ms.Reset()
 			mb.Reset()
-			ms.RotatePriority = true
-			mb.RotatePriority = true
 			for a := 0; a < limit; a++ {
 				v := uint32(a)*2654435761 + 1
 				ms.Mem.Write(arch.Addr(a), v)

@@ -68,13 +68,6 @@ type Machine struct {
 	// trace (see Tracer).
 	Tracer *Tracer
 
-	// RotatePriority approximates round-robin bank arbitration by
-	// rotating the core replay order every phase (the default fixed
-	// order gives strict core-ID priority; see docs/ARCHITECTURE.md,
-	// "Bank arbitration").
-	RotatePriority bool
-	phaseCounter   int
-
 	coreTime  []int64
 	coreStats []Stats
 
@@ -206,7 +199,6 @@ func (m *Machine) Reset() {
 		ic.order = ic.order[:0]
 		ic.used = 0
 	}
-	m.phaseCounter = 0
 	clear(m.raceWriters)
 	m.replayed = 0
 	if m.Tracer != nil {
@@ -456,14 +448,7 @@ func (m *Machine) run(jobs []Job) {
 			arrivals := m.arrivals[:len(cores)]
 			starts := m.starts[:len(cores)]
 			var last int64
-			m.phaseCounter++
-			rot := 0
-			if m.RotatePriority {
-				rot = m.phaseCounter % len(cores)
-			}
-			for idx := range cores {
-				li := (idx + rot) % len(cores)
-				core := cores[li]
+			for li, core := range cores {
 				tile := m.Cfg.TileOfCore(core)
 				active := int64(m.tileCount[tile])
 				// Miss cost in eighths of a cycle: a lone core's
@@ -551,8 +536,7 @@ func (m *Machine) run(jobs []Job) {
 // means every core) that Run(jobs...), ClusterBarrier, then a timed
 // Run(jobs...) would give, but simulates the jobs once. It aligns every
 // core with a cluster barrier, applies the instruction-cache residency
-// and RotatePriority phase-counter advance the cold pass would leave,
-// then runs and reports the timed pass.
+// the cold pass would leave, then runs and reports the timed pass.
 //
 // The replay is exact when no phase's instruction stream depends on
 // loaded values and no job waits on NotBefore (see docs/ARCHITECTURE.md,
@@ -575,7 +559,6 @@ func (m *Machine) RunWarm(name string, cores []int, jobs ...Job) (Report, error)
 		job := &jobs[ji]
 		for pi := range job.Phases {
 			kernel, lines := icacheKey(job, &job.Phases[pi])
-			m.phaseCounter++
 			for _, core := range job.Cores {
 				m.icacheCost(m.Cfg.TileOfCore(core), kernel, lines)
 			}

@@ -84,11 +84,10 @@ func (ms *Machines) Get(cfg *arch.Config) *Machine {
 	}
 	m.Reset()
 	// Reset deliberately preserves caller-set knobs (an attached Tracer,
-	// DebugRaces, RotatePriority) for same-owner reuse; across pool
-	// owners they would leak state and perturb timing, so scrub them.
+	// DebugRaces) for same-owner reuse; across pool owners they would
+	// leak state and perturb timing, so scrub them.
 	m.Tracer = nil
 	m.DebugRaces = false
-	m.RotatePriority = false
 	return m
 }
 

@@ -121,10 +121,9 @@ func TestMachinesPoolReuses(t *testing.T) {
 	mK := pool.Get(cfgA)
 	mK.Tracer = &Tracer{}
 	mK.DebugRaces = true
-	mK.RotatePriority = true
 	pool.Put(mK)
-	if got := pool.Get(cfgA); got.Tracer != nil || got.DebugRaces || got.RotatePriority {
-		t.Error("pooled machine leaked Tracer/DebugRaces/RotatePriority to the next owner")
+	if got := pool.Get(cfgA); got.Tracer != nil || got.DebugRaces {
+		t.Error("pooled machine leaked Tracer/DebugRaces to the next owner")
 	} else {
 		pool.Put(got)
 	}

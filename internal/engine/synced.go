@@ -63,13 +63,13 @@ type coreDelta struct {
 // unit that repeats is not simulated again. When a key starts again
 // from a state it was simulated from — every core at one cycle and
 // every tile's I$ contents, footprints and LRU order as then — its
-// phases run untimed (data reads and writes, I$ and phase-counter
-// updates, no bank booking) and the memoized per-core clock, Stats and
+// phases run untimed (data reads and writes, I$ updates, no bank
+// booking) and the memoized per-core clock, Stats and
 // reservation-counter deltas are applied. A key keeps one entry per
 // entry I$ state, up to syncMemoCap entries per machine. Units with a
-// NotBefore job, or on a machine with a Tracer, DebugRaces or
-// RotatePriority, are always simulated (see docs/ARCHITECTURE.md,
-// "Steady-state symbol replay").
+// NotBefore job, or on a machine with a Tracer or DebugRaces, are
+// always simulated (see docs/ARCHITECTURE.md, "Steady-state symbol
+// replay").
 func (m *Machine) RunSynced(key SyncKey, jobs ...Job) error {
 	if err := m.validateJobs(jobs); err != nil {
 		return err
@@ -96,7 +96,7 @@ func (m *Machine) RunSynced(key SyncKey, jobs ...Job) error {
 // replayable reports whether a unit may use the memo: its timing must
 // be a function of the key and the I$ state alone.
 func (m *Machine) replayable(key SyncKey, jobs []Job) bool {
-	if key == (SyncKey{}) || m.Tracer != nil || m.DebugRaces || m.RotatePriority {
+	if key == (SyncKey{}) || m.Tracer != nil || m.DebugRaces {
 		return false
 	}
 	for ji := range jobs {

@@ -51,8 +51,8 @@ func sameICache(a, b []tileICache) bool {
 }
 
 // sameMachine fails unless a and b agree on every core's clock and
-// Stats, every tile's I$ contents and LRU order, the phase counter, the
-// reservation counters and every memory word.
+// Stats, every tile's I$ contents and LRU order, the reservation
+// counters and every memory word.
 func sameMachine(t *testing.T, where string, a, b *Machine) {
 	t.Helper()
 	for c := range a.coreTime {
@@ -65,9 +65,6 @@ func sameMachine(t *testing.T, where string, a, b *Machine) {
 	}
 	if !sameICache(a.icache, b.icache) {
 		t.Fatalf("%s: I$ state diverges", where)
-	}
-	if a.phaseCounter != b.phaseCounter {
-		t.Fatalf("%s: phase counter %d, want %d", where, a.phaseCounter, b.phaseCounter)
 	}
 	ra, rb := a.Mem.Res, b.Mem.Res
 	if ra.Accesses() != rb.Accesses() || ra.ConflictCycles() != rb.ConflictCycles() {
@@ -237,7 +234,6 @@ func TestRunSyncedSimulates(t *testing.T) {
 		{name: "NotBefore", hold: true},
 		{name: "Tracer", prep: func(m *Machine) { m.Tracer = &Tracer{} }},
 		{name: "DebugRaces", prep: func(m *Machine) { m.DebugRaces = true }},
-		{name: "RotatePriority", prep: func(m *Machine) { m.RotatePriority = true }},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

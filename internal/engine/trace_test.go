@@ -6,11 +6,10 @@ import (
 	"repro/internal/arch"
 )
 
-func tracedRun(t *testing.T, rotate bool) *Machine {
+func tracedRun(t *testing.T) *Machine {
 	t.Helper()
 	m := NewMachine(arch.MemPool())
 	m.Tracer = &Tracer{}
-	m.RotatePriority = rotate
 	err := m.Run(Job{
 		Name:  "demo",
 		Cores: []int{0, 1, 2, 3},
@@ -26,7 +25,7 @@ func tracedRun(t *testing.T, rotate bool) *Machine {
 }
 
 func TestTracerRecordsPhases(t *testing.T) {
-	m := tracedRun(t, false)
+	m := tracedRun(t)
 	tr := m.Tracer
 	if got, want := len(tr.Events), 8; got != want { // 4 cores x 2 phases
 		t.Fatalf("events = %d, want %d", got, want)
@@ -47,52 +46,6 @@ func TestTracerNilSafe(t *testing.T) {
 	m := NewMachine(arch.MemPool())
 	if err := m.Run(Job{Name: "x", Cores: []int{0}, Phases: []Phase{{Name: "p", Work: func(p *Proc) {}}}}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRotatePriorityPreservesResults: rotating the replay order changes
-// who wins bank-conflict ties but cannot change any computed value.
-func TestRotatePriorityPreservesResults(t *testing.T) {
-	run := func(rotate bool) []uint32 {
-		m := NewMachine(arch.MemPool())
-		m.RotatePriority = rotate
-		base, err := m.Mem.AllocSeq(64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 64; i++ {
-			m.Mem.Write(base+arch.Addr(i), uint32(i*3+1))
-		}
-		out, err := m.Mem.AllocSeq(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = m.Run(Job{Name: "t", Cores: []int{0, 1, 2, 3}, Phases: []Phase{{
-			Name: "p",
-			Work: func(p *Proc) {
-				acc := A{}
-				for i := 0; i < 16; i++ {
-					w := p.Load(base + arch.Addr(p.Lane*16+i))
-					acc = p.Mac(acc, w, w)
-				}
-				p.Store(out+arch.Addr(p.Lane), p.Narrow(acc, 4))
-			},
-		}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		vals := make([]uint32, 4)
-		for i := range vals {
-			vals[i] = m.Mem.Read(out + arch.Addr(i))
-		}
-		return vals
-	}
-	fixed := run(false)
-	rotated := run(true)
-	for i := range fixed {
-		if fixed[i] != rotated[i] {
-			t.Fatalf("arbitration changed a computed value at %d", i)
-		}
 	}
 }
 
@@ -179,7 +132,7 @@ func TestTracerRecordsHandshake(t *testing.T) {
 // TestTracerPhaseEventsCarryCosts: multi-core phase releases expose the
 // climb/wake split so span exporters can attribute release overhead.
 func TestTracerPhaseEventsCarryCosts(t *testing.T) {
-	m := tracedRun(t, false)
+	m := tracedRun(t)
 	for _, ev := range m.Tracer.Events {
 		if ev.Climb <= 0 || ev.Wake <= 0 {
 			t.Fatalf("phase event missing costs: %+v", ev)

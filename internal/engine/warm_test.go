@@ -51,8 +51,8 @@ func genWarmJobs(rng *rand.Rand, cfg *arch.Config, prefix string) []Job {
 // TestRunWarmMatchesColdPass holds RunWarm to what it replaces: a cold
 // Run, a ClusterBarrier and a timed Run on an identically prepared
 // machine. Both must give the same report and the same window and Stats
-// on every core, and leave every tile's instruction cache and the phase
-// counter in the same state.
+// on every core, and leave every tile's instruction cache in the same
+// state.
 func TestRunWarmMatchesColdPass(t *testing.T) {
 	cfgs := []*arch.Config{
 		propCfg("prop-2g", 2, 2, 2, 2), // 8 cores over 4 tiles
@@ -60,60 +60,54 @@ func TestRunWarmMatchesColdPass(t *testing.T) {
 		propCfg("prop-1g", 1, 4, 4, 1), // 16 cores over 4 tiles, 16 banks
 	}
 	for _, cfg := range cfgs {
-		for _, rotate := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(11))
-			for cas := 0; cas < 16; cas++ {
-				where := fmt.Sprintf("%s rotate=%v case %d", cfg.Name, rotate, cas)
-				prelude := genWarmJobs(rng, cfg, "pre")
-				jobs := genWarmJobs(rng, cfg, "job")
-				// The prelude leaves the cores at different times and the
-				// caches partly filled before the measurement starts.
-				prepare := func() *Machine {
-					m := NewMachine(cfg)
-					m.RotatePriority = rotate
-					if err := m.Run(prelude...); err != nil {
-						t.Fatal(err)
-					}
-					return m
-				}
-				cold := prepare()
-				if err := cold.Run(jobs...); err != nil {
+		rng := rand.New(rand.NewSource(11))
+		for cas := 0; cas < 16; cas++ {
+			where := fmt.Sprintf("%s case %d", cfg.Name, cas)
+			prelude := genWarmJobs(rng, cfg, "pre")
+			jobs := genWarmJobs(rng, cfg, "job")
+			// The prelude leaves the cores at different times and the
+			// caches partly filled before the measurement starts.
+			prepare := func() *Machine {
+				m := NewMachine(cfg)
+				if err := m.Run(prelude...); err != nil {
 					t.Fatal(err)
 				}
-				cold.ClusterBarrier()
-				mark := cold.Mark()
-				if err := cold.Run(jobs...); err != nil {
-					t.Fatal(err)
-				}
+				return m
+			}
+			cold := prepare()
+			if err := cold.Run(jobs...); err != nil {
+				t.Fatal(err)
+			}
+			cold.ClusterBarrier()
+			mark := cold.Mark()
+			if err := cold.Run(jobs...); err != nil {
+				t.Fatal(err)
+			}
 
-				warm := prepare()
-				got, err := warm.RunWarm("w", nil, jobs...)
+			warm := prepare()
+			got, err := warm.RunWarm("w", nil, jobs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := cold.ReportSince(mark, "w", nil); got != want {
+				t.Fatalf("%s: report\n got %+v\nwant %+v", where, got, want)
+			}
+			for tl := range cold.icache {
+				w, c := &warm.icache[tl], &cold.icache[tl]
+				if !slices.Equal(w.order, c.order) || !maps.Equal(w.resident, c.resident) || w.used != c.used {
+					t.Fatalf("%s: tile %d I$ holds %v (%d lines), want %v (%d lines)",
+						where, tl, w.order, w.used, c.order, c.used)
+				}
+			}
+			// Every core's window and Stats, idle cores included.
+			for core := 0; core < cfg.NumCores(); core++ {
+				one := []int{core}
+				got, err := prepare().RunWarm("w", one, jobs...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := cold.ReportSince(mark, "w", nil); got != want {
-					t.Fatalf("%s: report\n got %+v\nwant %+v", where, got, want)
-				}
-				if warm.phaseCounter != cold.phaseCounter {
-					t.Fatalf("%s: phase counter %d, want %d", where, warm.phaseCounter, cold.phaseCounter)
-				}
-				for tl := range cold.icache {
-					w, c := &warm.icache[tl], &cold.icache[tl]
-					if !slices.Equal(w.order, c.order) || !maps.Equal(w.resident, c.resident) || w.used != c.used {
-						t.Fatalf("%s: tile %d I$ holds %v (%d lines), want %v (%d lines)",
-							where, tl, w.order, w.used, c.order, c.used)
-					}
-				}
-				// Every core's window and Stats, idle cores included.
-				for core := 0; core < cfg.NumCores(); core++ {
-					one := []int{core}
-					got, err := prepare().RunWarm("w", one, jobs...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := cold.ReportSince(mark, "w", one); got != want {
-						t.Fatalf("%s: core %d\n got %+v\nwant %+v", where, core, got, want)
-					}
+				if want := cold.ReportSince(mark, "w", one); got != want {
+					t.Fatalf("%s: core %d\n got %+v\nwant %+v", where, core, got, want)
 				}
 			}
 		}

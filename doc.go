@@ -4,32 +4,34 @@
 //
 // The repository contains:
 //
-//   - sim: a deterministic cycle-approximate simulator of the MemPool
-//     (256-core) and TeraPool (1024-core) shared-L1 RISC-V clusters,
-//     including the banked-memory contention, LSU, divide/sqrt and
-//     instruction-fetch models and the fork-join barrier runtime, plus
-//     the slot-traffic scheduler that serves streaming slot jobs
-//     through a bounded queue on pooled machines;
-//   - kernels/fft, kernels/mmm: the paper's folded radix-4 FFT and
-//     4x4-window matrix multiplication as public plans; these and the
-//     internal kernels the chain also runs (mirrored/replicated
-//     Cholesky, channel and noise estimation, per-subcarrier MIMO
-//     detection) are all bit-exact against serial fixed-point golden
-//     models;
-//   - pusch: the Table I / Fig. 3 complexity model, the end-to-end
-//     functional receive chain with layout-driven execution — the
-//     sequential schedule of the paper, or spatially pipelined Layouts
-//     that partition the cores among concurrent stages and overlap
-//     consecutive OFDM symbols — the Fig. 9c slot-budget experiment,
-//     and the campaign engine that sweeps scenario families (including
-//     layout splits) in parallel on pooled simulator machines;
-//   - waveform, fixedpoint: the QAM schemes and DFT beamforming weights
-//     of the transmit substrate, and the packed Q1.15 sample;
-//   - internal/channel (profiles re-exported via pusch): the fading
-//     subsystem — 3GPP TR 38.901 TDL-A/B/C power-delay profiles,
-//     Rayleigh/Rician sum-of-sinusoids tap fading with a Jakes Doppler
-//     spectrum, and per-UE link state that evolves coherently across a
-//     UE's slots while staying a pure function of (seed, time);
+//   - internal/arch, internal/tcdm, internal/engine: a deterministic
+//     cycle-approximate simulator of the MemPool (256-core) and
+//     TeraPool (1024-core) shared-L1 RISC-V clusters, including the
+//     banked-memory contention, LSU, divide/sqrt and instruction-fetch
+//     models and the fork-join barrier runtime;
+//   - internal/kernels: the paper's folded radix-4 FFT and
+//     4x4-window matrix multiplication, and the other kernels the chain
+//     runs (mirrored/replicated Cholesky, channel and noise estimation,
+//     per-subcarrier MIMO detection), all bit-exact against serial
+//     fixed-point golden models;
+//   - internal/pusch: the Table I / Fig. 3 complexity model, the
+//     end-to-end functional receive chain with layout-driven execution —
+//     the sequential schedule of the paper, or spatially pipelined
+//     Layouts that partition the cores among concurrent stages and
+//     overlap consecutive OFDM symbols, both laid out by one planner —
+//     and the Fig. 9c slot-budget experiment; internal/campaign sweeps
+//     scenario families (including layout splits) in parallel on pooled
+//     simulator machines;
+//   - internal/waveform, internal/fixed: the QAM schemes and DFT
+//     beamforming weights of the transmit substrate, and the packed
+//     Q1.15 sample;
+//   - internal/channel: the fading subsystem — 3GPP TR 38.901
+//     TDL-A/B/C power-delay profiles, Rayleigh/Rician sum-of-sinusoids
+//     tap fading with a Jakes Doppler spectrum, and per-UE link state
+//     that evolves coherently across a UE's slots while staying a pure
+//     function of (seed, time);
+//   - internal/sched: the slot-traffic scheduler that serves streaming
+//     slot jobs through a bounded queue on pooled machines;
 //   - cmd/complexity, cmd/kernelbench, cmd/puschsim: binaries that
 //     regenerate every table and figure of the paper's evaluation,
 //     emitting typed telemetry records (internal/report) as JSON;
@@ -38,9 +40,9 @@
 //     blends, optionally over fading channels with mobile UEs) and
 //     reports offered/served Gb/s, queue-wait cycles and drops,
 //     byte-reproducibly; -cells/-cell-config/-balance promote it to a
-//     multi-cell fleet (internal/fleet, re-exported via sim) with
-//     pluggable load balancing (round-robin, least-queue, SINR-aware)
-//     and deterministic mobile-UE handover between cells;
+//     multi-cell fleet (internal/fleet) with pluggable load balancing
+//     (round-robin, least-queue, SINR-aware) and deterministic
+//     mobile-UE handover between cells;
 //   - cmd/benchgate: the deterministic performance gate — a table of
 //     five gates judged on cycles and bytes only: the kernel gate (a
 //     fresh quick run must match testdata/baseline_kernels.json cycle
@@ -50,12 +52,15 @@
 //     byte-identical to a cold run), the calibration gate (the
 //     analytic timing model's held-out error must stay under the
 //     committed budget) and the fleet gate (multi-cell streams
-//     byte-identical across worker counts and under the cache).
+//     byte-identical across worker counts and under the cache);
+//   - examples: four runnable walk-throughs (an FFT self-check,
+//     beamforming, the folded versus interleaved FFT layout, one
+//     end-to-end slot) that import the internal packages directly, as
+//     the binaries do.
 //
-// Observability is deterministic too (internal/obs, its tracer
-// re-exported via pusch): a virtual-time span tracer exports every
-// stage window, barrier wait and handshake as Chrome trace-event JSON
-// (puschsim -trace-profile), and a metrics registry exposes
+// Observability is deterministic too (internal/obs): a virtual-time
+// span tracer exports every stage window, barrier wait and handshake as
+// Chrome trace-event JSON (puschsim -trace-profile), and a metrics registry exposes
 // wait/sojourn histograms, queue depth over virtual time, outcome
 // counters and cache/pool traffic in Prometheus text format with live
 // pprof introspection (puschd -metrics). Both are off by default,

@@ -64,12 +64,11 @@ type coreDelta struct {
 // from a state it was simulated from — every core at one cycle and
 // every tile's I$ contents, footprints and LRU order as then — its
 // phases run untimed (data reads and writes, I$ updates, no bank
-// booking) and the memoized per-core clock, Stats and
-// reservation-counter deltas are applied. A key keeps one entry per
-// entry I$ state, up to syncMemoCap entries per machine. Units with a
-// NotBefore job, or on a machine with a Tracer or DebugRaces, are
-// always simulated (see docs/ARCHITECTURE.md, "Steady-state symbol
-// replay").
+// booking) and the memoized per-core clock, Stats and reservation-counter
+// deltas are applied. A key keeps one entry per entry I$ state, up to
+// syncMemoCap entries per machine. Units with a NotBefore job, or on a
+// machine with a Tracer or DebugRaces, are always simulated (see
+// docs/ARCHITECTURE.md, "Steady-state symbol replay").
 func (m *Machine) RunSynced(key SyncKey, jobs ...Job) error {
 	if err := m.validateJobs(jobs); err != nil {
 		return err

@@ -38,24 +38,11 @@ type Plan struct {
 	jobs []engine.Job // built by the first JobsList call
 }
 
-// NewPlan allocates buffers for one pilot symbol of nsc subcarriers, nb
-// beams and nl UEs, processed by coreCount cores. yExternal, when
+// NewPlanOn allocates buffers for one pilot symbol of nsc subcarriers,
+// nb beams and nl UEs, processed by the given cores, so a chain layout
+// can pin channel estimation to its own partition. yExternal, when
 // non-nil, reuses an existing sc-major beam buffer (the beamforming
 // stage's output) instead of allocating one.
-func NewPlan(m *engine.Machine, nsc, nb, nl, coreCount int, yExternal *arch.Addr) (*Plan, error) {
-	if coreCount <= 0 || coreCount > m.Cfg.NumCores() {
-		return nil, fmt.Errorf("chest: %d cores requested, cluster has %d", coreCount, m.Cfg.NumCores())
-	}
-	set := make([]int, coreCount)
-	for i := range set {
-		set[i] = i
-	}
-	return NewPlanOn(m, set, nsc, nb, nl, yExternal)
-}
-
-// NewPlanOn is NewPlan on an explicit core set instead of the first
-// coreCount cores of the cluster, so a chain layout can pin channel
-// estimation to its own partition.
 func NewPlanOn(m *engine.Machine, cores []int, nsc, nb, nl int, yExternal *arch.Addr) (*Plan, error) {
 	coreCount := len(cores)
 	switch {

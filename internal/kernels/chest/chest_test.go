@@ -38,12 +38,21 @@ func buildPilotSymbol(rng *rand.Rand, nsc, nb int, noiseAmp float64) (y, pilots,
 	return y, pilots, h
 }
 
+// firstCores returns the core set 0..n-1.
+func firstCores(n int) []int {
+	cs := make([]int, n)
+	for i := range cs {
+		cs[i] = i
+	}
+	return cs
+}
+
 func TestEstimateMatchesGolden(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	m := engine.NewMachine(arch.MemPool())
 	m.DebugRaces = true
 	nsc, nb, nl := 64, 8, 4
-	pl, err := NewPlan(m, nsc, nb, nl, 16, nil)
+	pl, err := NewPlanOn(m, firstCores(16), nsc, nb, nl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +87,7 @@ func TestEstimateRecoversChannel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	m := engine.NewMachine(arch.MemPool())
 	nsc, nb := 32, 8
-	pl, err := NewPlan(m, nsc, nb, 4, 8, nil)
+	pl, err := NewPlanOn(m, firstCores(8), nsc, nb, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +121,7 @@ func TestNoiseVarianceEstimate(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	m := engine.NewMachine(arch.MemPool())
 	nsc, nb := 64, 8
-	pl, err := NewPlan(m, nsc, nb, 4, 16, nil)
+	pl, err := NewPlanOn(m, firstCores(16), nsc, nb, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,16 +154,16 @@ func TestNoiseVarianceEstimate(t *testing.T) {
 
 func TestPlanValidation(t *testing.T) {
 	m := engine.NewMachine(arch.MemPool())
-	if _, err := NewPlan(m, 0, 4, 2, 4, nil); err == nil {
+	if _, err := NewPlanOn(m, firstCores(4), 0, 4, 2, nil); err == nil {
 		t.Error("zero subcarriers accepted")
 	}
-	if _, err := NewPlan(m, 4, 4, 8, 4, nil); err == nil {
+	if _, err := NewPlanOn(m, firstCores(4), 4, 4, 8, nil); err == nil {
 		t.Error("comb factor above NSC accepted")
 	}
-	if _, err := NewPlan(m, 64, 4, 2, 0, nil); err == nil {
+	if _, err := NewPlanOn(m, firstCores(0), 64, 4, 2, nil); err == nil {
 		t.Error("zero cores accepted")
 	}
-	pl, err := NewPlan(m, 16, 2, 2, 4, nil)
+	pl, err := NewPlanOn(m, firstCores(4), 16, 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +177,7 @@ func TestPlanValidation(t *testing.T) {
 
 func TestOwnerComb(t *testing.T) {
 	m := engine.NewMachine(arch.MemPool())
-	pl, err := NewPlan(m, 16, 2, 4, 4, nil)
+	pl, err := NewPlanOn(m, firstCores(4), 16, 2, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,13 +28,7 @@ func TestPlanOnOffsetPartition(t *testing.T) {
 	run := func(cores []int) ([]fixed.C15, float64) {
 		m := engine.NewMachine(arch.MemPool())
 		m.DebugRaces = true
-		var pl *Plan
-		var err error
-		if cores == nil {
-			pl, err = NewPlan(m, 64, 4, 4, 8, nil)
-		} else {
-			pl, err = NewPlanOn(m, cores, 64, 4, 4, nil)
-		}
+		pl, err := NewPlanOn(m, cores, 64, 4, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +44,7 @@ func TestPlanOnOffsetPartition(t *testing.T) {
 		return pl.ReadH(), pl.Sigma()
 	}
 
-	hBase, sigmaBase := run(nil)
+	hBase, sigmaBase := run(firstCores(8))
 	offset := make([]int, 8)
 	for i := range offset {
 		offset[i] = 100 + i // tiles 25/26, nowhere near core 0

@@ -25,8 +25,8 @@ import (
 // sequential layout runs the stages back to back, one OFDM symbol at a
 // time, with a cluster-wide barrier between stages — the original
 // chain. A pipelined layout instead overlaps consecutive symbols on its
-// partitions: per beat, Machine.Run receives the FFT of symbol
-// k, the beamforming of symbol k-1 and the detection of symbol k-2 as
+// partitions: per beat, Machine.Run receives the FFT of symbol k, the
+// beamforming of symbol k-1 and the detection of symbol k-2 as
 // concurrent jobs on disjoint core sets. The inter-stage buffers (FFT
 // output and beamformed grid) are double-buffered by symbol parity, and
 // partitions hand results downstream through NotBefore timestamps — the
@@ -223,11 +223,11 @@ func (pl *Pipeline) plan() error {
 }
 
 // accumulateOn folds the window since pl.mark over the stage's
-// partition into the per-stage aggregate. Under a pipelined layout the window includes the
-// partition's NotBefore wait, so a stage's Wall reads as partition
-// occupancy and the per-stage walls of one slot overlap in time. When a
-// trace is attached, the same window becomes one stage-level span named
-// "<name> s<sym>" on the partition's track.
+// partition into the per-stage aggregate. Under a pipelined layout the
+// window includes the partition's NotBefore wait, so a stage's Wall
+// reads as partition occupancy and the per-stage walls of one slot
+// overlap in time. When a trace is attached, the same window becomes
+// one stage-level span named "<name> s<sym>" on the partition's track.
 func (pl *Pipeline) accumulateOn(stage Stage, name string, cores []int, sym int) {
 	rep := pl.m.ReportSince(pl.mark, name, cores)
 	agg := pl.stages[stage]
@@ -282,6 +282,7 @@ func (pl *Pipeline) RunSymbol(s int, rx [][]complex128) error {
 			return fmt.Errorf("pusch: RunSymbol(%d): antenna %d has %d samples, want %d", s, a, len(row), cfg.NSC)
 		}
 	}
+	// The symbol's samples go to its set's FFT input.
 	plan := pl.fftPlans[s%pl.bufs]
 	for a, row := range rx {
 		for i, v := range row {

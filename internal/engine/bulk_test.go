@@ -155,7 +155,7 @@ func progWork(progs [][]bulkOp, bulk bool) func(p *Proc) {
 }
 
 // runProg interprets per-lane programs on m as three identical phases,
-// the later two with the kernel's instructions resident.
+// then closes them with a cluster barrier.
 func runProg(t *testing.T, m *Machine, cores []int, progs [][]bulkOp, bulk bool) {
 	t.Helper()
 	work := progWork(progs, bulk)

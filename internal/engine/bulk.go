@@ -230,10 +230,6 @@ func (p *Proc) StoreVec(base arch.Addr, stride int, src []W) {
 	p.bulkEnd(&s, 0, int64(len(src)))
 }
 
-// StoreSpan issues len(src) stores to consecutive addresses starting at
-// base (a unit-stride StoreVec).
-func (p *Proc) StoreSpan(base arch.Addr, src []W) { p.StoreVec(base, 1, src) }
-
 // StoreScatter issues one store per address in addrs, back to back,
 // draining src. Cycle-identical to the scalar loop over p.Store.
 func (p *Proc) StoreScatter(addrs []arch.Addr, src []W) {

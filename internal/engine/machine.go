@@ -96,15 +96,29 @@ type Machine struct {
 	allCores    []int   // cached identity core list for nil core sets
 	barArrive   []int64 // ClusterBarrier arrival times, one per core
 
-	// RunSynced's memo of simulated units, at most syncMemoCap entries
-	// kept across Reset. A unit records into memoScratch and is then
-	// copied into an entry; memoClock stamps each use for LRU eviction,
-	// and replayed counts the units replayed since the last Reset.
+	// The memo of simulated units (RunSynced stages and BeginSlot
+	// slots), at most syncMemoCap entries kept across Reset. A unit
+	// records into memoScratch and is then copied into an entry;
+	// deltaIndex finds its distinct deltas in constant time (a linear
+	// search made recording a 1024-core pipelined slot ~11% slower).
+	// memoClock stamps each use for LRU eviction, and replayed counts the
+	// Runs replayed since the last Reset.
 	memos       []syncMemo
 	memoScratch syncMemo
-	memoStats   []Stats // every core's Stats at the current unit's entry
+	deltaIndex  map[coreDelta]int32 // memoScratch's distinct deltas
+	memoTime    []int64             // every core's clock at the current Run's entry
+	memoStats   []Stats             // every core's Stats at the current Run's entry
 	memoClock   uint64
 	replayed    int
+
+	// The open slot (BeginSlot): nil when none is open, &memoScratch
+	// while it records, else the entry it replays, of which slotRun Runs
+	// have replayed. ran reports a Run or ClusterBarrier since
+	// NewMachine or Reset; skipped, a replayed slot Run since then.
+	slot    *syncMemo
+	slotRun int
+	ran     bool
+	skipped bool
 }
 
 type tileICache struct {
@@ -180,9 +194,11 @@ func (m *Machine) reserveBarrierRows() {
 // reused across independent runs instead of reallocated. A reused
 // machine reproduces a fresh machine's timing and results exactly.
 //
-// RunSynced's memo is kept: its entries are keyed by value and state
+// The replay memo is kept: its entries are keyed by value and state
 // their entry conditions, which a Reset machine meets like any other,
 // so a unit rebuilt after Reset replays what an earlier one recorded.
+// An open slot is dropped, and a machine that replayed a slot may
+// simulate again.
 //
 // An attached Tracer is not detached, but its recorded events are
 // dropped so a new run starts with an empty timeline.
@@ -201,6 +217,7 @@ func (m *Machine) Reset() {
 	}
 	clear(m.raceWriters)
 	m.replayed = 0
+	m.slot, m.ran, m.skipped = nil, false, false
 	if m.Tracer != nil {
 		m.Tracer.Reset()
 	}
@@ -392,10 +409,18 @@ func (m *Machine) climbCost(cores []int) int64 {
 
 // Run executes a set of jobs with disjoint core sets concurrently,
 // advancing each participating core's clock and statistics. It returns
-// an error for structurally invalid job sets.
+// an error for structurally invalid job sets. Inside an open slot it
+// records or replays the slot's next Run (see BeginSlot); after a
+// replayed slot it refuses until Reset.
 func (m *Machine) Run(jobs ...Job) error {
 	if err := m.validateJobs(jobs); err != nil {
 		return err
+	}
+	switch {
+	case m.slot != nil:
+		return m.runSlot(jobs)
+	case m.skipped:
+		return errSkipped
 	}
 	m.run(jobs)
 	return nil
@@ -403,6 +428,7 @@ func (m *Machine) Run(jobs ...Job) error {
 
 // run executes validated jobs: the body of Run, shared with RunSynced.
 func (m *Machine) run(jobs []Job) {
+	m.ran = true
 	// Per-cluster invariants of the flattened Proc access path.
 	ports := int64(m.Cfg.ICache.FetchPorts)
 	bpt := m.Cfg.BanksPerTile()
@@ -541,9 +567,13 @@ func (m *Machine) run(jobs []Job) {
 // The replay is exact when no phase's instruction stream depends on
 // loaded values and no job waits on NotBefore (see docs/ARCHITECTURE.md,
 // "Warm-pass replay"). The skipped cold pass records no Tracer events
-// and writes no memory.
+// and writes no memory. Like RunSynced, RunWarm closes an open slot and
+// refuses after a replayed slot until Reset.
 func (m *Machine) RunWarm(name string, cores []int, jobs ...Job) (Report, error) {
 	if err := m.validateJobs(jobs); err != nil {
+		return Report{}, err
+	}
+	if err := m.timed(); err != nil {
 		return Report{}, err
 	}
 	for ji := range jobs {
@@ -578,6 +608,7 @@ func (m *Machine) RunWarm(name string, cores []int, jobs ...Job) (Report, error)
 // the cheapest wake trigger covering the cluster. It also retires old
 // bank reservations, bounding simulator memory.
 func (m *Machine) ClusterBarrier() {
+	m.slot, m.ran = nil, true
 	var last int64
 	arrive := m.barArrive
 	for c := range arrive {
@@ -640,14 +671,4 @@ func (m *Machine) MaxTime(cores []int) int64 {
 		}
 	}
 	return max
-}
-
-// AlignCores fast-forwards every core to the cluster-wide maximum time
-// without charging any stall: a host-level convenience used between
-// independent experiments, not part of the modeled program.
-func (m *Machine) AlignCores() {
-	max := m.Cycles()
-	for c := range m.coreTime {
-		m.coreTime[c] = max
-	}
 }

@@ -65,8 +65,8 @@ type Proc struct {
 	gLo, gHi        int
 	latReq, latResp [3]int64
 
-	// untimed marks a RunSynced replay, which overwrites every core's
-	// clock and Stats from the memo: each op only computes its value or
+	// untimed marks a memoized Run's replay, which overwrites its cores'
+	// clocks and Stats from the memo: each op only computes its value or
 	// reads and writes its memory words, and returns before any operand
 	// wait, issue slot, Stats count, divider booking, fetch tax, bank
 	// booking or LSU slot.
@@ -205,18 +205,6 @@ func (p *Proc) CAdd(a, b W) W { return p.alu(fixed.Add(a.B, b.B), a, b) }
 // CSub returns a-b.
 func (p *Proc) CSub(a, b W) W { return p.alu(fixed.Sub(a.B, b.B), a, b) }
 
-// CNeg returns -a.
-func (p *Proc) CNeg(a W) W { return p.alu(fixed.Neg(a.B), a) }
-
-// CConj returns conj(a).
-func (p *Proc) CConj(a W) W { return p.alu(fixed.Conj(a.B), a) }
-
-// CMulJ returns a*(+j) (a swap-negate, single ALU op).
-func (p *Proc) CMulJ(a W) W { return p.alu(fixed.MulJ(a.B), a) }
-
-// CMulNegJ returns a*(-j).
-func (p *Proc) CMulNegJ(a W) W { return p.alu(fixed.MulNegJ(a.B), a) }
-
 // CHalf returns a/2 (per-component arithmetic shift with rounding).
 func (p *Proc) CHalf(a W) W { return p.alu(fixed.Half(a.B), a) }
 
@@ -233,9 +221,6 @@ func (p *Proc) mul(v fixed.C15, ops ...W) W {
 
 // CMul returns the rounded complex product a*b.
 func (p *Proc) CMul(a, b W) W { return p.mul(fixed.Mul(a.B, b.B), a, b) }
-
-// CMulConj returns a*conj(b).
-func (p *Proc) CMulConj(a, b W) W { return p.mul(fixed.MulConj(a.B, b.B), a, b) }
 
 // accALU issues a 1-cycle ALU instruction with an accumulator result.
 func (p *Proc) accALU(v fixed.Acc, ops ...W) A {

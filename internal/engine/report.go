@@ -112,19 +112,6 @@ func (r Report) Fraction(bucket func(Stats) int64) float64 {
 	return float64(bucket(r.Stats)) / total
 }
 
-// StallBreakdown returns the Fig. 8 style fractions, in the order:
-// instructions, RAW, LSU, WFI, external-unit, instruction-cache.
-func (r Report) StallBreakdown() map[string]float64 {
-	return map[string]float64{
-		"instr":  r.Fraction(func(s Stats) int64 { return s.Instrs }),
-		"raw":    r.Fraction(func(s Stats) int64 { return s.RawStalls }),
-		"lsu":    r.Fraction(func(s Stats) int64 { return s.LsuStalls }),
-		"wfi":    r.Fraction(func(s Stats) int64 { return s.WfiStalls }),
-		"ext":    r.Fraction(func(s Stats) int64 { return s.ExtStalls }),
-		"icache": r.Fraction(func(s Stats) int64 { return s.ICacheStalls }),
-	}
-}
-
 // MemStallFraction returns the share of cycles lost to memory-related
 // stalls (LSU), the quantity the paper claims stays under 10% for the
 // optimized kernels.

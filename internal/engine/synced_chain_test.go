@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	randv2 "math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/channel"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/pusch"
 	"repro/internal/waveform"
 )
 
-// TestChainSlotReplays counts the stages a 64-SC MemPool chain slot
+// TestChainSlotReplays counts the Runs a 64-SC MemPool chain slot
 // replays. In a sequential slot, symbols 0-2 load new kernels into the
 // tile caches (the cold start, the pilots' estimation and noise
 // combine, the first detection) and symbol 3 records the steady state;
@@ -20,9 +24,10 @@ import (
 // their entry state: 30 replays in a 14-symbol slot and 6 in a
 // 6-symbol one. After a Reset the same plans come back under the same
 // keys and the memo keeps every entry, so the slot replays whole: 43
-// and 19 stages. Pipelined beats hold NotBefore handshakes and replay
-// nothing. A change that turns replay off, or drops the memo on Reset,
-// fails here.
+// and 19 stages. A pipelined slot is one memo unit: the first run on a
+// machine records all of it, and after a Reset all 17 of its Runs (16
+// beats and the noise combine) replay. A change that turns replay off,
+// or drops the memo on Reset, fails here.
 func TestChainSlotReplays(t *testing.T) {
 	base := pusch.ChainConfig{
 		Cluster: arch.MemPool(),
@@ -40,7 +45,7 @@ func TestChainSlotReplays(t *testing.T) {
 	}{
 		{"sequential 14-symbol", 14, false, [2]int{30, 43}},
 		{"sequential 6-symbol", 6, false, [2]int{6, 19}},
-		{"pipelined 14-symbol", 14, true, [2]int{0, 0}},
+		{"pipelined 14-symbol", 14, true, [2]int{0, 17}},
 	}
 	for _, row := range rows {
 		cfg := base
@@ -57,7 +62,7 @@ func TestChainSlotReplays(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := m.Replayed(); got != row.want[run] {
-				t.Errorf("%s, run %d: %d stages replayed, want %d", row.name, run, got, row.want[run])
+				t.Errorf("%s, run %d: %d Runs replayed, want %d", row.name, run, got, row.want[run])
 			}
 		}
 	}
@@ -127,12 +132,25 @@ func poolCoords(rng *rand.Rand) []pusch.ChainConfig {
 	return append(coords, again, tera)
 }
 
+// slotData draws a slot's data independently of its timing
+// coordinate: the payload seed (distinct per slot), the SNR, and either
+// the legacy iid channel or TDL-B fading at 30 Hz Doppler.
+func slotData(rng *rand.Rand, cfg *pusch.ChainConfig, slot int) {
+	cfg.Seed = uint64(100 + slot)
+	cfg.SNRdB = float64(8 + rng.Intn(20))
+	cfg.Channel = channel.Spec{}
+	if rng.Intn(2) == 1 {
+		cfg.Channel = channel.Spec{Profile: channel.TDLB, DopplerHz: 30, Seed: uint64(1 + rng.Intn(1000)), TimeMs: float64(slot)}
+	}
+}
+
 // TestPooledMachineMatchesFresh runs a random sequence of chain
-// coordinates (poolCoords, each at least twice) through one machine
-// pool, which Resets a machine on every Get, so a slot replays whatever
-// earlier slots with the same plans recorded. Every record must
-// byte-equal a fresh machine's, with payload seeds varying between
-// repeats.
+// coordinates (poolCoords, each at least twice, pipelined ones among
+// them) through one machine pool, which Resets a machine on every Get,
+// so a slot replays whatever earlier slots with the same plans
+// recorded. Every slot draws its data (slotData) independently of its
+// coordinate, so every replay follows a recording made with other data.
+// Every record must byte-equal a fresh machine's.
 func TestPooledMachineMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	coords := poolCoords(rng)
@@ -146,20 +164,16 @@ func TestPooledMachineMatchesFresh(t *testing.T) {
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
 	pool := engine.NewMachines()
-	fresh := map[[2]int][]byte{}
 	for slot, i := range order {
 		cfg := coords[i]
-		cfg.Seed = uint64(1 + rng.Intn(2))
-		id := [2]int{i, int(cfg.Seed)}
-		if fresh[id] == nil {
-			fresh[id] = freshBytes(t, cfg)
-		}
+		slotData(rng, &cfg, slot)
+		want := freshBytes(t, cfg)
 		m := pool.Get(cfg.Cluster)
 		got := slotBytes(t, m, cfg)
 		pool.Put(m)
-		if !bytes.Equal(got, fresh[id]) {
-			t.Fatalf("slot %d (coordinate %d, %s, %d SC, %d UEs, %d symbols, seed %d): pooled record\n%s\nfresh\n%s",
-				slot, i, cfg.Layout, cfg.NSC, cfg.NL, cfg.NSymb, cfg.Seed, got, fresh[id])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("slot %d (coordinate %d, %s, %d SC, %d UEs, %d symbols, seed %d, %g dB, channel %q): pooled record\n%s\nfresh\n%s",
+				slot, i, cfg.Layout, cfg.NSC, cfg.NL, cfg.NSymb, cfg.Seed, cfg.SNRdB, cfg.Channel.Profile, got, want)
 		}
 	}
 }
@@ -254,5 +268,200 @@ func TestPooledMachineMemoCap(t *testing.T) {
 	}
 	if n := m.MemoEntries(); n != engine.SyncMemoCap {
 		t.Fatalf("%d memo entries after %d coordinates, want the cap %d", n, len(coords), engine.SyncMemoCap)
+	}
+}
+
+// pipeSlot is the pipelined slot of the slot-memo tests: 64 SC on
+// MemPool under StockPipelined, 14 symbols.
+func pipeSlot() pusch.ChainConfig {
+	cfg := pusch.ChainConfig{
+		Cluster: arch.MemPool(),
+		NSC:     64, NR: 16, NB: 8, NL: 4,
+		NSymb: 14, NPilot: 2,
+		Scheme: waveform.QPSK,
+		SNRdB:  20,
+		Seed:   5,
+	}
+	cfg.Layout = pusch.StockPipelined(cfg.Cluster)
+	return cfg
+}
+
+// TestChainSlotSimulates: a pipelined slot memoizes only an untraced,
+// unchecked slot of a canonical split planned at a known allocator
+// position. Each row breaks one condition on both of two runs, the
+// second after a Reset; neither may record or replay anything, and
+// both records must byte-equal a fresh machine's under the same
+// condition.
+func TestChainSlotSimulates(t *testing.T) {
+	custom := pipeSlot()
+	det := slices.Clone(custom.Layout.MIMO)
+	slices.Reverse(det)
+	custom.Layout.CHE, custom.Layout.NE, custom.Layout.MIMO = det, det, det
+	if custom.Layout.String() != "pipe/custom" {
+		t.Fatalf("the custom layout reads %q", custom.Layout)
+	}
+	rows := []struct {
+		name   string
+		cfg    pusch.ChainConfig
+		prep   func(m *engine.Machine)
+		traced bool
+	}{
+		{name: "traced", cfg: pipeSlot(), traced: true},
+		{name: "DebugRaces", cfg: pipeSlot(), prep: func(m *engine.Machine) { m.DebugRaces = true }},
+		{name: "pipe/custom", cfg: custom},
+		{name: "no position", cfg: pipeSlot(), prep: func(m *engine.Machine) {
+			if _, err := m.Mem.AllocTileLocal(0, 1); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			slot := func(m *engine.Machine) []byte {
+				if row.prep != nil {
+					row.prep(m)
+				}
+				if !row.traced {
+					return slotBytes(t, m, row.cfg)
+				}
+				res, err := pusch.RunChainTracedOn(m, row.cfg, &obs.Trace{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				js, err := json.Marshal(res.Record(row.cfg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return js
+			}
+			want := slot(engine.NewMachine(row.cfg.Cluster))
+			m := engine.NewMachine(row.cfg.Cluster)
+			for run := range 2 {
+				if run > 0 {
+					m.Reset()
+				}
+				if got := slot(m); !bytes.Equal(got, want) {
+					t.Fatalf("run %d: record\n%s\nfresh\n%s", run, got, want)
+				}
+				if m.Replayed() != 0 || m.MemoEntries() != 0 {
+					t.Fatalf("run %d: %d Runs replayed, %d memo entries; want none", run, m.Replayed(), m.MemoEntries())
+				}
+			}
+		})
+	}
+}
+
+// TestChainSlotAbandoned: a pipelined slot stopped part-way commits
+// nothing, whether a RunSymbol error ends it before Drain or it is
+// drained after a prefix of its symbols, and whether that prefix was
+// simulated or replayed. Draining a replayed prefix early deviates from
+// the recording, so Drain errors. The next whole slot after a Reset
+// records, or replays the one committed recording, and byte-equals a
+// fresh machine's record either way.
+func TestChainSlotAbandoned(t *testing.T) {
+	cfg, err := pipeSlot().Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := freshBytes(t, cfg)
+	tx, err := pusch.NewSlotTX(&cfg, randv2.New(randv2.NewPCG(1, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// stop runs the first five symbols, then ends the slot: RunSymbol(5)
+	// on too few antenna rows errors before it runs anything, or Drain
+	// flushes the prefix.
+	stops := []struct {
+		name    string
+		stop    func(pl *pusch.Pipeline) error
+		replays bool // the stop errors once the prefix replays
+	}{
+		{"RunSymbol error", func(pl *pusch.Pipeline) error {
+			if pl.RunSymbol(5, tx.RxTime[5][1:]) == nil {
+				t.Fatal("RunSymbol accepted too few antenna rows")
+			}
+			return nil
+		}, false},
+		{"early Drain", func(pl *pusch.Pipeline) error { return pl.Drain() }, true},
+	}
+	for _, row := range stops {
+		t.Run(row.name, func(t *testing.T) {
+			m := engine.NewMachine(cfg.Cluster)
+			abandon := func(replaying bool) {
+				m.Reset()
+				pl, err := pusch.NewPipeline(m, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := range 5 {
+					if err := pl.RunSymbol(s, tx.RxTime[s]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := row.stop(pl); (err != nil) != (replaying && row.replays) {
+					t.Fatalf("stopping the slot: %v", err)
+				}
+			}
+			whole := func(entries, replayed int) {
+				m.Reset()
+				if got := slotBytes(t, m, cfg); !bytes.Equal(got, want) {
+					t.Fatalf("record\n%s\nfresh\n%s", got, want)
+				}
+				if m.MemoEntries() != entries || m.Replayed() != replayed {
+					t.Fatalf("%d memo entries and %d Runs replayed, want %d and %d", m.MemoEntries(), m.Replayed(), entries, replayed)
+				}
+			}
+			abandon(false)
+			if m.MemoEntries() != 0 {
+				t.Fatalf("the abandoned slot committed %d memo entries", m.MemoEntries())
+			}
+			whole(1, 0)
+			abandon(true)
+			if m.Replayed() == 0 {
+				t.Fatal("the abandoned prefix did not replay")
+			}
+			whole(1, 17)
+		})
+	}
+}
+
+// TestReplayedSlotRefuses: after a replayed slot, whose bank bookings
+// the table never saw, a timed Run, RunSynced or RunWarm returns an
+// error and moves no clock, and so does another chain slot on the
+// machine; after a Reset all of them run again.
+func TestReplayedSlotRefuses(t *testing.T) {
+	cfg := pipeSlot()
+	m := engine.NewMachine(cfg.Cluster)
+	for range 2 {
+		m.Reset()
+		slotBytes(t, m, cfg)
+	}
+	if m.Replayed() != 17 {
+		t.Fatalf("%d of the slot's 17 Runs replayed", m.Replayed())
+	}
+	job := engine.Job{Name: "after", Cores: []int{0, 1}, Phases: []engine.Phase{{Name: "p", Work: func(p *engine.Proc) { p.Tick(3) }}}}
+	runs := []struct {
+		name string
+		run  func() error
+	}{
+		{"Run", func() error { return m.Run(job) }},
+		{"RunSynced", func() error { return m.RunSynced(engine.SyncKey{Unit: 1}, job) }},
+		{"RunWarm", func() error { _, err := m.RunWarm("warm", nil, job); return err }},
+		{"RunChainOn", func() error { _, err := pusch.RunChainOn(m, cfg); return err }},
+	}
+	for _, r := range runs {
+		before := m.Cycles()
+		if err := r.run(); err == nil {
+			t.Errorf("%s after a replayed slot: no error", r.name)
+		}
+		if m.Cycles() != before {
+			t.Errorf("the refused %s moved the clock from %d to %d", r.name, before, m.Cycles())
+		}
+	}
+	for _, r := range runs {
+		m.Reset()
+		if err := r.run(); err != nil {
+			t.Errorf("%s after Reset: %v", r.name, err)
+		}
 	}
 }

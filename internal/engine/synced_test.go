@@ -385,7 +385,7 @@ func (l *fuzzLane) putA(op *fuzzOp, a A) {
 	for i, v := range [4]uint64{uint64(a.Acc.Re), uint64(a.Acc.Re) >> 32, uint64(a.Acc.Im), uint64(a.Acc.Im) >> 32} {
 		ws[i] = l.p.Imm(fixed.C15(uint32(v)))
 	}
-	l.p.StoreSpan(op.base, ws[:])
+	l.p.StoreVec(op.base, 1, ws[:])
 	l.accs = append(l.accs, a)
 }
 
@@ -426,7 +426,6 @@ var procOps = []struct {
 	}},
 	{"Store", func(l *fuzzLane, op *fuzzOp) { l.p.Store(op.base, l.w(op.arg)) }},
 	{"StoreVec", func(l *fuzzLane, op *fuzzOp) { l.p.StoreVec(op.base, op.stride, l.ws(op.arg, op.n)) }},
-	{"StoreSpan", func(l *fuzzLane, op *fuzzOp) { l.p.StoreSpan(op.base, l.ws(op.arg, min(op.n, spanWords))) }},
 	{"StoreScatter", func(l *fuzzLane, op *fuzzOp) {
 		addrs := make([]arch.Addr, op.n)
 		for i := range addrs {
@@ -438,13 +437,8 @@ var procOps = []struct {
 	{"Imm", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.Imm(fixed.C15(uint32(op.arg)*0x01230457))) }},
 	{"CAdd", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CAdd(l.w(op.arg), l.w(op.arg+1))) }},
 	{"CSub", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CSub(l.w(op.arg), l.w(op.arg+1))) }},
-	{"CNeg", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CNeg(l.w(op.arg))) }},
-	{"CConj", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CConj(l.w(op.arg))) }},
-	{"CMulJ", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CMulJ(l.w(op.arg))) }},
-	{"CMulNegJ", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CMulNegJ(l.w(op.arg))) }},
 	{"CHalf", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CHalf(l.w(op.arg))) }},
 	{"CMul", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CMul(l.w(op.arg), l.w(op.arg+1))) }},
-	{"CMulConj", func(l *fuzzLane, op *fuzzOp) { l.putW(op, l.p.CMulConj(l.w(op.arg), l.w(op.arg+1))) }},
 	{"Mac", func(l *fuzzLane, op *fuzzOp) { l.putA(op, l.p.Mac(l.a(op.arg), l.w(op.arg), l.w(op.arg+1))) }},
 	{"MacConj", func(l *fuzzLane, op *fuzzOp) {
 		l.putA(op, l.p.MacConj(l.a(op.arg), l.w(op.arg), l.w(op.arg+1)))
@@ -608,5 +602,225 @@ func FuzzRunSyncedReplay(f *testing.F) {
 		runBoth(t, a, b, movedKey, moved)
 		runBoth(t, a, b, unitKey, unit)
 		sameMachine(t, cfg.Name+" after Reset", a, b)
+	})
+}
+
+// slotRuns is a three-Run slot on the prop-2g geometry's eight cores,
+// shaped like pipeline beats: partitions f, b and d run syncUnit's
+// phases, and d waits on NotBefore in the second Run.
+func slotRuns(cfg *arch.Config) [][]Job {
+	phases := syncUnit(cfg)[0].Phases
+	part := func(name string, notBefore int64, cores ...int) Job {
+		return Job{Name: name, Cores: cores, Phases: phases, NotBefore: notBefore}
+	}
+	return [][]Job{
+		{part("f", 0, 0, 1, 2, 3), part("b", 0, 4, 5)},
+		{part("f", 0, 0, 1, 2, 3), part("b", 0, 4, 5), part("d", 400, 6, 7)},
+		{part("d", 0, 6, 7)},
+	}
+}
+
+// playSlot runs runs on m between BeginSlot(unitKey) and EndSlot.
+func playSlot(t *testing.T, m *Machine, runs [][]Job) {
+	t.Helper()
+	m.BeginSlot(unitKey)
+	for _, jobs := range runs {
+		if err := m.Run(jobs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.EndSlot(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSlotReplayDeviates: a replaying caller that leaves the recording
+// gets an error, never a wrong cycle. Each row replays from a Reset
+// machine whose memo holds slotRuns and deviates once: a Run beyond the
+// recording, a Run with a job missing, with a job on other cores or
+// with another NotBefore, or an EndSlot before the last Run. After the
+// error a timed Run refuses until Reset, unless the deviation came
+// before any Run replayed.
+func TestSlotReplayDeviates(t *testing.T) {
+	cfg := propCfg("prop-2g", 2, 2, 2, 2)
+	runs := slotRuns(cfg)
+	moved := slices.Clone(runs[1])
+	moved[2].Cores = []int{7, 6}
+	later := slices.Clone(runs[1])
+	later[2].NotBefore++
+	rows := []struct {
+		name     string
+		replay   [][]Job // the Runs issued; the last one deviates unless end
+		end      bool    // EndSlot(true) after the Runs deviates
+		refusing bool    // a Run replayed before the deviation
+	}{
+		{name: "beyond the recording", replay: append(slices.Clone(runs), runs[2]), refusing: true},
+		{name: "job missing", replay: [][]Job{runs[0], runs[1][:2]}, refusing: true},
+		{name: "other cores", replay: [][]Job{runs[0], moved}, refusing: true},
+		{name: "other NotBefore", replay: [][]Job{runs[0], later}, refusing: true},
+		{name: "first Run", replay: [][]Job{runs[1]}},
+		{name: "ended early", replay: runs[:2], end: true, refusing: true},
+	}
+	m := NewMachine(cfg)
+	playSlot(t, m, runs)
+	for _, row := range rows {
+		m.Reset()
+		m.BeginSlot(unitKey)
+		var err error
+		for i, jobs := range row.replay {
+			if err = m.Run(jobs...); err != nil {
+				if i != len(row.replay)-1 || row.end {
+					t.Fatalf("%s: Run %d: %v", row.name, i, err)
+				}
+			}
+		}
+		if row.end {
+			err = m.EndSlot(true)
+		}
+		if err == nil {
+			t.Fatalf("%s: the deviation returned no error", row.name)
+		}
+		if err := m.Run(runs[0]...); (err != nil) != row.refusing {
+			t.Fatalf("%s: a timed Run after the deviation returned %v, want refusal %v", row.name, err, row.refusing)
+		}
+	}
+	if m.MemoEntries() != 1 {
+		t.Fatalf("%d memo entries, want the one recording", m.MemoEntries())
+	}
+}
+
+// TestSlotPanicCommitsNothing: a Run that panics closes its slot. A
+// recording then commits nothing, so the next slot records again; a
+// replay leaves the machine refusing timed work until Reset.
+func TestSlotPanicCommitsNothing(t *testing.T) {
+	cfg := propCfg("prop-2g", 2, 2, 2, 2)
+	runs := slotRuns(cfg)
+	boom := slices.Clone(runs[1])
+	boom[0].Phases = []Phase{{Name: "boom", Work: func(*Proc) { panic("boom") }}}
+	m := NewMachine(cfg)
+	panics := func() {
+		m.Reset()
+		m.BeginSlot(unitKey)
+		func() {
+			defer func() { _ = recover() }()
+			if err := m.Run(runs[0]...); err != nil {
+				t.Fatal(err)
+			}
+			_ = m.Run(boom...)
+			t.Fatal("the phase did not panic")
+		}()
+		if err := m.EndSlot(true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	panics()
+	if m.MemoEntries() != 0 {
+		t.Fatalf("the slot that panicked committed %d memo entries", m.MemoEntries())
+	}
+	for _, replayed := range []int{0, len(runs)} {
+		m.Reset()
+		playSlot(t, m, runs)
+		if m.replayed != replayed {
+			t.Fatalf("%d Runs replayed, want %d", m.replayed, replayed)
+		}
+	}
+	panics()
+	if err := m.Run(runs[0]...); err == nil {
+		t.Fatal("a timed Run after a replayed slot panicked ran")
+	}
+}
+
+// TestSlotReplayAllocsNothing: once a slot is recorded, replaying it on
+// the Reset machine allocates nothing.
+func TestSlotReplayAllocsNothing(t *testing.T) {
+	cfg := propCfg("prop-2g", 2, 2, 2, 2)
+	runs := slotRuns(cfg)
+	m := NewMachine(cfg)
+	slot := func() {
+		m.Reset()
+		playSlot(t, m, runs)
+	}
+	slot() // records
+	if avg := testing.AllocsPerRun(20, slot); avg != 0 {
+		t.Fatalf("slot Reset+replay allocates %.1f objects/op, want 0", avg)
+	}
+	if m.replayed != len(runs) {
+		t.Fatalf("%d of the slot's %d Runs replayed", m.replayed, len(runs))
+	}
+}
+
+// holdJobs returns jobs with the NotBefore handshakes of a slot program
+// set from m's clocks: a job whose hold h has h[0] > 0 waits until the
+// cores of job h[0]-1 (mod the job count) of the previous Run are done,
+// or every core before the first Run, plus h[1] cycles.
+func holdJobs(m *Machine, prev, jobs []Job, holds [][2]int) []Job {
+	out := slices.Clone(jobs)
+	for ji, h := range holds {
+		if h[0] == 0 {
+			continue
+		}
+		var cores []int
+		if len(prev) > 0 {
+			cores = prev[(h[0]-1)%len(prev)].Cores
+		}
+		out[ji].NotBefore = m.MaxTime(cores) + int64(h[1])
+	}
+	return out
+}
+
+// FuzzSlotReplay checks a replayed slot against simulation on slot
+// programs decoded from the fuzz bytes: a geometry, then 1-4 Runs, each
+// a decodeUnit of jobs on disjoint cores, whose jobs may wait on a
+// NotBefore handshake (holdJobs), so the cores leave every Run at
+// unequal clocks. Machine a runs the program as one slot, its twin b
+// plainly; then both are Reset and run it again, a replaying every Run.
+// After every Run of both passes, every core's clock and Stats, every
+// tile's I$, the reservation counters and every memory word must agree
+// (sameMachine). After the replay, a refuses a timed Run.
+func FuzzSlotReplay(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1, 2, 3, 1, 2, 5, 1, 0, 200, 7, 3, 1, 9, 12, 2, 40, 4, 1, 2, 3, 1, 9, 2, 30, 1, 2, 8, 3, 17, 1, 5})
+	f.Add([]byte{2, 3, 0, 2, 3, 2, 1, 1, 3, 40, 5, 2, 7, 1, 1, 0, 64, 12, 1, 3, 3, 2, 2, 6, 90, 0, 4, 11, 2, 63, 1, 0, 5, 2, 2, 1, 9, 33, 3, 1})
+	cfgs := syncCfgs()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := &fuzzReader{b: data}
+		cfg := cfgs[r.next(len(cfgs))]
+		runs := make([][]Job, 1+r.next(4))
+		holds := make([][][2]int, len(runs))
+		for i := range runs {
+			runs[i] = decodeUnit(r, cfg, fmt.Sprintf("r%d.", i), 0)
+			for range runs[i] {
+				holds[i] = append(holds[i], [2]int{r.next(4), r.next(64)})
+			}
+		}
+		a, b := newPatterned(cfg), newPatterned(cfg)
+		for pass := range 2 {
+			if pass > 0 {
+				a.Reset()
+				b.Reset()
+			}
+			a.BeginSlot(unitKey)
+			var prev []Job
+			for i := range runs {
+				jobs := holdJobs(a, prev, runs[i], holds[i])
+				if err := a.Run(jobs...); err != nil {
+					t.Fatal(err)
+				}
+				if err := b.Run(jobs...); err != nil {
+					t.Fatal(err)
+				}
+				sameMachine(t, fmt.Sprintf("%s pass %d, Run %d", cfg.Name, pass, i), a, b)
+				prev = jobs
+			}
+			if err := a.EndSlot(true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a.replayed != len(runs) {
+			t.Fatalf("%d of the slot's %d Runs replayed", a.replayed, len(runs))
+		}
+		if err := a.Run(runs[0]...); err == nil {
+			t.Fatal("a timed Run after the replayed slot ran")
+		}
 	})
 }

@@ -198,7 +198,7 @@ func TestResetAndTrimAllocsNothing(t *testing.T) {
 		var buf [64]W
 		for i := 0; i < 32; i++ { // two sweeps over all 1024 banks
 			p.LoadSpan(arch.Addr(i*len(buf)), buf[:])
-			p.StoreSpan(arch.Addr(4096+i*len(buf)), buf[:])
+			p.StoreVec(arch.Addr(4096+i*len(buf)), 1, buf[:])
 		}
 	}
 	serial := Job{Name: "s", Cores: []int{0}, Phases: []Phase{

@@ -142,15 +142,22 @@ func (l Layout) String() string {
 	if !l.Pipelined() {
 		return "sequential"
 	}
-	fLo, f, fOK := l.FFT.asRange()
-	bLo, b, bOK := l.BF.asRange()
-	dLo, d, dOK := l.CHE.asRange()
-	if fOK && bOK && dOK &&
-		slices.Equal(l.CHE, l.NE) && slices.Equal(l.CHE, l.MIMO) &&
-		fLo == 0 && bLo == f && dLo == f+b {
+	if f, b, d, ok := l.split(); ok {
 		return fmt.Sprintf("pipe/f%d/b%d/d%d", f, b, d)
 	}
 	return "pipe/custom"
+}
+
+// split returns the core counts of a canonical three-way split
+// (PipelinedSplit), or false for any other layout.
+func (l Layout) split() (f, b, d int, ok bool) {
+	fLo, f, fOK := l.FFT.asRange()
+	bLo, b, bOK := l.BF.asRange()
+	dLo, d, dOK := l.CHE.asRange()
+	ok = fOK && bOK && dOK &&
+		slices.Equal(l.CHE, l.NE) && slices.Equal(l.CHE, l.MIMO) &&
+		fLo == 0 && bLo == f && dLo == f+b
+	return f, b, d, ok
 }
 
 // Wire returns the replayable wire form of the layout, failing for

@@ -71,10 +71,9 @@ type Pipeline struct {
 	// mark is the one window snapshot every measured stage or beat
 	// refills.
 	mark engine.Mark
-	// key names the sequential plans in the replay memo; runStage sets
-	// Unit to tell the stages apart. It stays zero, which turns the memo
-	// off, on a pipelined layout or when the allocator position has no
-	// value (sequentialKey).
+	// key names the plans in the replay memo (memoKey): a sequential
+	// layout's stages, which runStage tells apart by Unit, or a pipelined
+	// layout's whole slot. The zero key turns the memo off.
 	key engine.SyncKey
 
 	// trace, when non-nil, receives one stage-level span per measured
@@ -91,7 +90,9 @@ func NewPipeline(m *engine.Machine, cfg ChainConfig) (*Pipeline, error) {
 		return nil, fmt.Errorf("pusch: pipeline machine is a %s, config wants %s", m.Cfg.Name, cfg.Cluster.Name)
 	}
 	pl := &Pipeline{cfg: cfg, m: m, lay: cfg.Layout, bufs: 2, stages: make(map[Stage]engine.Report), rxq: make([]fixed.C15, cfg.NSC)}
-	if cfg.Layout.Pipelined() {
+	pl.key = memoKey(m, &cfg)
+	pipelined := cfg.Layout.Pipelined()
+	if pipelined {
 		pl.finFFT = make([]int64, cfg.NSymb)
 		pl.finBF = make([]int64, cfg.NSymb)
 		pl.finDet = make([]int64, cfg.NSymb)
@@ -99,10 +100,14 @@ func NewPipeline(m *engine.Machine, cfg ChainConfig) (*Pipeline, error) {
 		all := coreRange(0, m.Cfg.NumCores())
 		pl.lay = Layout{FFT: all, BF: all, CHE: all, NE: all, MIMO: all}
 		pl.bufs = 1
-		pl.key = sequentialKey(m, &cfg)
 	}
 	if err := pl.plan(); err != nil {
 		return nil, err
+	}
+	if pipelined {
+		// The slot's beats, through Drain, are one memo unit: a repeat on
+		// a Reset machine replays them (engine.Machine.BeginSlot).
+		m.BeginSlot(pl.key)
 	}
 	pl.start = m.Cycles()
 	return pl, nil
@@ -141,14 +146,16 @@ const (
 	unitCHE
 )
 
-// sequentialKey returns the replay-memo key of a sequential pipeline
-// about to be planned on m: the dimensions and options its plans are
-// built from and the allocator position they start at. Planning is
-// deterministic, so equal keys lay out equal plans at equal addresses,
-// on this machine or after a Reset; a pipeline planned at any other
-// position never shares an entry. It returns the zero key, which turns
-// the memo off, when the position has no value (tcdm.Mem.Position).
-func sequentialKey(m *engine.Machine, cfg *ChainConfig) engine.SyncKey {
+// memoKey returns the replay-memo key of a pipeline about to be planned
+// on m: the dimensions and options its plans are built from and the
+// allocator position they start at. A pipelined layout's key adds
+// NSymb, which sets the drain beats' jobs, and the canonical split.
+// Planning is deterministic, so equal keys lay out equal plans at equal
+// addresses, on this machine or after a Reset; a pipeline planned at
+// any other position never shares an entry. It returns the zero key,
+// which turns the memo off, when the position has no value
+// (tcdm.Mem.Position) or the layout is not a canonical split.
+func memoKey(m *engine.Machine, cfg *ChainConfig) engine.SyncKey {
 	pos, ok := m.Mem.Position()
 	if !ok {
 		return engine.SyncKey{}
@@ -157,7 +164,15 @@ func sequentialKey(m *engine.Machine, cfg *ChainConfig) engine.SyncKey {
 	if cfg.InterpolateChannel {
 		interp = 1
 	}
-	return engine.SyncKey{Dims: [6]int{cfg.NSC, cfg.NR, cfg.NB, cfg.NL, cfg.NPilot, interp}, Arena: pos}
+	key := engine.SyncKey{Dims: [10]int{cfg.NSC, cfg.NR, cfg.NB, cfg.NL, cfg.NPilot, interp}, Arena: pos}
+	if cfg.Layout.Pipelined() {
+		f, b, d, ok := cfg.Layout.split()
+		if !ok {
+			return engine.SyncKey{}
+		}
+		key.Dims[6], key.Dims[7], key.Dims[8], key.Dims[9] = cfg.NSymb, f, b, d
+	}
+	return key
 }
 
 // plan lays out every kernel plan on its stage's partition, in the
@@ -348,8 +363,10 @@ func (pl *Pipeline) runStage(stage Stage, name string, s, unit int, jobs ...engi
 // Drain flushes the software pipeline: after the last RunSymbol, the
 // beamforming of the final symbol and the detection of the final two
 // are still in flight. Sequential layouts have nothing in flight. On
-// either layout Drain ends the slot: RunSymbol errors after it. Drain is
-// idempotent; RunChainOn calls it before scoring.
+// either layout Drain ends the slot: RunSymbol errors after it. A
+// pipelined slot that ran all its symbols is committed to the replay
+// memo here; one drained early, or abandoned before Drain, commits
+// nothing. Drain is idempotent; RunChainOn calls it before scoring.
 func (pl *Pipeline) Drain() error {
 	if pl.drained {
 		return nil
@@ -364,7 +381,7 @@ func (pl *Pipeline) Drain() error {
 			return err
 		}
 	}
-	return nil
+	return pl.m.EndSlot(pl.issued == pl.cfg.NSymb)
 }
 
 // issueBeat runs one pipeline beat: the up-to-three stage tasks whose

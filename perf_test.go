@@ -93,13 +93,16 @@ func BenchmarkMachineRun(b *testing.B) {
 	}
 }
 
-// BenchmarkChainReplayedSlot measures the host cost of a slot whose
-// stages all replay: one repeated 256-SC, 6-symbol MemPool coordinate
-// on a Reset machine that already holds the coordinate's stage memo, as
-// a pooled serving machine does. Every stage then runs untimed, so what
-// remains is TX, the kernels' data path and scoring.
+// BenchmarkChainReplayedSlot measures the host cost of a slot that
+// replays whole: one repeated MemPool coordinate on a Reset machine
+// that already holds the coordinate's memo, as a pooled serving machine
+// does. The sequential case is a 256-SC, 6-symbol slot whose 19 stages
+// replay; the pipelined case is the 64-SC, 14-symbol StockPipelined
+// slot of cmd/puschbench's slot-mempool64, whose 17 Runs replay as one
+// slot. Every Run then executes untimed, so what remains is TX, the
+// kernels' data path and scoring.
 func BenchmarkChainReplayedSlot(b *testing.B) {
-	cfg := ipusch.ChainConfig{
+	seq := ipusch.ChainConfig{
 		Cluster: arch.MemPool(),
 		NSC:     256, NR: 16, NB: 8, NL: 4,
 		NSymb: 6, NPilot: 2,
@@ -107,18 +110,28 @@ func BenchmarkChainReplayedSlot(b *testing.B) {
 		SNRdB:  20,
 		Seed:   1,
 	}
-	m := engine.NewMachine(cfg.Cluster)
-	slot := func() {
-		m.Reset()
-		if _, err := ipusch.RunChainRecordOn(m, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	slot() // records every stage
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		slot()
+	pipe := seq
+	pipe.NSC, pipe.NSymb = 64, 14
+	pipe.Layout = ipusch.StockPipelined(pipe.Cluster)
+	for _, c := range []struct {
+		name string
+		cfg  ipusch.ChainConfig
+	}{{"seq-256sc-6sym", seq}, {"pipe-64sc-14sym", pipe}} {
+		b.Run(c.name, func(b *testing.B) {
+			m := engine.NewMachine(c.cfg.Cluster)
+			slot := func() {
+				m.Reset()
+				if _, err := ipusch.RunChainRecordOn(m, c.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			slot() // records the memo
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				slot()
+			}
+		})
 	}
 }
 

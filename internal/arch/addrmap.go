@@ -65,9 +65,6 @@ func (c *Config) TileOf(a Addr) int {
 	return p.Group*c.TilesPerGroup + p.TileInGrp
 }
 
-// GroupOf returns the group index [0, Groups) of a word address.
-func (c *Config) GroupOf(a Addr) int { return c.Decompose(a).Group }
-
 // LevelFor classifies the distance of an access from core to address a.
 func (c *Config) LevelFor(core int, a Addr) Level {
 	p := c.Decompose(a)
@@ -80,15 +77,6 @@ func (c *Config) LevelFor(core int, a Addr) Level {
 	default:
 		return LevelRemote
 	}
-}
-
-// TileBase returns the address of row 0, bank 0 of a global tile index.
-// Adding k (0 <= k < BanksPerTile) addresses bank k of the same row;
-// adding RowStride moves down one row within the same tile.
-func (c *Config) TileBase(tile int) Addr {
-	g := tile / c.TilesPerGroup
-	t := tile % c.TilesPerGroup
-	return c.Compose(Place{Group: g, TileInGrp: t})
 }
 
 // RowStride is the address increment that advances one row while staying

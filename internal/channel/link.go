@@ -81,7 +81,7 @@ type LinkState struct {
 	Taps []DiscreteTap
 
 	faders [][]fader // [rx][tap]
-	span   int       // MaxDelay()+1, the dense impulse-response length
+	span   int       // longest tap lag + 1, the dense impulse-response length
 }
 
 // NewLinkState builds one UE's link state: spec supplies Doppler and
@@ -117,13 +117,10 @@ func NewLinkState(spec Spec, ueSeed uint64, nRx int, taps []DiscreteTap) *LinkSt
 	return ls
 }
 
-// MaxDelay returns the longest tap lag in samples.
-func (ls *LinkState) MaxDelay() int { return ls.span - 1 }
-
 // TapsAt evaluates the UE's impulse response toward every receive
 // antenna at tMs milliseconds on the channel time axis: a dense
-// [rx][lag] array of length MaxDelay()+1 with zeros between taps, the
-// layout waveform.Channel consumes.
+// [rx][lag] array, one entry per lag up to the longest tap's, with zeros
+// between taps, the layout waveform.Channel consumes.
 func (ls *LinkState) TapsAt(tMs float64) [][]complex128 {
 	t := tMs / 1e3
 	out := make([][]complex128, ls.NRx)

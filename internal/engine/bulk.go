@@ -12,12 +12,13 @@ import (
 // interconnect level, and the LSU-ring push with its stall when the ring
 // is full. Scalar Load, Store and AmoAdd are one-word calls of it; the
 // span ops below issue a whole run of regularly-strided or gathered
-// words per call. An untimed replay never reaches it: each span op then
-// only reads or writes its words. Either way, bulkBegin copies the core's clock, tax
-// accumulator and LSU ring position into a bulkState, the words run out
-// of registers, and bulkEnd flushes them and the counters once. A span
-// op also tracks each word's bank incrementally (bank' = bank + stride
-// mod NumBanks) instead of re-deriving it from the address map.
+// words per call. An untimed replay never reaches it: each memory op,
+// scalar or span, then only reads or writes its words. Timed, bulkBegin
+// copies the core's clock, tax accumulator and LSU ring position into a
+// bulkState, the words run out of registers, and bulkEnd flushes them
+// and the counters once. A span op also tracks each word's bank
+// incrementally (bank' = bank + stride mod NumBanks) instead of
+// re-deriving it from the address map.
 //
 // The contract for kernels: a span op may replace a run of consecutive
 // scalar Loads (or Stores) only when no other Proc instruction would
@@ -176,8 +177,12 @@ func (p *Proc) LoadGather(addrs []arch.Addr, dst []W) {
 }
 
 // Load2 issues two back-to-back loads (the common paired-operand case:
-// both factors of a MAC fetched in consecutive cycles).
+// both factors of a MAC fetched in consecutive cycles). Untimed, it
+// reads both words directly.
 func (p *Proc) Load2(a0, a1 arch.Addr) (W, W) {
+	if p.untimed {
+		return W{B: fixed.C15(p.m.Mem.Read(a0))}, W{B: fixed.C15(p.m.Mem.Read(a1))}
+	}
 	var addrs [2]arch.Addr
 	var dst [2]W
 	addrs[0], addrs[1] = a0, a1

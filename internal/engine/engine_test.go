@@ -3,6 +3,7 @@ package engine
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/fixed"
@@ -623,6 +624,16 @@ func TestAluOpValues(t *testing.T) {
 			t.Error("empty Proc string")
 		}
 	})
+}
+
+// TestWIs16Bytes pins the register value's layout: B and Mem fit in the
+// 8 bytes before At, so a W is 16 bytes and the W arrays kernels stage
+// (FFT legs and twiddles, MMM windows, store scatters) copy no padding.
+// The order B, At, Mem would pad it to 24.
+func TestWIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(W{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(W{}) = %d, want 16", got)
+	}
 }
 
 // TestCDivOpValue checks the engine's full complex division.

@@ -9,13 +9,15 @@ import (
 
 // W is a 32-bit register value (usually a packed complex Q1.15 sample)
 // tagged with the cycle at which it becomes readable. Consuming a W whose
-// At lies in the future stalls the core (RAW stall).
+// At lies in the future stalls the core (RAW stall). The field order
+// packs a W into 16 bytes (B and Mem fit in the 8 bytes before At), so
+// the W arrays kernels stage copy no padding.
 type W struct {
-	B  fixed.C15
-	At int64
+	B fixed.C15
 	// Mem marks the value as produced by a load; waiting on it is then
 	// attributed to the LSU stall bucket rather than RAW.
 	Mem bool
+	At  int64
 }
 
 // A is a widening complex accumulator (Q2.30 per component) held in a
@@ -141,8 +143,11 @@ func (p *Proc) Tick(n int) {
 
 // Load issues a load from addr, a one-word LoadGather. The returned
 // value is usable (without a RAW stall) once its At cycle is reached;
-// issue itself costs one cycle.
+// issue itself costs one cycle. Untimed, it reads the word directly.
 func (p *Proc) Load(addr arch.Addr) W {
+	if p.untimed {
+		return W{B: fixed.C15(p.m.Mem.Read(addr))}
+	}
 	var dst [1]W
 	p.LoadGather([]arch.Addr{addr}, dst[:])
 	return dst[0]
@@ -150,7 +155,12 @@ func (p *Proc) Load(addr arch.Addr) W {
 
 // Store issues a store of w to addr, a one-word StoreScatter. Stores
 // retire asynchronously; the core only stalls if the LSU ring is full.
+// Untimed, it writes the word directly.
 func (p *Proc) Store(addr arch.Addr, w W) {
+	if p.untimed {
+		p.m.Mem.Write(addr, uint32(w.B))
+		return
+	}
 	p.StoreScatter([]arch.Addr{addr}, []W{w})
 }
 
@@ -181,129 +191,36 @@ func (p *Proc) issue(class *int64) int64 {
 	return at
 }
 
-// mulIssue issues one multiply-class instruction, each of which performs
-// one complex MAC, and returns its issue cycle.
-func (p *Proc) mulIssue() int64 {
+// Register ops compute their value first and, untimed, return it at
+// once. Timed, they wait for their operands and issue through one of
+// the fixed-arity helpers below, each of which takes two operands; a
+// zero W stands for no operand and never stalls, since its At is 0.
+
+// aluAt waits for a and b, issues a 1-cycle ALU instruction (packed
+// SIMD or widened accumulator) and returns the cycle its result is
+// ready.
+func (p *Proc) aluAt(a, b W) int64 {
+	p.waitW(a)
+	p.waitW(b)
+	return p.issue(&p.st.IAlu) + 1
+}
+
+// mulAt waits for a and b, issues one multiply-class instruction, each
+// of which performs one complex MAC, and returns the cycle its result
+// is ready.
+func (p *Proc) mulAt(a, b W) int64 {
+	p.waitW(a)
+	p.waitW(b)
 	p.st.MACs++
-	return p.issue(&p.st.Mults)
+	return p.issue(&p.st.Mults) + p.m.Cfg.MulLatency
 }
 
-// alu issues a 1-cycle packed-SIMD arithmetic instruction.
-func (p *Proc) alu(v fixed.C15, ops ...W) W {
-	if p.untimed {
-		return W{B: v}
-	}
-	for _, w := range ops {
-		p.waitW(w)
-	}
-	return W{B: v, At: p.issue(&p.st.IAlu) + 1}
-}
-
-// CAdd returns a+b (one packed-SIMD add).
-func (p *Proc) CAdd(a, b W) W { return p.alu(fixed.Add(a.B, b.B), a, b) }
-
-// CSub returns a-b.
-func (p *Proc) CSub(a, b W) W { return p.alu(fixed.Sub(a.B, b.B), a, b) }
-
-// CHalf returns a/2 (per-component arithmetic shift with rounding).
-func (p *Proc) CHalf(a W) W { return p.alu(fixed.Half(a.B), a) }
-
-// mul issues one packed complex multiply-class instruction.
-func (p *Proc) mul(v fixed.C15, ops ...W) W {
-	if p.untimed {
-		return W{B: v}
-	}
-	for _, w := range ops {
-		p.waitW(w)
-	}
-	return W{B: v, At: p.mulIssue() + p.m.Cfg.MulLatency}
-}
-
-// CMul returns the rounded complex product a*b.
-func (p *Proc) CMul(a, b W) W { return p.mul(fixed.Mul(a.B, b.B), a, b) }
-
-// accALU issues a 1-cycle ALU instruction with an accumulator result.
-func (p *Proc) accALU(v fixed.Acc, ops ...W) A {
-	if p.untimed {
-		return A{Acc: v}
-	}
-	for _, w := range ops {
-		p.waitW(w)
-	}
-	return A{Acc: v, At: p.issue(&p.st.IAlu) + 1}
-}
-
-// accMul issues one multiply-class instruction with an accumulator
-// result.
-func (p *Proc) accMul(v fixed.Acc, ops ...W) A {
-	if p.untimed {
-		return A{Acc: v}
-	}
-	for _, w := range ops {
-		p.waitW(w)
-	}
-	return A{Acc: v, At: p.mulIssue() + p.m.Cfg.MulLatency}
-}
-
-// op returns the register operand an instruction reading a waits on:
-// its ready cycle, attributed as a RAW stall.
-func (a A) op() W { return W{At: a.At} }
-
-// Mac returns acc + a*b. The accumulator chains through the MAC unit, so
-// only a and b can cause RAW stalls.
-func (p *Proc) Mac(acc A, a, b W) A { return p.accMul(fixed.MacInto(acc.Acc, a.B, b.B), a, b) }
-
-// MacConj returns acc + a*conj(b).
-func (p *Proc) MacConj(acc A, a, b W) A {
-	return p.accMul(fixed.MacConjInto(acc.Acc, a.B, b.B), a, b)
-}
-
-// MacAbs2 returns acc + |a|^2 (accumulated into the real component).
-func (p *Proc) MacAbs2(acc A, a W) A { return p.accMul(fixed.MacAbs2Into(acc.Acc, a.B), a) }
-
-// CAddW returns a+b exactly, widened into an accumulator (one ALU op on
-// the widened datapath).
-func (p *Proc) CAddW(a, b W) A {
-	return p.accALU(fixed.AddAcc(fixed.AccFromC15(a.B), fixed.AccFromC15(b.B)), a, b)
-}
-
-// CSubW returns a-b exactly, widened into an accumulator.
-func (p *Proc) CSubW(a, b W) A {
-	return p.accALU(fixed.SubAcc(fixed.AccFromC15(a.B), fixed.AccFromC15(b.B)), a, b)
-}
-
-// AccAdd returns a+b on accumulators (one ALU op).
-func (p *Proc) AccAdd(a, b A) A { return p.accALU(fixed.AddAcc(a.Acc, b.Acc), a.op(), b.op()) }
-
-// AccMulNegJ returns a*(-j) exactly (a swap-negate on the accumulator).
-func (p *Proc) AccMulNegJ(a A) A { return p.accALU(fixed.MulNegJAcc(a.Acc), a.op()) }
-
-// MulTw multiplies a widened accumulator by a packed twiddle, scaling by
-// 2^-shift with a single rounding: the fused twiddle multiply of the FFT
-// butterfly (one multiply-class instruction).
-func (p *Proc) MulTw(a A, w W, shift uint) W {
-	return p.mul(fixed.MulAccTw(a.Acc, w.B, shift), a.op(), w)
-}
-
-// Widen converts a register sample to an accumulator (one ALU op).
-func (p *Proc) Widen(a W) A { return p.accALU(fixed.AccFromC15(a.B), a) }
-
-// AccSub returns a-b on accumulators (one ALU op per component pair).
-func (p *Proc) AccSub(a, b A) A { return p.accALU(fixed.SubAcc(a.Acc, b.Acc), a.op(), b.op()) }
-
-// Narrow rounds the accumulator back to a packed Q1.15 register value,
-// scaling down by 2^shift.
-func (p *Proc) Narrow(acc A, shift uint) W { return p.alu(acc.Acc.Narrow(shift), acc.op()) }
-
-// div runs n back-to-back operations on the non-pipelined divide/sqrt
-// unit once ops are ready, and returns v when the last one completes.
-func (p *Proc) div(v fixed.C15, n int, ops ...W) W {
-	if p.untimed {
-		return W{B: v}
-	}
-	for _, w := range ops {
-		p.waitW(w)
-	}
+// divAt waits for a and b, runs n back-to-back operations on the
+// non-pipelined divide/sqrt unit, and returns the cycle the last one
+// completes.
+func (p *Proc) divAt(n int, a, b W) int64 {
+	p.waitW(a)
+	p.waitW(b)
 	var issueAt int64
 	for range n {
 		if p.divFree > p.now {
@@ -313,13 +230,161 @@ func (p *Proc) div(v fixed.C15, n int, ops ...W) W {
 		issueAt = p.issue(&p.st.Divs)
 		p.divFree = issueAt + p.m.Cfg.DivSqrt.Init
 	}
-	return W{B: v, At: issueAt + p.m.Cfg.DivSqrt.Latency}
+	return issueAt + p.m.Cfg.DivSqrt.Latency
+}
+
+// CAdd returns a+b (one packed-SIMD add).
+func (p *Proc) CAdd(a, b W) W {
+	v := fixed.Add(a.B, b.B)
+	if p.untimed {
+		return W{B: v}
+	}
+	return W{B: v, At: p.aluAt(a, b)}
+}
+
+// CSub returns a-b.
+func (p *Proc) CSub(a, b W) W {
+	v := fixed.Sub(a.B, b.B)
+	if p.untimed {
+		return W{B: v}
+	}
+	return W{B: v, At: p.aluAt(a, b)}
+}
+
+// CHalf returns a/2 (per-component arithmetic shift with rounding).
+func (p *Proc) CHalf(a W) W {
+	v := fixed.Half(a.B)
+	if p.untimed {
+		return W{B: v}
+	}
+	return W{B: v, At: p.aluAt(a, W{})}
+}
+
+// CMul returns the rounded complex product a*b.
+func (p *Proc) CMul(a, b W) W {
+	v := fixed.Mul(a.B, b.B)
+	if p.untimed {
+		return W{B: v}
+	}
+	return W{B: v, At: p.mulAt(a, b)}
+}
+
+// op returns the register operand an instruction reading a waits on:
+// its ready cycle, attributed as a RAW stall.
+func (a A) op() W { return W{At: a.At} }
+
+// Mac returns acc + a*b. The accumulator chains through the MAC unit, so
+// only a and b can cause RAW stalls.
+func (p *Proc) Mac(acc A, a, b W) A {
+	v := fixed.MacInto(acc.Acc, a.B, b.B)
+	if p.untimed {
+		return A{Acc: v}
+	}
+	return A{Acc: v, At: p.mulAt(a, b)}
+}
+
+// MacConj returns acc + a*conj(b).
+func (p *Proc) MacConj(acc A, a, b W) A {
+	v := fixed.MacConjInto(acc.Acc, a.B, b.B)
+	if p.untimed {
+		return A{Acc: v}
+	}
+	return A{Acc: v, At: p.mulAt(a, b)}
+}
+
+// MacAbs2 returns acc + |a|^2 (accumulated into the real component).
+func (p *Proc) MacAbs2(acc A, a W) A {
+	v := fixed.MacAbs2Into(acc.Acc, a.B)
+	if p.untimed {
+		return A{Acc: v}
+	}
+	return A{Acc: v, At: p.mulAt(a, W{})}
+}
+
+// CAddW returns a+b exactly, widened into an accumulator (one ALU op on
+// the widened datapath).
+func (p *Proc) CAddW(a, b W) A {
+	v := fixed.AddAcc(fixed.AccFromC15(a.B), fixed.AccFromC15(b.B))
+	if p.untimed {
+		return A{Acc: v}
+	}
+	return A{Acc: v, At: p.aluAt(a, b)}
+}
+
+// CSubW returns a-b exactly, widened into an accumulator.
+func (p *Proc) CSubW(a, b W) A {
+	v := fixed.SubAcc(fixed.AccFromC15(a.B), fixed.AccFromC15(b.B))
+	if p.untimed {
+		return A{Acc: v}
+	}
+	return A{Acc: v, At: p.aluAt(a, b)}
+}
+
+// AccAdd returns a+b on accumulators (one ALU op).
+func (p *Proc) AccAdd(a, b A) A {
+	v := fixed.AddAcc(a.Acc, b.Acc)
+	if p.untimed {
+		return A{Acc: v}
+	}
+	return A{Acc: v, At: p.aluAt(a.op(), b.op())}
+}
+
+// AccMulNegJ returns a*(-j) exactly (a swap-negate on the accumulator).
+func (p *Proc) AccMulNegJ(a A) A {
+	v := fixed.MulNegJAcc(a.Acc)
+	if p.untimed {
+		return A{Acc: v}
+	}
+	return A{Acc: v, At: p.aluAt(a.op(), W{})}
+}
+
+// MulTw multiplies a widened accumulator by a packed twiddle, scaling by
+// 2^-shift with a single rounding: the fused twiddle multiply of the FFT
+// butterfly (one multiply-class instruction).
+func (p *Proc) MulTw(a A, w W, shift uint) W {
+	v := fixed.MulAccTw(a.Acc, w.B, shift)
+	if p.untimed {
+		return W{B: v}
+	}
+	return W{B: v, At: p.mulAt(a.op(), w)}
+}
+
+// Widen converts a register sample to an accumulator (one ALU op).
+func (p *Proc) Widen(a W) A {
+	v := fixed.AccFromC15(a.B)
+	if p.untimed {
+		return A{Acc: v}
+	}
+	return A{Acc: v, At: p.aluAt(a, W{})}
+}
+
+// AccSub returns a-b on accumulators (one ALU op per component pair).
+func (p *Proc) AccSub(a, b A) A {
+	v := fixed.SubAcc(a.Acc, b.Acc)
+	if p.untimed {
+		return A{Acc: v}
+	}
+	return A{Acc: v, At: p.aluAt(a.op(), b.op())}
+}
+
+// Narrow rounds the accumulator back to a packed Q1.15 register value,
+// scaling down by 2^shift.
+func (p *Proc) Narrow(acc A, shift uint) W {
+	v := acc.Acc.Narrow(shift)
+	if p.untimed {
+		return W{B: v}
+	}
+	return W{B: v, At: p.aluAt(acc.op(), W{})}
 }
 
 // SqrtRe computes sqrt of the accumulator's real component (Q2.30) as a
 // real Q1.15 value, through the iterative unit.
 func (p *Proc) SqrtRe(acc A) W {
-	return p.div(fixed.Pack(fixed.SqrtQ30toQ15(acc.Acc.Re), 0), 1, acc.op())
+	v := fixed.Pack(fixed.SqrtQ30toQ15(acc.Acc.Re), 0)
+	if p.untimed {
+		return W{B: v}
+	}
+	return W{B: v, At: p.divAt(1, acc.op(), W{})}
 }
 
 // DivByRe divides the accumulator (Q2.30 complex) by the real component
@@ -327,7 +392,11 @@ func (p *Proc) SqrtRe(acc A) W {
 // runs the two component divisions back to back on the iterative unit.
 func (p *Proc) DivByRe(num A, den W) W {
 	d := den.B.Re()
-	return p.div(fixed.Pack(fixed.DivQ30byQ15(num.Acc.Re, d), fixed.DivQ30byQ15(num.Acc.Im, d)), 2, num.op(), den)
+	v := fixed.Pack(fixed.DivQ30byQ15(num.Acc.Re, d), fixed.DivQ30byQ15(num.Acc.Im, d))
+	if p.untimed {
+		return W{B: v}
+	}
+	return W{B: v, At: p.divAt(2, num.op(), den)}
 }
 
 // CDiv computes the full complex division a/b through the iterative unit
@@ -340,11 +409,16 @@ func (p *Proc) CDiv(a, b W) W {
 	}
 	den := p.MacAbs2(A{}, b)
 	num := p.MacConj(A{}, a, b)
-	return p.div(v, 2, num.op(), den.op())
+	return W{B: v, At: p.divAt(2, num.op(), den.op())}
 }
 
 // Imm materializes a constant into a register (one ALU instruction).
-func (p *Proc) Imm(v fixed.C15) W { return p.alu(v) }
+func (p *Proc) Imm(v fixed.C15) W {
+	if p.untimed {
+		return W{B: v}
+	}
+	return W{B: v, At: p.aluAt(W{}, W{})}
+}
 
 // Drain waits for every outstanding LSU transaction to retire,
 // attributing the wait as LSU stall. Phases end with an implicit Drain.

@@ -51,13 +51,16 @@ func SatQ15(v int64) int16 {
 }
 
 // RoundShift arithmetic-shifts v right by s bits with round-to-nearest,
-// ties away from zero. s must be in [1, 62].
+// ties away from zero. s must be in [1, 62]. It does the integer
+// operations of the two-branch form — (v+half)>>s for v >= 0, else
+// -((-v+half)>>s) — wrap-around included, but selects by sign without a
+// branch, since the sign of signal data is unpredictable: sign = v>>63
+// is 0 or -1, and (x^sign)-sign is x or -x accordingly.
 func RoundShift(v int64, s uint) int64 {
 	half := int64(1) << (s - 1)
-	if v >= 0 {
-		return (v + half) >> s
-	}
-	return -((-v + half) >> s)
+	sign := v >> 63
+	a := (v ^ sign) - sign
+	return (((a + half) >> s) ^ sign) - sign
 }
 
 // FloatToQ15 converts a float in [-1, 1) to raw Q1.15 with rounding and
@@ -95,26 +98,6 @@ func Sub(a, b C15) C15 {
 	)
 }
 
-// Neg returns -a with saturation (negating -1.0 saturates to MaxQ15).
-func Neg(a C15) C15 {
-	return Pack(SatQ15(-int64(a.Re())), SatQ15(-int64(a.Im())))
-}
-
-// Conj returns the complex conjugate of a.
-func Conj(a C15) C15 {
-	return Pack(a.Re(), SatQ15(-int64(a.Im())))
-}
-
-// MulJ returns a * (+j): (re,im) -> (-im, re).
-func MulJ(a C15) C15 {
-	return Pack(SatQ15(-int64(a.Im())), a.Re())
-}
-
-// MulNegJ returns a * (-j): (re,im) -> (im, -re).
-func MulNegJ(a C15) C15 {
-	return Pack(a.Im(), SatQ15(-int64(a.Re())))
-}
-
 // Half returns a/2 per component with round-to-nearest. FFT stages use it
 // to keep magnitudes inside Q1.15.
 func Half(a C15) C15 {
@@ -130,15 +113,6 @@ func Mul(a, b C15) C15 {
 	br, bi := int64(b.Re()), int64(b.Im())
 	re := RoundShift(ar*br-ai*bi, 15)
 	im := RoundShift(ar*bi+ai*br, 15)
-	return Pack(SatQ15(re), SatQ15(im))
-}
-
-// MulConj returns a*conj(b) rounded back to Q1.15.
-func MulConj(a, b C15) C15 {
-	ar, ai := int64(a.Re()), int64(a.Im())
-	br, bi := int64(b.Re()), int64(b.Im())
-	re := RoundShift(ar*br+ai*bi, 15)
-	im := RoundShift(ai*br-ar*bi, 15)
 	return Pack(SatQ15(re), SatQ15(im))
 }
 

@@ -1,6 +1,7 @@
 package fixed
 
 import (
+	"math"
 	"math/cmplx"
 	"testing"
 )
@@ -77,13 +78,35 @@ func FuzzSqrt(f *testing.F) {
 	})
 }
 
-// FuzzRoundShift checks rounding symmetry: RoundShift(-v) == -RoundShift(v).
+// roundShiftRef is RoundShift's two-branch form, the reference the
+// branch-free form must match bit for bit.
+func roundShiftRef(v int64, s uint) int64 {
+	half := int64(1) << (s - 1)
+	if v >= 0 {
+		return (v + half) >> s
+	}
+	return -((-v + half) >> s)
+}
+
+// FuzzRoundShift holds RoundShift to its two-branch reference for every
+// int64 and every shift in [1, 62], wrap-around included, and checks
+// rounding symmetry: RoundShift(-v) == -RoundShift(v), for every v but
+// math.MinInt64, whose negation wraps to itself.
 func FuzzRoundShift(f *testing.F) {
 	f.Add(int64(12345), uint8(4))
 	f.Add(int64(-12345), uint8(15))
+	for _, s := range []uint{1, 15, 45, 62} {
+		half := int64(1) << (s - 1)
+		for _, v := range []int64{0, 1, -1, half, -half, half - 1, -(half - 1), math.MinInt64, math.MaxInt64} {
+			f.Add(v, uint8(s-1))
+		}
+	}
 	f.Fuzz(func(t *testing.T, v int64, s uint8) {
-		shift := uint(s%30) + 1
-		if v == -1<<62 {
+		shift := uint(s%62) + 1
+		if got, want := RoundShift(v, shift), roundShiftRef(v, shift); got != want {
+			t.Fatalf("RoundShift(%d,%d) = %d, two-branch form gives %d", v, shift, got, want)
+		}
+		if v == math.MinInt64 {
 			return
 		}
 		if got, want := RoundShift(-v, shift), -RoundShift(v, shift); got != want {

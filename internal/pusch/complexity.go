@@ -26,7 +26,6 @@ package pusch
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -112,16 +111,6 @@ func (d Dims) Shares() map[Stage]float64 {
 	for s, v := range macs {
 		out[s] = v / total
 	}
-	return out
-}
-
-// DominantStages returns the stages ordered by descending MAC count.
-// Amdahl's-law reading of Fig. 3: the top entries (OFDM, BF and, as NL
-// grows, MIMO) are the kernels worth parallelizing.
-func (d Dims) DominantStages() []Stage {
-	macs := d.MACs()
-	out := append([]Stage(nil), Stages...)
-	sort.SliceStable(out, func(i, j int) bool { return macs[out[i]] > macs[out[j]] })
 	return out
 }
 

@@ -56,9 +56,14 @@ func TestFig3Shape(t *testing.T) {
 	// With 4 UEs beamforming (NR*NB per subcarrier) outweighs the FFT
 	// (log2 NSC per subcarrier); together they dominate, which is the
 	// paper's Amdahl argument for parallelizing FFT, MMM and Cholesky.
-	dom := UseCaseDims(4).DominantStages()
-	if dom[0] != StageBF || dom[1] != StageOFDM {
-		t.Errorf("dominant stages = %v", dom)
+	macs := UseCaseDims(4).MACs()
+	for _, s := range Stages {
+		if s != StageBF && macs[s] >= macs[StageBF] {
+			t.Errorf("%s MACs %.3e >= BF %.3e", s, macs[s], macs[StageBF])
+		}
+		if s != StageBF && s != StageOFDM && macs[s] >= macs[StageOFDM] {
+			t.Errorf("%s MACs %.3e >= OFDM %.3e", s, macs[s], macs[StageOFDM])
+		}
 	}
 }
 

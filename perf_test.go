@@ -2,17 +2,20 @@
 // the paper's simulated metrics, these measure the host machine's cost
 // of running the simulator — the service-time cache's cold/warm gap on
 // a repeated-coordinate trace, the allocation footprint of the engine
-// hot path, a slot replayed whole, and the Fig. 3 table rendering. Run
-// with
+// hot path, a slot replayed whole beside the same slot's golden
+// arithmetic, and the Fig. 3 table rendering. Run with
 //
-//	go test -bench='SchedulerTrace|MachineRun|ChainReplayedSlot|Fig3Table' -benchmem
+//	go test -bench='SchedulerTrace|MachineRun|ChainReplayedSlot|PhySlotArithmetic|Fig3Table' -benchmem
 package repro
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/engine"
+	"repro/internal/fixed"
+	"repro/internal/phy"
 	ipusch "repro/internal/pusch"
 	"repro/internal/sched"
 	"repro/internal/timecache"
@@ -134,6 +137,65 @@ func BenchmarkChainReplayedSlot(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPhySlotArithmetic is the golden floor under
+// BenchmarkChainReplayedSlot's seq-256sc-6sym case: that slot's
+// arithmetic composed serially from internal/phy, the reference the
+// kernels match bit for bit. It runs 96 FFTs of 256 points (6 symbols ×
+// 16 antennas), six 256×16×8 beamforming MatMuls (one per symbol) and
+// 1024 4-UE MIMO solves (4 data symbols × 256 subcarriers), each a
+// Gramian, a Cholesky, a matched filter and two triangular solves. Its
+// inputs are drawn once, outside the timer. What the replayed slot costs
+// above this is the engine's untimed data path plus TX, planning and
+// scoring.
+func BenchmarkPhySlotArithmetic(b *testing.B) {
+	const nsc, nr, nb, nl, nsymb, npilot = 256, 16, 8, 4, 6, 2
+	rng := rand.New(rand.NewPCG(1, 2))
+	draw := func(n int) []fixed.C15 {
+		x := make([]fixed.C15, n)
+		for i := range x {
+			x[i] = fixed.Pack(int16(rng.IntN(1<<13)-1<<12), int16(rng.IntN(1<<13)-1<<12))
+		}
+		return x
+	}
+	tw := phy.Twiddles(nsc)
+	antennas := make([][]fixed.C15, nsymb*nr)
+	for i := range antennas {
+		antennas[i] = draw(nsc)
+	}
+	beams := draw(nr * nb)
+	grids := make([][]fixed.C15, nsymb)
+	for i := range grids {
+		grids[i] = draw(nsc * nr)
+	}
+	channels := make([][]fixed.C15, nsc)
+	for i := range channels {
+		channels[i] = draw(nb * nl)
+	}
+	received := make([][]fixed.C15, (nsymb-npilot)*nsc)
+	for i := range received {
+		received[i] = draw(nb)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, x := range antennas {
+			physink = phy.FFT(x, tw)
+		}
+		for _, g := range grids {
+			physink = phy.MatMul(g, beams, nsc, nr, nb, 4)
+		}
+		for k, y := range received {
+			h := channels[k%nsc]
+			l := phy.Cholesky(phy.Gramian(h, nb, nl, 3, 1<<10), nl)
+			z := phy.MatVecConjT(h, y, nb, nl, 3)
+			physink = phy.BackSubHermitian(l, phy.ForwardSub(l, z, nl), nl)
+		}
+	}
+}
+
+// physink keeps BenchmarkPhySlotArithmetic's results live.
+var physink []fixed.C15
 
 // BenchmarkMachineRunAllocs pins the per-job allocation footprint of
 // the engine hot path: Machine.Run on a multi-phase fork-join job,

@@ -6,8 +6,9 @@
 // least-queue, SINR-aware).
 //
 // Determinism is the package contract, inherited from sched's serving
-// loop, which runs every cell of the fleet and alternates two phases
-// over fixed windows of arrival-order positions:
+// loop, which runs every cell of the fleet in two phases over fixed
+// windows of arrival-order positions, measuring one window ahead of
+// the one it replays:
 //
 //   - Measurement resolves every job of the window under every distinct
 //     cell serving class (cluster fingerprint × layout × timing mode)

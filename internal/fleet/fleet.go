@@ -126,7 +126,8 @@ func (f *Fleet) Serve(jobs []sched.Job) ([]sched.JobResult, report.FleetSummary)
 // degenerates to the plain scheduler's wire format — one kind="summary"
 // line, no fleet line. Output is byte-identical across runs and worker
 // counts for the same trace and configuration. A write error ends the
-// serve: no later window is measured.
+// serve once the measurements already running have finished (see
+// sched.ServeCells): no measurement outlives the call.
 func (f *Fleet) WriteJSONL(w io.Writer, jobs []sched.Job) (report.FleetSummary, error) {
 	enc := json.NewEncoder(w)
 	sum, err := f.serve(jobs, func(r *sched.JobResult) error { return sched.WriteServed(enc, r) })

@@ -74,25 +74,42 @@ func (c ChainConfig) CacheKey() (string, error) {
 		skel.ChannelSeed = ch.Seed
 		skel.ChannelTimeMs = ch.TimeMs
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	var sb strings.Builder
-	sb.WriteString(CacheKeySchema)
-	sb.WriteByte('|')
-	sb.WriteString(skel.Key())
-	fmt.Fprintf(&sb, "|nsc%d/nr%d/nb%d/sy%d/pi%d", c.NSC, c.NR, c.NB, c.NSymb, c.NPilot)
-	sb.WriteString("|snr" + f(c.SNRdB))
-	sb.WriteString("|amp" + f(c.DataAmp) + ":" + f(c.PilotAmp))
-	fmt.Fprintf(&sb, "|taps%d|seed%x", c.Taps, c.Seed)
+	var buf [256]byte
+	b := append(buf[:0], CacheKeySchema+"|"...)
+	b = skel.AppendKey(b)
+	b = appendInt(b, "|nsc", c.NSC)
+	b = appendInt(b, "/nr", c.NR)
+	b = appendInt(b, "/nb", c.NB)
+	b = appendInt(b, "/sy", c.NSymb)
+	b = appendInt(b, "/pi", c.NPilot)
+	b = appendFloat(b, "|snr", c.SNRdB)
+	b = appendFloat(b, "|amp", c.DataAmp)
+	b = appendFloat(b, ":", c.PilotAmp)
+	b = appendInt(b, "|taps", c.Taps)
+	b = strconv.AppendUint(append(b, "|seed"...), c.Seed, 16)
 	if c.InterpolateChannel {
-		sb.WriteString("|interp")
+		b = append(b, "|interp"...)
 	}
 	if !c.Channel.Legacy() {
 		// Doppler, Rician K and delay spread shape the fading realization
 		// beyond what the record key carries.
-		sb.WriteString("|fd" + f(ch.DopplerHz) + "/k" + f(ch.RicianK) + "/ds" + f(ch.DelaySpreadNs))
+		b = appendFloat(b, "|fd", ch.DopplerHz)
+		b = appendFloat(b, "/k", ch.RicianK)
+		b = appendFloat(b, "/ds", ch.DelaySpreadNs)
 	}
-	sb.WriteString("|arch" + ArchFingerprint(c.Cluster))
-	return sb.String(), nil
+	b = append(b, "|arch"...)
+	b = append(b, ArchFingerprint(c.Cluster)...)
+	return string(b), nil
+}
+
+// appendInt appends tag and v in decimal.
+func appendInt(b []byte, tag string, v int) []byte {
+	return strconv.AppendInt(append(b, tag...), int64(v), 10)
+}
+
+// appendFloat appends tag and v in its shortest exact decimal form.
+func appendFloat(b []byte, tag string, v float64) []byte {
+	return strconv.AppendFloat(append(b, tag...), v, 'g', -1, 64)
 }
 
 // ArchFingerprint hashes the complete cluster description — geometry,

@@ -1,9 +1,9 @@
 package report
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // SlotPhase is one stage's (or kernel's) contribution to a slot-level
@@ -103,27 +103,54 @@ type SlotRecord struct {
 // silently collapsed. The service-time cache builds its coordinate key
 // on top of this composite (pusch.ChainConfig.CacheKey).
 func (r *SlotRecord) Key() string {
-	key := fmt.Sprintf("%s/%s/%dc/%due/chol%d", r.Kind, strings.ToLower(r.Cluster), r.Cores, r.UEs, r.CholPerRound)
+	var buf [96]byte
+	return string(r.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key's bytes to dst and returns the extended buffer,
+// so a caller composing a longer key (the service-time cache's) builds
+// it in one buffer.
+func (r *SlotRecord) AppendKey(dst []byte) []byte {
+	b := append(dst, r.Kind...)
+	b = appendLower(append(b, '/'), r.Cluster)
+	b = strconv.AppendInt(append(b, '/'), int64(r.Cores), 10)
+	b = strconv.AppendInt(append(b, "c/"...), int64(r.UEs), 10)
+	b = strconv.AppendInt(append(b, "ue/chol"...), int64(r.CholPerRound), 10)
 	if r.Scheme != "" {
-		key += "/" + r.Scheme
+		b = append(append(b, '/'), r.Scheme...)
 	}
 	if r.Channel != "" {
-		key += "/" + r.Channel
+		b = append(append(b, '/'), r.Channel...)
 		if r.ChannelSeed != 0 {
-			key += fmt.Sprintf("/cs%x", r.ChannelSeed)
+			b = strconv.AppendUint(append(b, "/cs"...), r.ChannelSeed, 16)
 		}
 		if r.ChannelTimeMs != 0 {
-			key += "/t" + strconv.FormatFloat(r.ChannelTimeMs, 'g', -1, 64)
+			b = strconv.AppendFloat(append(b, "/t"...), r.ChannelTimeMs, 'g', -1, 64)
 		}
 	}
 	if r.Layout != "" {
-		key += "/" + r.Layout
+		b = append(append(b, '/'), r.Layout...)
 	}
 	if r.Timing != "" {
 		// An analytic prediction and a cycle-accurate measurement of the
 		// same slot are different records; they must never collide in a
 		// baseline diff.
-		key += "/" + r.Timing
+		b = append(append(b, '/'), r.Timing...)
 	}
-	return key
+	return b
+}
+
+// appendLower appends strings.ToLower(s) to dst.
+func appendLower(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return append(dst, strings.ToLower(s[i:])...)
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }

@@ -16,12 +16,12 @@
 // run on the cycle-approximate simulator, so the queueing behaviour is
 // grounded in the same cycle counts as every other figure in the repo.
 //
-// Execution alternates two phases so host parallelism never perturbs
-// the virtual-time discipline: measure a window, then replay it.
-// ServeCells is the one loop that does both; Scheduler.Serve is its
-// one-class, one-cell case, and internal/fleet runs N cells through it.
-// It walks the arrival order in fixed windows of 1024 positions (the
-// window constant), never host timing, and for each window:
+// Execution splits into two phases so host parallelism never perturbs
+// the virtual-time discipline: measure a window, replay it. ServeCells
+// is the one loop that does both; Scheduler.Serve is its one-class,
+// one-cell case, and internal/fleet runs N cells through it. It walks
+// the arrival order in fixed windows of 1024 positions (the window
+// constant), never host timing, and for each window:
 //
 //  1. Measurement: every job of the window, once per serving class, is
 //     resolved through campaign.Resolve, fanned out across
@@ -40,15 +40,25 @@
 //     measured record with its pending result, so it may start in a
 //     later window.
 //
+// The phases overlap one window deep: once window k is measured, a
+// helper goroutine measures window k+1 over the same pool while the
+// caller replays and emits window k, then the two swap measurement
+// buffers. A measurement depends only on its job and a route reads only
+// the window being replayed, so the lookahead moves no byte. A trace of
+// at most one window starts no helper.
+//
 // Results leave the loop in arrival order: a job's result is emitted
 // once it and every earlier job are final (started, dropped or failed),
 // and the JSONL line, the summaries and the metric families fold it as
 // it is emitted. So the first record waits for one window, not the
 // trace, and a serve holds, beyond the caller's trace and its arrival
-// order, one window of measurements per serving class, the queued jobs,
-// the results from the oldest queued job to the newest arrival, and 16
-// bytes per served job for exact wait and latency percentiles. A write
-// error ends the serve before the next window is measured.
+// order, two windows of measurements per serving class (the one
+// replaying and the one measured ahead), the queued jobs, the results
+// from the oldest queued job to the newest arrival, and 16 bytes per
+// served job for exact wait and latency percentiles. A write error ends
+// the serve: the window measured ahead hands out no further
+// measurement, the ones already running finish, and the serve returns
+// only after they have, so nothing is measured after it returns.
 //
 // Because admission is decided in the replay, a dropped job's
 // measurement is discarded — the price of measuring in parallel — but

@@ -148,13 +148,20 @@ type Replay struct {
 	tallies []tally // per cell, over the emitted results
 }
 
+// newMeasurements returns room for one window of measurements under
+// each of classes serving classes.
+func newMeasurements(classes, window int) [][]measured {
+	meas := make([][]measured, classes)
+	for cls := range meas {
+		meas[cls] = make([]measured, window)
+	}
+	return meas
+}
+
 // newReplay returns the replay of cells with room for one window of
 // measurements under each of classes serving classes.
 func newReplay(cells []Queue, classes, window int) *Replay {
-	r := &Replay{cells: make([]cellState, len(cells)), meas: make([][]measured, classes), tallies: make([]tally, len(cells))}
-	for cls := range r.meas {
-		r.meas[cls] = make([]measured, window)
-	}
+	r := &Replay{cells: make([]cellState, len(cells)), meas: newMeasurements(classes, window), tallies: make([]tally, len(cells))}
 	for c, q := range cells {
 		st := &r.cells[c]
 		st.class, st.servers, st.queueCap = q.Class, max(q.Servers, 1), q.QueueDepth

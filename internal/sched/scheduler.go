@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -55,7 +56,8 @@ func (s *Scheduler) Serve(jobs []Job) ([]JobResult, report.ServiceSummary) {
 // kind="summary". Each line is written as soon as its job and every
 // earlier one are final. Output is byte-identical across runs and
 // worker counts for the same trace and configuration. A write error
-// ends the serve: no later window is measured.
+// ends the serve once the measurements already running have finished
+// (see ServeCells): no measurement outlives the call.
 func (s *Scheduler) WriteJSONL(w io.Writer, jobs []Job) (report.ServiceSummary, error) {
 	enc := json.NewEncoder(w)
 	sum, err := s.serve(jobs, func(r *JobResult) error { return WriteServed(enc, r) })
@@ -138,11 +140,16 @@ type Run struct {
 }
 
 // window is how many arrival-order positions ServeCells measures at a
-// time. A serve holds one window of measurements per serving class, so
-// its memory is bounded by the window rather than the trace. It stays
-// at least 64, so the 64-job serve-cold trace of cmd/puschbench is one
-// window.
+// time. A serve holds two windows of measurements per serving class
+// (the one replaying and the one measured ahead), so its memory is
+// bounded by the window rather than the trace. It stays at least 64, so
+// the 64-job serve-cold trace of cmd/puschbench is one window.
 const window = 1024
+
+// stopped, when a test sets it, runs on ServeCells' goroutine once an
+// emit error has stopped the lookahead window from handing out
+// measurements.
+var stopped func()
 
 // ServeCells is the one serving loop, behind Scheduler and fleet.Fleet.
 // It walks the arrival order in windows of fixed length, and for each
@@ -158,15 +165,24 @@ const window = 1024
 //     discipline — earliest free server (lowest index on ties), FIFO
 //     bounded queue, drop on overflow.
 //
+// The two overlap one window deep: while window k replays on the
+// caller's goroutine, a helper goroutine measures window k+1, so the
+// workers do not idle during the serial replay. A trace of at most one
+// window starts no helper.
+//
 // Each job's final result goes to emit in arrival order, as soon as the
-// job and every earlier one are started, dropped or failed. Routing
-// reads only the replay and the job, so results never depend on
-// measurement order or worker count. Beyond the caller's trace and the
-// arrival order, a serve holds one window of measurements per class,
-// the queued jobs, the results from the oldest queued job to the newest
-// arrival, and 16 bytes per served job for exact wait and latency
-// percentiles. An emit error ends the serve and is returned; no later
-// window is measured.
+// job and every earlier one are started, dropped or failed. Each
+// measurement depends only on its job and routing reads only the replay
+// and the job, so results never depend on measurement order, lookahead
+// or worker count. Beyond the caller's trace and the arrival order, a
+// serve holds two windows of measurements per class, the queued jobs,
+// the results from the oldest queued job to the newest arrival, and 16
+// bytes per served job for exact wait and latency percentiles. An emit
+// error ends the serve and is returned: the window measured ahead hands
+// out no further measurement, and ServeCells returns once the
+// measurements already running have finished, so nothing is measured
+// after it returns and no window after the one measured ahead is
+// started.
 //
 // cfg supplies the shared machinery (Workers, Seed, Cache, Model); each
 // cell carries its own discipline and the caller folds metrics in emit,
@@ -187,15 +203,29 @@ func ServeCells(cfg Config, measure MeasureFunc, jobs []Job, classes []Class, ce
 		base = 1
 	}
 	order := arrivalOrder(jobs)
-	send := func(r *JobResult) error { return emit(r, &jobs[order[r.Job]]) }
+	// stop is set by the first emit error; from then on no measurement
+	// is handed out.
+	var stop atomic.Bool
+	send := func(r *JobResult) error {
+		err := emit(r, &jobs[order[r.Job]])
+		if err != nil {
+			stop.Store(true)
+			if stopped != nil {
+				stopped()
+			}
+		}
+		return err
+	}
 	pool := engine.NewFanOut(cfg.Workers, len(classes)*len(jobs))
-	r := newReplay(cells, len(classes), min(window, len(jobs)))
-	for lo := 0; lo < len(jobs); lo += window {
+	// fill measures the window at lo into meas. A job that does not pin
+	// its payload seed gets one derived from cfg.Seed and its
+	// arrival-order position, the same in every class.
+	fill := func(meas [][]measured, lo int) {
 		n := min(window, len(jobs)-lo)
-		r.lo = lo
-		// A job that does not pin its payload seed gets one derived from
-		// cfg.Seed and its arrival-order position, the same in every class.
 		pool.FanOut(len(classes)*n, func(pool *engine.Machines, k int) {
+			if stop.Load() {
+				return
+			}
 			cls, pos := k/n, lo+k%n
 			chain := jobs[order[pos]].Chain
 			if classes[cls] != nil {
@@ -205,13 +235,38 @@ func ServeCells(cfg Config, measure MeasureFunc, jobs []Job, classes []Class, ce
 				chain.Seed = jobSeed(base, pos)
 			}
 			rec, err := campaign.Resolve(pool, chain, cfg.Cache, cfg.Model, measure)
-			r.meas[cls][k%n] = measured{rec: rec, err: err}
+			meas[cls][k%n] = measured{rec: rec, err: err}
 		})
-		for pos := lo; pos < lo+n; pos++ {
+	}
+	r := newReplay(cells, len(classes), min(window, len(jobs)))
+	var next [][]measured // the lookahead window's measurements
+	if len(jobs) > window {
+		next = newMeasurements(len(classes), window)
+	}
+	fill(r.meas, 0)
+	for lo := 0; lo < len(jobs); lo += window {
+		r.lo = lo
+		// A helper measures the next window while this one replays; it
+		// writes only next, which is read once done is closed.
+		var done chan struct{}
+		if lo+window < len(jobs) {
+			done = make(chan struct{})
+			go func() {
+				defer close(done)
+				fill(next, lo+window)
+			}()
+		}
+		var err error
+		for pos := lo; pos < min(lo+window, len(jobs)) && err == nil; pos++ {
 			r.arrive(pos, &jobs[order[pos]], route)
-			if err := r.flush(send); err != nil {
-				return Run{}, err
-			}
+			err = r.flush(send)
+		}
+		if done != nil {
+			<-done
+			r.meas, next = next, r.meas
+		}
+		if err != nil {
+			return Run{}, err
 		}
 	}
 	for c := range r.cells {

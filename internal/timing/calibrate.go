@@ -122,7 +122,7 @@ func CalibrateGrid(clusters []*arch.Config, pts []GridPoint, budget float64) (*C
 		classes := nscClasses(cfgs)
 		cores := cl.NumCores()
 		cf := ClusterFit{Cluster: cl.Name, Cores: cores, Fingerprint: pusch.ArchFingerprint(cl)}
-		for _, st := range pusch.Stages {
+		for s, st := range pusch.Stages {
 			for _, nsc := range classes {
 				var X [][]float64
 				var y []float64
@@ -130,12 +130,12 @@ func CalibrateGrid(clusters []*arch.Config, pts []GridPoint, budget float64) (*C
 					if cfg.NSC != nsc {
 						continue
 					}
-					X = append(X, features(cfg, cores)[st])
-					y = append(y, float64(walls[i][st].Wall)/reps(cfg)[st])
+					X = append(X, features(cfg, cores)[s])
+					y = append(y, float64(walls[i][st].Wall)/reps(cfg)[s])
 				}
-				if len(X) < len(features(cfgs[0], cores)[st]) {
+				if len(X) < len(features(cfgs[0], cores)[s]) {
 					return nil, fmt.Errorf("timing: %d fit points for %s NSC=%d on %s, need at least %d",
-						len(X), stageKeys[st], nsc, cl.Name, len(features(cfgs[0], cores)[st]))
+						len(X), stageKeys[st], nsc, cl.Name, len(features(cfgs[0], cores)[s]))
 				}
 				h := fitHinge(X, y)
 				cf.Stages = append(cf.Stages, StageFit{Stage: stageKeys[st], NSC: nsc, J0: h.J0, Beta: h.Beta})

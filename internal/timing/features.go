@@ -31,46 +31,35 @@ func fftBatch(nsc, nr, cores int) int {
 // bfMaxWindows mirrors the beamforming MMM's 4x4-window partitioning
 // (kernels/mmm appendRowBlocks/appendColBlocks): the NSC x NB output
 // splits into (NSC/4) x (NB/4) windows dealt across the lanes, and the
-// stage's critical path is the most-loaded lane's window count.
+// stage's critical path is the most-loaded lane's window count. With
+// fewer lanes than row blocks, lane 0 takes the most row blocks and
+// every column block of each. Otherwise each row block's column blocks
+// are dealt across the lanes/blocksM (or one more) lanes sharing it,
+// and a lane of the smaller share is the busiest.
 func bfMaxWindows(nsc, nb, lanes int) int {
 	blocksM, blocksP := nsc/4, nb/4
-	wmax := 0
-	for lane := 0; lane < lanes; lane++ {
-		nrb := 1
-		if lanes < blocksM {
-			nrb = (blocksM - lane + lanes - 1) / lanes
-		}
-		rank, cnt := 0, 1
-		if lanes >= blocksM {
-			rank = lane / blocksM
-			cnt = lanes / blocksM
-			if rem := lanes % blocksM; rem != 0 && lane%blocksM < rem {
-				cnt++
-			}
-		}
-		ncb := 0
-		if rank < blocksP {
-			ncb = (blocksP - rank + cnt - 1) / cnt
-		}
-		if w := nrb * ncb; w > wmax {
-			wmax = w
-		}
+	if lanes < blocksM {
+		return ceilDiv(blocksM, lanes) * blocksP
 	}
-	return wmax
+	return ceilDiv(blocksP, lanes/blocksM)
 }
+
+// numStages is len(pusch.Stages): reps and features return one entry
+// per stage, in that order.
+const numStages = 5
 
 // reps returns how many times each stage's job is issued per slot: the
 // repetition count that multiplies the per-repetition hinge. OFDM and
 // beamforming run once per OFDM symbol, channel estimation once per
 // pilot symbol, the noise combine once per slot, and MIMO detection
 // once per data symbol.
-func reps(cfg pusch.ChainConfig) map[pusch.Stage]float64 {
-	return map[pusch.Stage]float64{
-		pusch.StageOFDM: float64(cfg.NSymb),
-		pusch.StageBF:   float64(cfg.NSymb),
-		pusch.StageCHE:  float64(cfg.NPilot),
-		pusch.StageNE:   1,
-		pusch.StageMIMO: float64(cfg.NSymb - cfg.NPilot),
+func reps(cfg pusch.ChainConfig) [numStages]float64 {
+	return [numStages]float64{
+		float64(cfg.NSymb),              // OFDM
+		float64(cfg.NSymb),              // BF
+		float64(cfg.NPilot),             // CHE
+		1,                               // NE
+		float64(cfg.NSymb - cfg.NPilot), // MIMO
 	}
 }
 
@@ -92,17 +81,21 @@ func reps(cfg pusch.ChainConfig) map[pusch.Stage]float64 {
 //     Gramian (NL^2 * NB), matched filter (NL * NB), Cholesky (NL^3),
 //     triangular solves (NL^2) — on the busiest lane's ceil(NSC/cores)
 //     subcarriers.
-func features(cfg pusch.ChainConfig, cores int) map[pusch.Stage][]float64 {
+func features(cfg pusch.ChainConfig, cores int) (x [numStages][]float64) {
 	nsc, nr, nb, nl := cfg.NSC, cfg.NR, cfg.NB, cfg.NL
 	batch := float64(fftBatch(nsc, nr, cores))
 	wmax := float64(bfMaxWindows(nsc, nb, cores))
 	spc := float64(ceilDiv(nsc, cores))
 	fnl, fnb, fnr := float64(nl), float64(nb), float64(nr)
-	return map[pusch.Stage][]float64{
-		pusch.StageOFDM: {batch, 1},
-		pusch.StageBF:   {wmax * fnr, wmax, 1},
-		pusch.StageCHE:  {spc * fnb, spc, 1},
-		pusch.StageNE:   {spc * fnb, spc, 1},
-		pusch.StageMIMO: {spc * fnl * fnl * fnb, spc * fnl * fnb, spc * fnl * fnl * fnl, spc * fnl * fnl, spc * fnb, spc, 1},
-	}
+	// One assignment per stage, in pusch.Stages order (OFDM, BF, CHE,
+	// NE, MIMO). Go 1.24's compiler lays an array literal of more than
+	// four slice literals out in static storage that it then writes at
+	// run time: a data race between concurrent predictions, which the
+	// race detector reports.
+	x[0] = []float64{batch, 1}
+	x[1] = []float64{wmax * fnr, wmax, 1}
+	x[2] = []float64{spc * fnb, spc, 1}
+	x[3] = []float64{spc * fnb, spc, 1}
+	x[4] = []float64{spc * fnl * fnl * fnb, spc * fnl * fnb, spc * fnl * fnl * fnl, spc * fnl * fnl, spc * fnb, spc, 1}
+	return x
 }

@@ -146,18 +146,18 @@ func (m *Model) Predict(cfg pusch.ChainConfig) (report.SlotRecord, error) {
 	cores := cfg.Cluster.NumCores()
 	rp := reps(cfg)
 	fx := features(cfg, cores)
-	var phases []report.SlotPhase
+	phases := make([]report.SlotPhase, 0, numStages)
 	var total int64
-	for _, st := range pusch.Stages {
+	for i, st := range pusch.Stages {
 		h, ok := byClass[classKey{stageKeys[st], cfg.NSC}]
 		if !ok {
 			return report.SlotRecord{}, fmt.Errorf("timing: no calibrated %s model for NSC=%d on %s; regenerate the calibration", stageKeys[st], cfg.NSC, cfg.Cluster.Name)
 		}
-		x := fx[st]
+		x := fx[i]
 		if len(h.Beta) != len(x) {
 			return report.SlotRecord{}, fmt.Errorf("timing: calibrated %s model has %d coefficients, feature basis has %d — stale artifact, regenerate", stageKeys[st], len(h.Beta), len(x))
 		}
-		w := math.Round(rp[st] * h.predict(x))
+		w := math.Round(rp[i] * h.predict(x))
 		if !(w < 1<<53) {
 			// NaN, infinite or past exact integers: five such walls could
 			// overflow the total. Fail closed, as for a missing class.

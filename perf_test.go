@@ -1,24 +1,29 @@
 // Host-performance benchmarks: unlike bench_test.go, which regenerates
 // the paper's simulated metrics, these measure the host machine's cost
 // of running the simulator — the service-time cache's cold/warm gap on
-// a repeated-coordinate trace, the allocation footprint of the engine
-// hot path, a slot replayed whole beside the same slot's golden
-// arithmetic, and the Fig. 3 table rendering. Run with
+// a repeated-coordinate trace, a warm multi-window fleet stream, the
+// allocation footprint of the engine hot path, a slot replayed whole
+// beside the same slot's golden arithmetic, and the Fig. 3 table
+// rendering. Run with
 //
-//	go test -bench='SchedulerTrace|MachineRun|ChainReplayedSlot|PhySlotArithmetic|Fig3Table' -benchmem
+//	go test -bench='SchedulerTrace|FleetWarmStream|MachineRun|ChainReplayedSlot|PhySlotArithmetic|Fig3Table' -benchmem
 package repro
 
 import (
+	"io"
 	"math/rand/v2"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/campaign"
 	"repro/internal/engine"
 	"repro/internal/fixed"
+	"repro/internal/fleet"
 	"repro/internal/phy"
 	ipusch "repro/internal/pusch"
 	"repro/internal/sched"
 	"repro/internal/timecache"
+	"repro/internal/timing"
 	"repro/internal/waveform"
 )
 
@@ -69,6 +74,61 @@ func BenchmarkSchedulerTraceWarm(b *testing.B) {
 			b.Fatal("warm pass missed the cache")
 		}
 	}
+}
+
+// BenchmarkFleetWarmStream streams a warm fleet serve: cmd/puschbench's
+// replay-long shape cut to four 1024-job windows. A Table I mix at 200
+// slots/ms over a 3-cell UE population, its payload seed pinned; odd
+// jobs take the analytic model, even jobs hit a service-time cache
+// warmed outside the timer, so no job runs the engine. Three
+// homogeneous MemPool cells of 2 servers route least-queue, measured
+// by 2 workers, and WriteJSONL encodes every line to io.Discard. What
+// it times is the serving loop: resolution, replay, routing and JSON
+// encoding, with measurement overlapping the replay.
+func BenchmarkFleetWarmStream(b *testing.B) {
+	const jobs, cells = 4 * 1024, 3
+	model, err := timing.Load(timing.DefaultPath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := ipusch.ChainConfig{NSC: 256, NR: 16, NB: 8, NL: 4, NSymb: 6, NPilot: 2, SNRdB: 20}
+	mix := sched.TableIMix(&base)
+	trace := sched.MixedTracePop(mix, jobs, 200, 1, fleet.Population(cells))
+	for i := range trace {
+		c := &trace[i].Chain
+		c.Seed = 1
+		if i%2 == 1 {
+			c.Timing = ipusch.TimingAnalytic
+		}
+	}
+	cache := timecache.New(0)
+	pool := engine.NewMachines()
+	for _, e := range mix {
+		cfg := e.Chain
+		cfg.Cluster, cfg.Seed = arch.MemPool(), 1
+		if _, err := campaign.Resolve(pool, cfg, cache, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	f := &fleet.Fleet{Cfg: fleet.Config{
+		Cells:   fleet.Homogeneous(cells, fleet.Cell{Cluster: arch.MemPool(), Servers: 2}),
+		Policy:  fleet.LeastQueue,
+		Workers: 2,
+		Cache:   cache,
+		Model:   model,
+	}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum, err := f.WriteJSONL(io.Discard, trace)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sum.Served+sum.Dropped != jobs || sum.Failed != 0 || sum.Host.CacheMisses != 0 {
+			b.Fatalf("served %d, dropped %d, failed %d of %d jobs with %d cache misses", sum.Served, sum.Dropped, sum.Failed, jobs, sum.Host.CacheMisses)
+		}
+	}
+	b.ReportMetric(float64(b.N*jobs)/b.Elapsed().Seconds(), "jobs/s")
 }
 
 // BenchmarkMachineRun measures the host cost of one cycle-accurate

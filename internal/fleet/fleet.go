@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"io"
 
 	"repro/internal/arch"
@@ -129,8 +128,8 @@ func (f *Fleet) Serve(jobs []sched.Job) ([]sched.JobResult, report.FleetSummary)
 // serve once the measurements already running have finished (see
 // sched.ServeCells): no measurement outlives the call.
 func (f *Fleet) WriteJSONL(w io.Writer, jobs []sched.Job) (report.FleetSummary, error) {
-	enc := json.NewEncoder(w)
-	sum, err := f.serve(jobs, func(r *sched.JobResult) error { return sched.WriteServed(enc, r) })
+	enc := sched.NewEncoder(w)
+	sum, err := f.serve(jobs, enc.WriteServed)
 	if err != nil {
 		return sum, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/arch"
@@ -64,7 +63,7 @@ func (c ChainConfig) CacheKey() (string, error) {
 		Cluster: c.Cluster.Name,
 		Cores:   c.Cluster.NumCores(),
 		UEs:     c.NL,
-		Scheme:  strings.ToLower(c.Scheme.String()),
+		Scheme:  c.Scheme.Name(),
 		Layout:  layout,
 	}
 	ch := c.Channel

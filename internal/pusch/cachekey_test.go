@@ -107,3 +107,27 @@ func TestKeysPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestCacheKeyAllocatesOnlyTheKey: CacheKey runs on every cached job of
+// a serve, so its only allocation is the key string, on the legacy and
+// the fading coordinate alike.
+func TestCacheKeyAllocatesOnlyTheKey(t *testing.T) {
+	legacy := ChainConfig{
+		Cluster: arch.MemPool(),
+		NSC:     256, NR: 16, NB: 8, NL: 4,
+		NSymb: 6, NPilot: 2,
+		Scheme: waveform.QAM64,
+		SNRdB:  20,
+		Seed:   1,
+	}
+	tdl := legacy
+	tdl.Channel = channel.Spec{Profile: channel.TDLB, DopplerHz: 30, Seed: 7, TimeMs: 0.5}
+	for _, cfg := range []ChainConfig{legacy, tdl} {
+		if _, err := cfg.CacheKey(); err != nil { // warms the fingerprint memo
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = cfg.CacheKey() }); n != 1 {
+			t.Errorf("%s: CacheKey allocates %v times, want 1 (the key)", cfg.Channel.EffectiveProfile(), n)
+		}
+	}
+}

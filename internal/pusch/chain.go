@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/channel"
@@ -110,7 +109,7 @@ func (r *ChainResult) Record(cfg ChainConfig) report.SlotRecord {
 		Cluster:        cfg.Cluster.Name,
 		Cores:          cfg.Cluster.NumCores(),
 		UEs:            cfg.NL,
-		Scheme:         strings.ToLower(cfg.Scheme.String()),
+		Scheme:         cfg.Scheme.Name(),
 		Phases:         phases,
 		TotalCycles:    r.TotalCycles,
 		TimeMs:         r.TimeMs,

@@ -7,6 +7,8 @@ import "repro/internal/engine"
 // SlotRecord line) plus the scheduling coordinates the slot-traffic
 // scheduler assigned it. All times are simulated cycles at the nominal
 // 1 GHz clock, on the same axis as the slot's own cycle counts.
+// AppendJSON writes its fields by hand: a field added here, in
+// SlotRecord or in SlotPhase goes there too.
 type JobRecord struct {
 	// Job is the job's index in arrival order; Name is the trace's label
 	// for it (generator name, campaign scenario, or the spec's name).
@@ -28,6 +30,30 @@ type JobRecord struct {
 	// LatencyCycles = FinishCycle - ArrivalCycle (sojourn time).
 	WaitCycles    int64 `json:"wait_cycles"`
 	LatencyCycles int64 `json:"latency_cycles"`
+}
+
+// AppendJSON appends r's JSON line to dst and reports true: byte for
+// byte what json.NewEncoder(w).Encode(r) writes, trailing newline
+// included, without reflection. Where encoding/json would escape a
+// string byte or refuse a non-finite float, it appends nothing and
+// returns dst and false, and the caller encodes r with encoding/json.
+// TestJobRecordWireCoversEveryField and FuzzJobRecordWire hold the two
+// encoders equal.
+func (r *JobRecord) AppendJSON(dst []byte) ([]byte, bool) {
+	l := jsonLine{b: dst, ok: true}
+	l.int(`{"job":`, int64(r.Job))
+	l.optStr(`,"name":`, r.Name)
+	l.optInt(`,"cell":`, int64(r.Cell))
+	r.SlotRecord.appendJSON(&l)
+	l.int(`,"arrival_cycle":`, r.ArrivalCycle)
+	l.int(`,"start_cycle":`, r.StartCycle)
+	l.int(`,"finish_cycle":`, r.FinishCycle)
+	l.int(`,"wait_cycles":`, r.WaitCycles)
+	l.int(`,"latency_cycles":`, r.LatencyCycles)
+	if !l.ok {
+		return dst, false
+	}
+	return append(l.b, "}\n"...), true
 }
 
 // ServiceSummary aggregates one scheduler run: the offered-versus-served

@@ -93,6 +93,57 @@ type SlotRecord struct {
 	Timing string `json:"timing,omitempty"`
 }
 
+// appendJSON appends r's fields to the object of an enclosing
+// JobRecord, each after a comma, as encoding/json inlines them.
+func (r *SlotRecord) appendJSON(l *jsonLine) {
+	l.str(`,"kind":`, r.Kind)
+	l.str(`,"cluster":`, r.Cluster)
+	l.int(`,"cores":`, int64(r.Cores))
+	l.int(`,"ues":`, int64(r.UEs))
+	l.optStr(`,"scheme":`, r.Scheme)
+	l.optInt(`,"chol_per_round":`, int64(r.CholPerRound))
+	if r.Phases == nil {
+		l.b = append(l.b, `,"phases":null`...)
+	} else {
+		l.b = append(l.b, `,"phases":[`...)
+		for i := range r.Phases {
+			if i > 0 {
+				l.b = append(l.b, ',')
+			}
+			r.Phases[i].appendJSON(l)
+		}
+		l.b = append(l.b, ']')
+	}
+	l.int(`,"cycles":`, r.TotalCycles)
+	l.float(`,"time_ms":`, r.TimeMs)
+	l.int(`,"payload_bits":`, r.PayloadBits)
+	l.float(`,"throughput_gbps":`, r.ThroughputGbps)
+	l.optInt(`,"serial_cycles":`, r.SerialCycles)
+	l.optFloat(`,"speedup":`, r.Speedup)
+	l.optFloat(`,"ber":`, r.BER)
+	l.optFloat(`,"evm_db":`, r.EVMdB)
+	l.optFloat(`,"sigma_est":`, r.SigmaEst)
+	l.optStr(`,"channel":`, r.Channel)
+	l.optFloat(`,"doppler_hz":`, r.DopplerHz)
+	l.optFloat(`,"rician_k":`, r.RicianK)
+	l.optUint(`,"channel_seed":`, r.ChannelSeed)
+	l.optFloat(`,"channel_time_ms":`, r.ChannelTimeMs)
+	l.optStr(`,"layout":`, r.Layout)
+	l.optStr(`,"timing":`, r.Timing)
+}
+
+// appendJSON appends p as one JSON object.
+func (p *SlotPhase) appendJSON(l *jsonLine) {
+	l.str(`{"name":`, p.Name)
+	l.int(`,"per_pass":`, p.PerPass)
+	l.int(`,"passes":`, int64(p.Passes))
+	l.int(`,"cycles":`, p.Cycles)
+	l.float(`,"share":`, p.Share)
+	l.optFloat(`,"ipc":`, p.IPC)
+	l.optFloat(`,"macs_per_cycle":`, p.MACsPerCycle)
+	l.b = append(l.b, '}')
+}
+
 // Key returns the stable identity used to match slot records across
 // runs: kind, cluster (name and core count), UE count, Cholesky
 // schedule, scheme, channel coordinates (profile plus, when stamped,

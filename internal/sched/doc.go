@@ -65,6 +65,10 @@
 // its payload still counts as offered load. Results are
 // byte-reproducible: the same trace, seed and service discipline
 // produce identical JSONL, across runs and across worker counts.
+// Encoder writes that JSONL: each served line through
+// report.JobRecord.AppendJSON, without reflection, and through
+// encoding/json whatever AppendJSON declines, so the bytes are
+// encoding/json's either way.
 //
 // A job's timing path follows its ChainConfig.Timing, decided by
 // campaign.Resolve, the resolution path campaigns share: cycle-accurate

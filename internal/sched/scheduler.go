@@ -59,8 +59,8 @@ func (s *Scheduler) Serve(jobs []Job) ([]JobResult, report.ServiceSummary) {
 // ends the serve once the measurements already running have finished
 // (see ServeCells): no measurement outlives the call.
 func (s *Scheduler) WriteJSONL(w io.Writer, jobs []Job) (report.ServiceSummary, error) {
-	enc := json.NewEncoder(w)
-	sum, err := s.serve(jobs, func(r *JobResult) error { return WriteServed(enc, r) })
+	enc := NewEncoder(w)
+	sum, err := s.serve(jobs, enc.WriteServed)
 	if err != nil {
 		return sum, err
 	}
@@ -91,15 +91,41 @@ func (s *Scheduler) serve(jobs []Job, emit func(*JobResult) error) (report.Servi
 	return sum, nil
 }
 
-// WriteServed writes r's JobRecord as one JSON line on enc when r was
-// served, and nothing otherwise: the wire encoder of every serving
-// stack.
-func WriteServed(enc *json.Encoder, r *JobResult) error {
+// Encoder writes the JSONL stream of every serving stack: one line per
+// served job, then the summary lines. It makes one Write per line, as
+// json.Encoder does.
+type Encoder struct {
+	w   io.Writer
+	enc *json.Encoder
+	buf []byte // the last hand-encoded line, reused for the next
+}
+
+// NewEncoder returns an Encoder that writes to w.
+func NewEncoder(w io.Writer) *Encoder {
+	return &Encoder{w: w, enc: json.NewEncoder(w)}
+}
+
+// WriteServed writes r's JobRecord as one JSON line when r was served,
+// and nothing otherwise. The line is report.JobRecord.AppendJSON's,
+// byte for byte what encoding/json writes; a record it declines
+// (escaped strings, non-finite floats) goes through encoding/json
+// itself, whose bytes or *json.UnsupportedValueError it returns.
+func (e *Encoder) WriteServed(r *JobResult) error {
 	if r.Outcome != Served {
 		return nil
 	}
-	return enc.Encode(&r.Record)
+	b, ok := r.Record.AppendJSON(e.buf[:0])
+	if !ok {
+		return e.enc.Encode(&r.Record)
+	}
+	e.buf = b
+	_, err := e.w.Write(b)
+	return err
 }
+
+// Encode writes v as one JSON line through encoding/json: the summary
+// lines, written once per serve.
+func (e *Encoder) Encode(v any) error { return e.enc.Encode(v) }
 
 // Class is a serving class: the coordinates a cell stamps onto a job's
 // chain before it is resolved (nil keeps the chain as it is). Every job

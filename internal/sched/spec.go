@@ -232,7 +232,7 @@ func JobSpec(j Job) (Spec, error) {
 		NB:      j.Chain.NB,
 		UEs:     j.Chain.NL,
 		NSymb:   j.Chain.NSymb,
-		Scheme:  strings.ToLower(j.Chain.Scheme.String()),
+		Scheme:  j.Chain.Scheme.Name(),
 		SNRdB:   &snr,
 		Seed:    j.Chain.Seed,
 	}

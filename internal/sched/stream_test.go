@@ -25,7 +25,7 @@ func countingStub(cfg Config, calls *atomic.Int64) *Scheduler {
 	return s
 }
 
-// lineWriter counts the lines written to it (json.Encoder writes one
+// lineWriter counts the lines written to it (the stream writes one
 // line per call) and runs onLine after each.
 type lineWriter struct {
 	lines  int

@@ -3,6 +3,7 @@ package timing
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/arch"
@@ -130,12 +131,13 @@ func CalibrateGrid(clusters []*arch.Config, pts []GridPoint, budget float64) (*C
 					if cfg.NSC != nsc {
 						continue
 					}
-					X = append(X, features(cfg, cores)[s])
+					fx := features(cfg, cores)[s]
+					X = append(X, slices.Clone(fx.terms()))
 					y = append(y, float64(walls[i][st].Wall)/reps(cfg)[s])
 				}
-				if len(X) < len(features(cfgs[0], cores)[s]) {
+				if need := features(cfgs[0], cores)[s].n; len(X) < need {
 					return nil, fmt.Errorf("timing: %d fit points for %s NSC=%d on %s, need at least %d",
-						len(X), stageKeys[st], nsc, cl.Name, len(features(cfgs[0], cores)[s]))
+						len(X), stageKeys[st], nsc, cl.Name, need)
 				}
 				h := fitHinge(X, y)
 				cf.Stages = append(cf.Stages, StageFit{Stage: stageKeys[st], NSC: nsc, J0: h.J0, Beta: h.Beta})

@@ -48,6 +48,19 @@ func bfMaxWindows(nsc, nb, lanes int) int {
 // per stage, in that order.
 const numStages = 5
 
+// maxTerms is the longest stage basis, MIMO's.
+const maxTerms = 7
+
+// basis is one stage's per-repetition feature vector, held in a
+// fixed-size array so a prediction builds all five without allocating.
+type basis struct {
+	n int
+	v [maxTerms]float64
+}
+
+// terms returns the basis as a slice of its own array.
+func (b *basis) terms() []float64 { return b.v[:b.n] }
+
 // reps returns how many times each stage's job is issued per slot: the
 // repetition count that multiplies the per-repetition hinge. OFDM and
 // beamforming run once per OFDM symbol, channel estimation once per
@@ -81,21 +94,17 @@ func reps(cfg pusch.ChainConfig) [numStages]float64 {
 //     Gramian (NL^2 * NB), matched filter (NL * NB), Cholesky (NL^3),
 //     triangular solves (NL^2) — on the busiest lane's ceil(NSC/cores)
 //     subcarriers.
-func features(cfg pusch.ChainConfig, cores int) (x [numStages][]float64) {
+func features(cfg pusch.ChainConfig, cores int) (x [numStages]basis) {
 	nsc, nr, nb, nl := cfg.NSC, cfg.NR, cfg.NB, cfg.NL
 	batch := float64(fftBatch(nsc, nr, cores))
 	wmax := float64(bfMaxWindows(nsc, nb, cores))
 	spc := float64(ceilDiv(nsc, cores))
 	fnl, fnb, fnr := float64(nl), float64(nb), float64(nr)
-	// One assignment per stage, in pusch.Stages order (OFDM, BF, CHE,
-	// NE, MIMO). Go 1.24's compiler lays an array literal of more than
-	// four slice literals out in static storage that it then writes at
-	// run time: a data race between concurrent predictions, which the
-	// race detector reports.
-	x[0] = []float64{batch, 1}
-	x[1] = []float64{wmax * fnr, wmax, 1}
-	x[2] = []float64{spc * fnb, spc, 1}
-	x[3] = []float64{spc * fnb, spc, 1}
-	x[4] = []float64{spc * fnl * fnl * fnb, spc * fnl * fnb, spc * fnl * fnl * fnl, spc * fnl * fnl, spc * fnb, spc, 1}
+	// In pusch.Stages order: OFDM, BF, CHE, NE, MIMO.
+	x[0] = basis{2, [maxTerms]float64{batch, 1}}
+	x[1] = basis{3, [maxTerms]float64{wmax * fnr, wmax, 1}}
+	x[2] = basis{3, [maxTerms]float64{spc * fnb, spc, 1}}
+	x[3] = basis{3, [maxTerms]float64{spc * fnb, spc, 1}}
+	x[4] = basis{7, [maxTerms]float64{spc * fnl * fnl * fnb, spc * fnl * fnb, spc * fnl * fnl * fnl, spc * fnl * fnl, spc * fnb, spc, 1}}
 	return x
 }

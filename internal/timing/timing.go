@@ -153,7 +153,7 @@ func (m *Model) Predict(cfg pusch.ChainConfig) (report.SlotRecord, error) {
 		if !ok {
 			return report.SlotRecord{}, fmt.Errorf("timing: no calibrated %s model for NSC=%d on %s; regenerate the calibration", stageKeys[st], cfg.NSC, cfg.Cluster.Name)
 		}
-		x := fx[i]
+		x := fx[i].terms()
 		if len(h.Beta) != len(x) {
 			return report.SlotRecord{}, fmt.Errorf("timing: calibrated %s model has %d coefficients, feature basis has %d — stale artifact, regenerate", stageKeys[st], len(h.Beta), len(x))
 		}
@@ -185,7 +185,7 @@ func (m *Model) Predict(cfg pusch.ChainConfig) (report.SlotRecord, error) {
 		Cluster:        cfg.Cluster.Name,
 		Cores:          cores,
 		UEs:            cfg.NL,
-		Scheme:         strings.ToLower(cfg.Scheme.String()),
+		Scheme:         cfg.Scheme.Name(),
 		Phases:         phases,
 		TotalCycles:    total,
 		TimeMs:         float64(total) / 1e6,

@@ -176,6 +176,20 @@ func TestPredictRecordShape(t *testing.T) {
 	}
 }
 
+// TestPredictAllocatesOnlyPhases: Predict runs on every analytic job of
+// a serve, so its only allocation is the record's phases; the feature
+// bases live in fixed-size arrays.
+func TestPredictAllocatesOnlyPhases(t *testing.T) {
+	m := committedModel(t)
+	cfg := scopeConfig()
+	if _, err := m.Predict(cfg); err != nil { // warms the fingerprint memo
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = m.Predict(cfg) }); n != 1 {
+		t.Errorf("Predict allocates %v times, want 1 (the phases)", n)
+	}
+}
+
 // TestPredictDataIndependence: the prediction is a pure function of the
 // timing coordinate — payload seed, SNR and fading realization move
 // nothing.

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
+	"strings"
 
 	"repro/internal/ref"
 )
@@ -74,6 +75,22 @@ func (s Scheme) String() string {
 		return "64QAM"
 	default:
 		return fmt.Sprintf("Scheme(%d)", int(s))
+	}
+}
+
+// Name returns the scheme's lower-case wire name, as records and job
+// specs carry it: "qpsk", "16qam" or "64qam", without allocating. An
+// invalid scheme gets its String lower-cased.
+func (s Scheme) Name() string {
+	switch s {
+	case QPSK:
+		return "qpsk"
+	case QAM16:
+		return "16qam"
+	case QAM64:
+		return "64qam"
+	default:
+		return strings.ToLower(s.String())
 	}
 }
 

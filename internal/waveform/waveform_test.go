@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -211,6 +212,11 @@ func TestBERAndEVM(t *testing.T) {
 func TestSchemeString(t *testing.T) {
 	if QPSK.String() != "QPSK" || QAM16.String() != "16QAM" || QAM64.String() != "64QAM" {
 		t.Error("Scheme.String mismatch")
+	}
+	for _, s := range []Scheme{QPSK, QAM16, QAM64, Scheme(7)} {
+		if got, want := s.Name(), strings.ToLower(s.String()); got != want {
+			t.Errorf("%s: Name %q, want %q", s, got, want)
+		}
 	}
 	for s, want := range map[Scheme]int{QPSK: 2, QAM16: 4, QAM64: 6} {
 		if got := s.BitsPerSymbol(); got != want {

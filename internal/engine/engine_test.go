@@ -690,8 +690,9 @@ func TestStatsSubAndAdd(t *testing.T) {
 	if b != a {
 		t.Error("Add mismatch")
 	}
-	if d := b.Sub(a); d != (Stats{}) {
-		t.Errorf("Sub residue %+v", d)
+	var d Stats
+	if d.addDiff(&b, &a); d != (Stats{}) {
+		t.Errorf("addDiff residue %+v", d)
 	}
 	if a.StallTotal() != 35 || a.Busy() != 45 {
 		t.Errorf("StallTotal %d Busy %d", a.StallTotal(), a.Busy())

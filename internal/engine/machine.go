@@ -98,23 +98,24 @@ type Machine struct {
 
 	// The memo of simulated units (RunSynced stages and BeginSlot
 	// slots), at most syncMemoCap entries kept across Reset. A unit
-	// records into memoScratch and is then copied into an entry;
-	// deltaIndex finds its distinct deltas in constant time (a linear
-	// search made recording a 1024-core pipelined slot ~11% slower).
-	// memoClock stamps each use for LRU eviction, and replayed counts the
-	// Runs replayed since the last Reset.
-	memos       []syncMemo
-	memoScratch syncMemo
-	deltaIndex  map[coreDelta]int32 // memoScratch's distinct deltas
-	memoTime    []int64             // every core's clock at the current Run's entry
-	memoStats   []Stats             // every core's Stats at the current Run's entry
-	memoClock   uint64
-	replayed    int
+	// records into stageRec or slotRec — a slot's recording may take in
+	// a stage recorded at the same time — and is then copied into an
+	// entry. memoTime and memoStats hold every core's clock and Stats at
+	// a recorded Run's entry. memoClock stamps each lookup for LRU
+	// eviction, and replayed counts the Runs replayed since the last
+	// Reset.
+	memos     []syncMemo
+	stageRec  memoRec
+	slotRec   memoRec
+	memoTime  []int64
+	memoStats []Stats
+	memoClock uint64
+	replayed  int
 
-	// The open slot (BeginSlot): nil when none is open, &memoScratch
-	// while it records, else the entry it replays, of which slotRun Runs
-	// have replayed. ran reports a Run or ClusterBarrier since
-	// NewMachine or Reset; skipped, a replayed slot Run since then.
+	// The open slot (BeginSlot): nil when none is open, &slotRec while
+	// it records, else the entry it replays, of which slotRun Runs have
+	// replayed. ran reports a Run or ClusterBarrier since NewMachine or
+	// Reset; skipped, a replayed slot Run since then.
 	slot    *syncMemo
 	slotRun int
 	ran     bool
@@ -418,7 +419,7 @@ func (m *Machine) Run(jobs ...Job) error {
 	}
 	switch {
 	case m.slot != nil:
-		return m.runSlot(jobs)
+		return m.runSlot(SyncKey{}, jobs)
 	case m.skipped:
 		return errSkipped
 	}
@@ -426,7 +427,50 @@ func (m *Machine) Run(jobs ...Job) error {
 	return nil
 }
 
-// run executes validated jobs: the body of Run, shared with RunSynced.
+// sortedCores returns job's cores in ascending order, the order Run
+// executes them in: a core's Lane is its rank here.
+func (m *Machine) sortedCores(job *Job) []int {
+	m.runCores = append(m.runCores[:0], job.Cores...)
+	sort.Ints(m.runCores)
+	return m.runCores
+}
+
+// runUntimed executes validated jobs as the replay of a memoized Run:
+// per phase, one I$ residency update per tile and each core's Work on
+// the untimed Proc, cores ascending, and nothing else. It skips the
+// barriers' counter increments, since each phase leaves its counter
+// word back at 0, and writes no clock or Stats: replayRun adds the
+// recorded deltas. A hit changes no LRU order, so one update per tile
+// leaves the I$ as one per core does.
+func (m *Machine) runUntimed(jobs []Job) {
+	m.ran = true
+	p := &m.procScratch
+	// A phase that panics must not leave the machine untimed: callers
+	// such as the calibration grid recover and reuse the machine.
+	p.untimed = true
+	defer func() { p.untimed = false }()
+	for ji := range jobs {
+		job := &jobs[ji]
+		cores := m.sortedCores(job)
+		p.Lanes = len(cores)
+		for pi := range job.Phases {
+			ph := &job.Phases[pi]
+			kernel, lines := icacheKey(job, ph)
+			tile := -1
+			for li, core := range cores {
+				if t := m.Cfg.TileOfCore(core); t != tile {
+					tile = t
+					m.icacheCost(tile, kernel, lines)
+				}
+				p.Core, p.Lane = core, li
+				ph.Work(p)
+			}
+		}
+	}
+}
+
+// run executes validated jobs timed: the body of Run, shared with
+// RunSynced and the recording of memo units.
 func (m *Machine) run(jobs []Job) {
 	m.ran = true
 	// Per-cluster invariants of the flattened Proc access path.
@@ -435,9 +479,7 @@ func (m *Machine) run(jobs []Job) {
 	bpg := bpt * m.Cfg.TilesPerGroup
 	for ji := range jobs {
 		job := &jobs[ji]
-		cores := append(m.runCores[:0], job.Cores...)
-		sort.Ints(cores)
-		m.runCores = cores
+		cores := m.sortedCores(job)
 		// Cores of one tile active in a phase contend for the shared I$
 		// on L0 misses; the per-tile census is fixed for the whole job.
 		clear(m.tileCount)
@@ -474,6 +516,7 @@ func (m *Machine) run(jobs []Job) {
 			arrivals := m.arrivals[:len(cores)]
 			starts := m.starts[:len(cores)]
 			var last int64
+			prevTile := -1
 			for li, core := range cores {
 				tile := m.Cfg.TileOfCore(core)
 				active := int64(m.tileCount[tile])
@@ -505,9 +548,14 @@ func (m *Machine) run(jobs []Job) {
 				p.tHi = tile*bpt + bpt
 				p.gLo = grp * bpg
 				p.gHi = grp*bpg + bpg
-				if c := m.icacheCost(tile, kernel, lines); c > 0 {
-					p.st.ICacheStalls += c
-					p.now += c
+				// Only a tile's first core, in ascending order, can miss:
+				// the rest find the kernel resident and pay nothing.
+				if tile != prevTile {
+					prevTile = tile
+					if c := m.icacheCost(tile, kernel, lines); c > 0 {
+						p.st.ICacheStalls += c
+						p.now += c
+					}
 				}
 				starts[li] = p.now
 				ph.Work(p)
@@ -567,14 +615,15 @@ func (m *Machine) run(jobs []Job) {
 // The replay is exact when no phase's instruction stream depends on
 // loaded values and no job waits on NotBefore (see docs/ARCHITECTURE.md,
 // "Warm-pass replay"). The skipped cold pass records no Tracer events
-// and writes no memory. Like RunSynced, RunWarm closes an open slot and
-// refuses after a replayed slot until Reset.
+// and writes no memory. RunWarm closes an open slot, which then commits
+// nothing, and refuses after a replayed slot until Reset.
 func (m *Machine) RunWarm(name string, cores []int, jobs ...Job) (Report, error) {
 	if err := m.validateJobs(jobs); err != nil {
 		return Report{}, err
 	}
-	if err := m.timed(); err != nil {
-		return Report{}, err
+	m.slot = nil
+	if m.skipped {
+		return Report{}, errSkipped
 	}
 	for ji := range jobs {
 		if jobs[ji].NotBefore > 0 {
@@ -602,13 +651,21 @@ func (m *Machine) RunWarm(name string, cores []int, jobs ...Job) (Report, error)
 }
 
 // ClusterBarrier synchronizes every core in the cluster to a common
-// release time, attributing the wait as WFI stalls. The PUSCH chain's
-// sequential layout calls it between processing stages. Each core runs
+// release time, attributing the wait as WFI stalls. RunSynced runs it
+// after each stage of the PUSCH chain's sequential layout. Each core runs
 // a 3-instruction entry sequence, then pays the hierarchical climb and
 // the cheapest wake trigger covering the cluster. It also retires old
-// bank reservations, bounding simulator memory.
+// bank reservations, bounding simulator memory. It closes an open slot,
+// which then commits nothing.
 func (m *Machine) ClusterBarrier() {
-	m.slot, m.ran = nil, true
+	m.slot = nil
+	m.barrier()
+}
+
+// barrier is ClusterBarrier inside an open slot, which it leaves open:
+// RunSynced's closing barrier.
+func (m *Machine) barrier() {
+	m.ran = true
 	var last int64
 	arrive := m.barArrive
 	for c := range arrive {

@@ -67,11 +67,14 @@ type Proc struct {
 	gLo, gHi        int
 	latReq, latResp [3]int64
 
-	// untimed marks a memoized Run's replay, which overwrites its cores'
-	// clocks and Stats from the memo: each op only computes its value or
-	// reads and writes its memory words, and returns before any operand
-	// wait, issue slot, Stats count, divider booking, fetch tax, bank
-	// booking or LSU slot.
+	// untimed marks a memoized Run's replay (Machine.runUntimed), which
+	// adds the recorded deltas to its cores' clocks and Stats afterwards:
+	// each op only computes its value or reads and writes its memory
+	// words, and returns before any operand wait, issue slot, Stats
+	// count, divider booking, fetch tax, bank booking or LSU slot. The
+	// per-core timing fields (now, st, the LSU ring position, divFree,
+	// the fetch tax and the bank ranges) are stale then, and no untimed
+	// path reads them.
 	untimed bool
 }
 
@@ -422,7 +425,11 @@ func (p *Proc) Imm(v fixed.C15) W {
 
 // Drain waits for every outstanding LSU transaction to retire,
 // attributing the wait as LSU stall. Phases end with an implicit Drain.
+// Untimed, it does nothing.
 func (p *Proc) Drain() {
+	if p.untimed {
+		return
+	}
 	s := p.bulkBegin()
 	for s.llen > 0 {
 		s.retire(p.lsu)

@@ -51,7 +51,7 @@ func (m *Machine) ReportSince(mark Mark, name string, cores []int) Report {
 		if m.coreTime[c] > end {
 			end = m.coreTime[c]
 		}
-		s.Add(m.coreStats[c].Sub(mark.stats[c]))
+		s.addDiff(&m.coreStats[c], &mark.stats[c])
 	}
 	if end < start {
 		end = start

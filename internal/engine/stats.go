@@ -60,22 +60,20 @@ func (s *Stats) Add(other Stats) {
 	s.ICacheStalls += other.ICacheStalls
 }
 
-// Sub returns s - other component-wise.
-func (s Stats) Sub(other Stats) Stats {
-	return Stats{
-		Instrs:       s.Instrs - other.Instrs,
-		IAlu:         s.IAlu - other.IAlu,
-		Loads:        s.Loads - other.Loads,
-		Stores:       s.Stores - other.Stores,
-		Mults:        s.Mults - other.Mults,
-		Divs:         s.Divs - other.Divs,
-		MACs:         s.MACs - other.MACs,
-		RawStalls:    s.RawStalls - other.RawStalls,
-		LsuStalls:    s.LsuStalls - other.LsuStalls,
-		ExtStalls:    s.ExtStalls - other.ExtStalls,
-		WfiStalls:    s.WfiStalls - other.WfiStalls,
-		ICacheStalls: s.ICacheStalls - other.ICacheStalls,
-	}
+// addDiff adds a - b to s component-wise, in place, copying no Stats.
+func (s *Stats) addDiff(a, b *Stats) {
+	s.Instrs += a.Instrs - b.Instrs
+	s.IAlu += a.IAlu - b.IAlu
+	s.Loads += a.Loads - b.Loads
+	s.Stores += a.Stores - b.Stores
+	s.Mults += a.Mults - b.Mults
+	s.Divs += a.Divs - b.Divs
+	s.MACs += a.MACs - b.MACs
+	s.RawStalls += a.RawStalls - b.RawStalls
+	s.LsuStalls += a.LsuStalls - b.LsuStalls
+	s.ExtStalls += a.ExtStalls - b.ExtStalls
+	s.WfiStalls += a.WfiStalls - b.WfiStalls
+	s.ICacheStalls += a.ICacheStalls - b.ICacheStalls
 }
 
 // StallTotal returns the sum of all stall buckets.

@@ -22,18 +22,24 @@ type SyncKey struct {
 }
 
 // syncMemoCap bounds a machine's memo entries. A sequential chain
-// coordinate takes 13 (one per stage and entry I$ state: four FFT and
-// four beamforming entries, two channel estimations, the noise combine
-// and two detections) and a pipelined one a single slot entry, so a
-// pooled machine keeps four sequential coordinates whole; past the cap
-// the least recently used entry is recorded over.
+// coordinate takes 14: one slot entry, and 13 stage entries (one per
+// stage and entry I$ state: four FFT and four beamforming entries, two
+// channel estimations, the noise combine and two detections). A
+// repeated slot replays from its slot entry alone; the stage entries
+// serve a cold slot's repeated stages (symbols 4 and later) and a
+// coordinate re-planned with another NSymb, which gets another slot key
+// but the same stage keys. A pipelined coordinate takes a single slot
+// entry. A sequential slot entry holds 43–148 KB on MemPool (64 or 256
+// SC, 6 or 14 symbols, 19–43 Runs), so a pooled machine keeps four
+// sequential coordinates whole; past the cap the least recently used
+// entry is recorded over.
 const syncMemoCap = 64
 
 // syncMemo is the measured effect of one memoized unit: a RunSynced
 // stage from one entry I$ state, which is one Run, or a whole slot from
 // the Reset state, which is every Run between BeginSlot and EndSlot.
-// The closing barrier of a stage is not part of it; it always runs for
-// real.
+// The closing barrier of a stage is not part of either; it always runs
+// live.
 type syncMemo struct {
 	key  SyncKey
 	slot bool   // a BeginSlot unit, not a RunSynced stage
@@ -81,6 +87,15 @@ type coreDelta struct {
 	stats Stats
 }
 
+// memoRec is a recording in progress, later copied into an entry: the
+// unit so far and an index that finds each of its distinct deltas in
+// constant time (a linear search made recording a 1024-core pipelined
+// slot ~11% slower).
+type memoRec struct {
+	syncMemo
+	index map[coreDelta]int32
+}
+
 // errSkipped is the refusal of timed work after a replayed slot.
 var errSkipped = errors.New("engine: a replayed slot skipped its bank bookings; Reset the machine before simulating again")
 
@@ -93,39 +108,79 @@ var errSkipped = errors.New("engine: a replayed slot skipped its bank bookings; 
 // unit that repeats is not simulated again. When a key starts again
 // from a state it was simulated from — every core at one cycle and
 // every tile's I$ contents, footprints and LRU order as then — its
-// phases run untimed (data reads and writes, I$ updates, no bank
-// booking) and the memoized per-core clock, Stats and reservation-counter
-// deltas are applied. A key keeps one entry per entry I$ state, up to
-// syncMemoCap entries per machine. Units with a NotBefore job, or on a
-// machine with a Tracer or DebugRaces, are always simulated (see
-// docs/ARCHITECTURE.md, "Steady-state symbol replay"). RunSynced closes
-// an open slot, which then commits nothing, and refuses after a
-// replayed slot until Reset.
+// jobs run untimed (each Proc op does only its data work, and each
+// phase updates each tile's I$ once) and the memoized per-core clock,
+// Stats and reservation-counter deltas are added. A key keeps one entry
+// per entry I$ state, up to syncMemoCap entries per machine. Units with
+// a NotBefore job, or on a machine with a Tracer or DebugRaces, are
+// always simulated (see docs/ARCHITECTURE.md, "Steady-state symbol
+// replay").
+//
+// Inside an open slot (BeginSlot) the stage is the slot's next Run and
+// its closing barrier runs live, leaving the slot open: a replayed slot
+// replays the stage as that Run, with no stage-memo lookup, and errors
+// when the jobs deviate from it; a recording slot runs the stage
+// through the stage memo as above and appends what it did to the
+// recording. RunSynced refuses after a replayed slot until Reset.
 func (m *Machine) RunSynced(key SyncKey, jobs ...Job) error {
 	if err := m.validateJobs(jobs); err != nil {
 		return err
 	}
-	if err := m.timed(); err != nil {
+	var err error
+	switch {
+	case m.slot != nil:
+		err = m.runSlot(key, jobs)
+	case m.skipped:
+		return errSkipped
+	default:
+		err = m.runStage(key, jobs, nil)
+	}
+	if err != nil {
 		return err
 	}
-	if !m.replayable(key, jobs) {
+	m.barrier()
+	return nil
+}
+
+// runStage runs a stage's jobs through the stage memo: it replays key's
+// entry for the current I$ state, or simulates the jobs and, when the
+// stage may replay later, records them as a new entry. The zero key
+// just simulates. A recording slot passed as slot gets the Run
+// appended.
+func (m *Machine) runStage(key SyncKey, jobs []Job, slot *memoRec) error {
+	var e *syncMemo
+	record := m.replayable(key, jobs)
+	if record {
+		e = m.memoFind(key, false)
+		record = e == nil
+	}
+	if slot == nil && !record {
+		if e != nil {
+			return m.replayRun(e, 0, jobs)
+		}
 		m.run(jobs)
-		m.ClusterBarrier()
 		return nil
 	}
-	if e := m.memoFind(key, false); e != nil {
+	acc, confl := m.snapCores()
+	switch {
+	case e != nil:
 		if err := m.replayRun(e, 0, jobs); err != nil {
 			return err
 		}
-	} else {
-		// The recording goes to scratch first, so a phase that panics
+	case record:
+		// The recording goes to a scratch first, so a phase that panics
 		// leaves every entry as it was.
-		s := m.scratch()
+		s := m.stageRec.begin()
 		s.snapICache(m.icache)
-		m.recordRun(s, jobs)
-		m.commit(key, false)
+		m.run(jobs)
+		m.addRun(s, jobs, acc, confl)
+		m.commit(s, key, false)
+	default:
+		m.run(jobs)
 	}
-	m.ClusterBarrier()
+	if slot != nil {
+		m.addRun(slot, jobs, acc, confl)
+	}
 	return nil
 }
 
@@ -150,21 +205,23 @@ func (m *Machine) replayable(key SyncKey, jobs []Job) bool {
 	return true
 }
 
-// BeginSlot opens a slot: every Run until EndSlot is one memo unit
-// under key. On a machine that has run nothing since NewMachine or
-// Reset, with no Tracer and DebugRaces off when BeginSlot is called
-// (attach either before it), the first slot under key
-// simulates and records, and a repeat replays: each Run executes its
-// jobs untimed, in the caller's host order, and then restores what the
-// recorded Run left in its cores' clocks and Stats and in the
-// reservation counters, so every reading between Runs is exact. The
+// BeginSlot opens a slot: every Run, and every RunSynced stage, until
+// EndSlot is one memo unit under key. On a machine that has run nothing
+// since NewMachine or Reset, with no Tracer and DebugRaces off when
+// BeginSlot is called (attach either before it), the first slot under
+// key simulates and records, and a repeat replays after this one
+// lookup: each Run executes its jobs untimed, in the caller's host
+// order, and then adds what the recorded Run added to its cores' clocks
+// and Stats and to the reservation counters, so every reading between
+// Runs is exact. A RunSynced stage's closing barrier is not part of the
+// unit: it runs live, exact because it depends only on the clocks. The
 // replay skips the bank bookings the slot leaves live, so after it the
 // machine refuses Run, RunSynced and RunWarm until Reset. A Run that
 // deviates from the recording — one beyond it, or with other job
 // counts, core sets or NotBefore — returns an error; a slot replays
-// whole or refuses, and never gives a wrong cycle. On any other machine,
-// or under the zero key, the slot is simulated and memoizes nothing
-// (see docs/ARCHITECTURE.md, "Steady-state symbol replay").
+// whole or refuses, and never gives a wrong cycle. On any other
+// machine, or under the zero key, the slot is simulated and memoizes
+// nothing (see docs/ARCHITECTURE.md, "Slot replay").
 func (m *Machine) BeginSlot(key SyncKey) {
 	m.slot = nil
 	if key == (SyncKey{}) || m.ran || m.Tracer != nil || m.DebugRaces {
@@ -175,7 +232,7 @@ func (m *Machine) BeginSlot(key SyncKey) {
 		m.slot = e
 		return
 	}
-	m.slot = m.scratch()
+	m.slot = &m.slotRec.begin().syncMemo
 	m.slot.key = key
 }
 
@@ -183,16 +240,16 @@ func (m *Machine) BeginSlot(key SyncKey) {
 // committed as one memo entry, recording over the least recently used
 // one past the cap; an incomplete one (complete false) is dropped, as
 // is the recording of a slot that is never ended, Reset, or interrupted
-// by RunSynced, RunWarm or ClusterBarrier. A complete replay must have
-// issued every recorded Run.
+// by RunWarm or the exported ClusterBarrier. A complete replay must
+// have issued every recorded Run.
 func (m *Machine) EndSlot(complete bool) error {
 	s := m.slot
 	m.slot = nil
 	switch {
 	case s == nil || !complete:
 		return nil
-	case s == &m.memoScratch:
-		m.commit(s.key, true)
+	case s == &m.slotRec.syncMemo:
+		m.commit(&m.slotRec, s.key, true)
 		return nil
 	case m.slotRun != len(s.runs):
 		return fmt.Errorf("engine: replayed slot ended after %d of its %d recorded Runs", m.slotRun, len(s.runs))
@@ -200,15 +257,19 @@ func (m *Machine) EndSlot(complete bool) error {
 	return nil
 }
 
-// runSlot is Run inside an open slot: it records the jobs as the slot's
-// next Run, or replays that Run.
-func (m *Machine) runSlot(jobs []Job) error {
+// runSlot runs jobs inside an open slot as its next Run: a recording
+// slot runs them through the stage memo under key (the zero key of a
+// plain Run simulates them) and appends them, and a replaying slot
+// replays that Run.
+func (m *Machine) runSlot(key SyncKey, jobs []Job) error {
 	s := m.slot
 	// Closed while the Run executes: a Run that panics or deviates ends
 	// the slot, and a recording then commits nothing.
 	m.slot = nil
-	if s == &m.memoScratch {
-		m.recordRun(s, jobs)
+	if s == &m.slotRec.syncMemo {
+		if err := m.runStage(key, jobs, &m.slotRec); err != nil {
+			return err
+		}
 	} else {
 		if err := m.replayRun(s, m.slotRun, jobs); err != nil {
 			return err
@@ -216,17 +277,6 @@ func (m *Machine) runSlot(jobs []Job) error {
 		m.slotRun++
 	}
 	m.slot = s
-	return nil
-}
-
-// timed prepares the machine for timed work outside Run: it closes an
-// open slot, which then commits nothing, and refuses after a replayed
-// slot.
-func (m *Machine) timed() error {
-	m.slot = nil
-	if m.skipped {
-		return errSkipped
-	}
 	return nil
 }
 
@@ -243,55 +293,55 @@ func (m *Machine) memoFind(key SyncKey, slot bool) *syncMemo {
 	return nil
 }
 
-// scratch empties memoScratch and the index of its deltas for a new
-// recording and returns it.
-func (m *Machine) scratch() *syncMemo {
-	s := &m.memoScratch
-	s.icOf, s.icOrder, s.icLines, s.icEnd = s.icOf[:0], s.icOrder[:0], s.icLines[:0], s.icEnd[:0]
-	s.runs, s.jobs, s.cores, s.delta = s.runs[:0], s.jobs[:0], s.cores[:0], s.delta[:0]
-	if m.deltaIndex == nil {
-		m.deltaIndex = make(map[coreDelta]int32)
+// begin empties r and its delta index for a new recording and returns
+// it.
+func (r *memoRec) begin() *memoRec {
+	r.icOf, r.icOrder, r.icLines, r.icEnd = r.icOf[:0], r.icOrder[:0], r.icLines[:0], r.icEnd[:0]
+	r.runs, r.jobs, r.cores, r.delta = r.runs[:0], r.jobs[:0], r.cores[:0], r.delta[:0]
+	if r.index == nil {
+		r.index = make(map[coreDelta]int32)
 	}
-	clear(m.deltaIndex)
-	return s
+	clear(r.index)
+	return r
 }
 
-// snapCores saves every core's clock and Stats at a Run's entry.
-func (m *Machine) snapCores() {
+// snapCores saves every core's clock and Stats at a recorded Run's
+// entry and returns the reservation counters.
+func (m *Machine) snapCores() (accesses, conflicts int64) {
 	if m.memoTime == nil {
 		m.memoTime = make([]int64, len(m.coreTime))
 		m.memoStats = make([]Stats, len(m.coreStats))
 	}
 	copy(m.memoTime, m.coreTime)
 	copy(m.memoStats, m.coreStats)
+	return m.Mem.Res.Accesses(), m.Mem.Res.ConflictCycles()
 }
 
-// recordRun simulates jobs and appends them to s as its next Run: their
-// core sets and NotBefore, what they added to each of their cores'
-// clock and Stats, and what they added to the reservation counters.
-func (m *Machine) recordRun(s *syncMemo, jobs []Job) {
-	m.snapCores()
-	res := m.Mem.Res
-	acc, confl := res.Accesses(), res.ConflictCycles()
-	m.run(jobs)
+// addRun appends the jobs that ran since snapCores to r as its next
+// Run: their core sets and NotBefore, what they added to each of their
+// cores' clock and Stats, and what they added to the reservation
+// counters, which read acc and confl at snapCores.
+func (m *Machine) addRun(r *memoRec, jobs []Job, acc, confl int64) {
 	for ji := range jobs {
 		for _, c := range jobs[ji].Cores {
-			d := coreDelta{time: m.coreTime[c] - m.memoTime[c], stats: m.coreStats[c].Sub(m.memoStats[c])}
-			i, ok := m.deltaIndex[d]
+			d := coreDelta{time: m.coreTime[c] - m.memoTime[c]}
+			d.stats.addDiff(&m.coreStats[c], &m.memoStats[c])
+			i, ok := r.index[d]
 			if !ok {
-				i = int32(len(s.delta))
-				m.deltaIndex[d] = i
-				s.delta = append(s.delta, d)
+				i = int32(len(r.delta))
+				r.index[d] = i
+				r.delta = append(r.delta, d)
 			}
-			s.cores = append(s.cores, memoCore{core: int32(c), delta: i})
+			r.cores = append(r.cores, memoCore{core: int32(c), delta: i})
 		}
-		s.jobs = append(s.jobs, memoJob{end: int32(len(s.cores)), notBefore: jobs[ji].NotBefore})
+		r.jobs = append(r.jobs, memoJob{end: int32(len(r.cores)), notBefore: jobs[ji].NotBefore})
 	}
-	s.runs = append(s.runs, memoRun{end: int32(len(s.jobs)), accesses: res.Accesses() - acc, conflicts: res.ConflictCycles() - confl})
+	res := m.Mem.Res
+	r.runs = append(r.runs, memoRun{end: int32(len(r.jobs)), accesses: res.Accesses() - acc, conflicts: res.ConflictCycles() - confl})
 }
 
-// replayRun runs jobs untimed as Run r of e and restores what that Run
-// left in the clocks and Stats of its cores and in the reservation
+// replayRun runs jobs untimed as Run r of e and adds what that Run
+// added to the clocks and Stats of its cores and to the reservation
 // counters. It returns an error, running nothing, when jobs are not the
 // recorded Run's.
 func (m *Machine) replayRun(e *syncMemo, r int, jobs []Job) error {
@@ -304,19 +354,12 @@ func (m *Machine) replayRun(e *syncMemo, r int, jobs []Job) error {
 		// lacks the slot's bookings.
 		m.skipped = true
 	}
-	m.snapCores()
-	// A phase that panics must not leave the machine untimed: callers
-	// such as the calibration grid recover and reuse the machine.
-	m.procScratch.untimed = true
-	defer func() { m.procScratch.untimed = false }()
-	m.run(jobs)
+	m.runUntimed(jobs)
 	for ji := range jobs {
 		for _, c := range jobs[ji].Cores {
 			d := &e.delta[e.cores[i].delta]
-			m.coreTime[c] = m.memoTime[c] + d.time
-			st := m.memoStats[c]
-			st.Add(d.stats)
-			m.coreStats[c] = st
+			m.coreTime[c] += d.time
+			m.coreStats[c].Add(d.stats)
 			i++
 		}
 	}
@@ -358,10 +401,10 @@ func (e *syncMemo) sameRun(r int, jobs []Job) (int, bool) {
 	return first, true
 }
 
-// commit copies the recording in memoScratch into an entry under key.
-func (m *Machine) commit(key SyncKey, slot bool) {
+// commit copies the recording r into an entry under key.
+func (m *Machine) commit(r *memoRec, key SyncKey, slot bool) {
 	e := m.memoVictim()
-	e.store(&m.memoScratch)
+	e.store(&r.syncMemo)
 	e.key, e.slot, e.used = key, slot, m.memoClock
 }
 

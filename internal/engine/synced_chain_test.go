@@ -21,13 +21,14 @@ import (
 // tile caches (the cold start, the pilots' estimation and noise
 // combine, the first detection) and symbol 3 records the steady state;
 // from symbol 4 on, the FFT, beamforming and MIMO stages each repeat
-// their entry state: 30 replays in a 14-symbol slot and 6 in a
-// 6-symbol one. After a Reset the same plans come back under the same
-// keys and the memo keeps every entry, so the slot replays whole: 43
-// and 19 stages. A pipelined slot is one memo unit: the first run on a
-// machine records all of it, and after a Reset all 17 of its Runs (16
-// beats and the noise combine) replay. A change that turns replay off,
-// or drops the memo on Reset, fails here.
+// their entry state and replay from the stage memo: 30 replays in a
+// 14-symbol slot and 6 in a 6-symbol one. Each slot is one memo unit,
+// so after a Reset the slot replays whole after one memo lookup, with
+// no stage-memo lookup: 43 and 19 stages. A pipelined slot records all
+// of its Runs on the first run, and after a Reset all 17 (16 beats and
+// the noise combine) replay. A change that turns replay off, drops the
+// memo on Reset, or replays a repeated sequential slot stage by stage
+// fails here.
 func TestChainSlotReplays(t *testing.T) {
 	base := pusch.ChainConfig{
 		Cluster: arch.MemPool(),
@@ -58,12 +59,19 @@ func TestChainSlotReplays(t *testing.T) {
 			if run > 0 {
 				m.Reset()
 			}
+			lookups := m.MemoLookups()
 			if _, err := pusch.RunChainOn(m, cfg); err != nil {
 				t.Fatal(err)
 			}
 			if got := m.Replayed(); got != row.want[run] {
 				t.Errorf("%s, run %d: %d Runs replayed, want %d", row.name, run, got, row.want[run])
 			}
+			if n := m.MemoLookups() - lookups; run > 0 && n != 1 {
+				t.Errorf("%s, after Reset: %d memo lookups, want the slot's one", row.name, n)
+			}
+		}
+		if m.MemoSlots() != 1 {
+			t.Errorf("%s: %d slot entries, want 1", row.name, m.MemoSlots())
 		}
 	}
 }
@@ -271,10 +279,10 @@ func TestPooledMachineMemoCap(t *testing.T) {
 	}
 }
 
-// pipeSlot is the pipelined slot of the slot-memo tests: 64 SC on
-// MemPool under StockPipelined, 14 symbols.
-func pipeSlot() pusch.ChainConfig {
-	cfg := pusch.ChainConfig{
+// seqSlot is the sequential slot of the slot-memo tests: 64 SC on
+// MemPool, 14 symbols.
+func seqSlot() pusch.ChainConfig {
+	return pusch.ChainConfig{
 		Cluster: arch.MemPool(),
 		NSC:     64, NR: 16, NB: 8, NL: 4,
 		NSymb: 14, NPilot: 2,
@@ -282,14 +290,19 @@ func pipeSlot() pusch.ChainConfig {
 		SNRdB:  20,
 		Seed:   5,
 	}
+}
+
+// pipeSlot is seqSlot under StockPipelined.
+func pipeSlot() pusch.ChainConfig {
+	cfg := seqSlot()
 	cfg.Layout = pusch.StockPipelined(cfg.Cluster)
 	return cfg
 }
 
-// TestChainSlotSimulates: a pipelined slot memoizes only an untraced,
-// unchecked slot of a canonical split planned at a known allocator
-// position. Each row breaks one condition on both of two runs, the
-// second after a Reset; neither may record or replay anything, and
+// TestChainSlotSimulates: a slot memoizes only an untraced, unchecked
+// slot of a canonical split planned at a known allocator position.
+// Each row breaks one condition on both of two runs, the second after
+// a Reset; neither may record or replay anything, slot or stage, and
 // both records must byte-equal a fresh machine's under the same
 // condition.
 func TestChainSlotSimulates(t *testing.T) {
@@ -307,6 +320,7 @@ func TestChainSlotSimulates(t *testing.T) {
 		traced bool
 	}{
 		{name: "traced", cfg: pipeSlot(), traced: true},
+		{name: "sequential traced", cfg: seqSlot(), traced: true},
 		{name: "DebugRaces", cfg: pipeSlot(), prep: func(m *engine.Machine) { m.DebugRaces = true }},
 		{name: "pipe/custom", cfg: custom},
 		{name: "no position", cfg: pipeSlot(), prep: func(m *engine.Machine) {
@@ -351,77 +365,91 @@ func TestChainSlotSimulates(t *testing.T) {
 	}
 }
 
-// TestChainSlotAbandoned: a pipelined slot stopped part-way commits
-// nothing, whether a RunSymbol error ends it before Drain or it is
+// TestChainSlotAbandoned: a slot stopped part-way commits no slot
+// entry, whether a RunSymbol error ends it before Drain or it is
 // drained after a prefix of its symbols, and whether that prefix was
-// simulated or replayed. Draining a replayed prefix early deviates from
-// the recording, so Drain errors. The next whole slot after a Reset
-// records, or replays the one committed recording, and byte-equals a
-// fresh machine's record either way.
+// simulated or replayed. Draining a replayed pipelined prefix early
+// deviates from the recording, so Drain errors; a sequential prefix
+// has nothing in flight, so its early Drain just drops the slot. The
+// next whole slot after a Reset records, or replays the one committed
+// recording after one memo lookup, and byte-equals a fresh machine's
+// record either way. A sequential prefix commits its stages, so the
+// first whole sequential slot replays every stage from the stage memo
+// while it records.
 func TestChainSlotAbandoned(t *testing.T) {
-	cfg, err := pipeSlot().Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := freshBytes(t, cfg)
-	tx, err := pusch.NewSlotTX(&cfg, randv2.New(randv2.NewPCG(1, 2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// stop runs the first five symbols, then ends the slot: RunSymbol(5)
-	// on too few antenna rows errors before it runs anything, or Drain
-	// flushes the prefix.
-	stops := []struct {
-		name    string
-		stop    func(pl *pusch.Pipeline) error
-		replays bool // the stop errors once the prefix replays
-	}{
-		{"RunSymbol error", func(pl *pusch.Pipeline) error {
-			if pl.RunSymbol(5, tx.RxTime[5][1:]) == nil {
-				t.Fatal("RunSymbol accepted too few antenna rows")
-			}
-			return nil
-		}, false},
-		{"early Drain", func(pl *pusch.Pipeline) error { return pl.Drain() }, true},
-	}
-	for _, row := range stops {
-		t.Run(row.name, func(t *testing.T) {
-			m := engine.NewMachine(cfg.Cluster)
-			abandon := func(replaying bool) {
-				m.Reset()
-				pl, err := pusch.NewPipeline(m, cfg)
-				if err != nil {
-					t.Fatal(err)
+	for _, layout := range []struct {
+		prefix string // of the subtest names
+		cfg    pusch.ChainConfig
+		stages int // Runs the first whole slot replays from the stage memo
+		runs   int // the slot's Runs
+	}{{"", pipeSlot(), 0, 17}, {"sequential ", seqSlot(), 43, 43}} {
+		cfg, err := layout.cfg.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipelined := cfg.Layout.Pipelined()
+		want := freshBytes(t, cfg)
+		tx, err := pusch.NewSlotTX(&cfg, randv2.New(randv2.NewPCG(1, 2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// stop runs the first five symbols, then ends the slot:
+		// RunSymbol(5) on too few antenna rows errors before it runs
+		// anything, or Drain flushes the prefix.
+		stops := []struct {
+			name    string
+			stop    func(pl *pusch.Pipeline) error
+			replays bool // the stop errors once a pipelined prefix replays
+		}{
+			{"RunSymbol error", func(pl *pusch.Pipeline) error {
+				if pl.RunSymbol(5, tx.RxTime[5][1:]) == nil {
+					t.Fatal("RunSymbol accepted too few antenna rows")
 				}
-				for s := range 5 {
-					if err := pl.RunSymbol(s, tx.RxTime[s]); err != nil {
+				return nil
+			}, false},
+			{"early Drain", func(pl *pusch.Pipeline) error { return pl.Drain() }, true},
+		}
+		for _, row := range stops {
+			t.Run(layout.prefix+row.name, func(t *testing.T) {
+				m := engine.NewMachine(cfg.Cluster)
+				abandon := func(replaying bool) {
+					m.Reset()
+					pl, err := pusch.NewPipeline(m, cfg)
+					if err != nil {
 						t.Fatal(err)
 					}
+					for s := range 5 {
+						if err := pl.RunSymbol(s, tx.RxTime[s]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := row.stop(pl); (err != nil) != (replaying && row.replays && pipelined) {
+						t.Fatalf("stopping the slot: %v", err)
+					}
 				}
-				if err := row.stop(pl); (err != nil) != (replaying && row.replays) {
-					t.Fatalf("stopping the slot: %v", err)
+				whole := func(replayed int, lookups uint64) {
+					m.Reset()
+					before := m.MemoLookups()
+					if got := slotBytes(t, m, cfg); !bytes.Equal(got, want) {
+						t.Fatalf("record\n%s\nfresh\n%s", got, want)
+					}
+					if m.MemoSlots() != 1 || m.Replayed() != replayed || m.MemoLookups()-before != lookups {
+						t.Fatalf("%d slot entries, %d Runs replayed and %d memo lookups, want 1, %d and %d",
+							m.MemoSlots(), m.Replayed(), m.MemoLookups()-before, replayed, lookups)
+					}
 				}
-			}
-			whole := func(entries, replayed int) {
-				m.Reset()
-				if got := slotBytes(t, m, cfg); !bytes.Equal(got, want) {
-					t.Fatalf("record\n%s\nfresh\n%s", got, want)
+				abandon(false)
+				if m.MemoSlots() != 0 {
+					t.Fatalf("the abandoned slot committed %d slot entries", m.MemoSlots())
 				}
-				if m.MemoEntries() != entries || m.Replayed() != replayed {
-					t.Fatalf("%d memo entries and %d Runs replayed, want %d and %d", m.MemoEntries(), m.Replayed(), entries, replayed)
+				whole(layout.stages, 1+uint64(layout.stages))
+				abandon(true)
+				if m.Replayed() == 0 {
+					t.Fatal("the abandoned prefix did not replay")
 				}
-			}
-			abandon(false)
-			if m.MemoEntries() != 0 {
-				t.Fatalf("the abandoned slot committed %d memo entries", m.MemoEntries())
-			}
-			whole(1, 0)
-			abandon(true)
-			if m.Replayed() == 0 {
-				t.Fatal("the abandoned prefix did not replay")
-			}
-			whole(1, 17)
-		})
+				whole(layout.runs, 1)
+			})
+		}
 	}
 }
 

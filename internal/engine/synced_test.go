@@ -772,42 +772,60 @@ func holdJobs(m *Machine, prev, jobs []Job, holds [][2]int) []Job {
 // programs decoded from the fuzz bytes: a geometry, then 1-4 Runs, each
 // a decodeUnit of jobs on disjoint cores, whose jobs may wait on a
 // NotBefore handshake (holdJobs), so the cores leave every Run at
-// unequal clocks. Machine a runs the program as one slot, its twin b
-// plainly; then both are Reset and run it again, a replaying every Run.
-// After every Run of both passes, every core's clock and Stats, every
-// tile's I$, the reservation counters and every memory word must agree
-// (sameMachine). After the replay, a refuses a timed Run.
+// unequal clocks, and each of which may be a sequential stage: a
+// RunSynced under a stage key of its own, whose closing barrier runs
+// inside the slot. Machine a runs the program three times, its twin b
+// plainly, each stage as Run + ClusterBarrier: first outside a slot,
+// so a's stages record stage entries; then, after a Reset, as one slot
+// that records while those stages replay from the stage memo; then,
+// after another Reset, as the slot replaying every Run. After every
+// Run of every pass, every core's clock and Stats, every tile's I$, the
+// reservation counters and every memory word must agree (sameMachine).
+// After the replay, a refuses a timed Run.
 func FuzzSlotReplay(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 2, 3, 1, 2, 5, 1, 0, 200, 7, 3, 1, 9, 12, 2, 40, 4, 1, 2, 3, 1, 9, 2, 30, 1, 2, 8, 3, 17, 1, 5})
 	f.Add([]byte{2, 3, 0, 2, 3, 2, 1, 1, 3, 40, 5, 2, 7, 1, 1, 0, 64, 12, 1, 3, 3, 2, 2, 6, 90, 0, 4, 11, 2, 63, 1, 0, 5, 2, 2, 1, 9, 33, 3, 1})
+	// Two programs whose first Runs are stages: a stage, then a Run
+	// with one handshake; two stages, then a Run with four.
+	f.Add([]byte{108, 1, 100, 252, 234, 0, 70, 224, 56, 0, 114, 102, 57, 164, 1, 0, 1, 26, 2, 1, 1, 2, 62, 27, 85, 1, 226, 1, 2, 233, 135, 0, 2, 142, 0, 142, 68, 1, 35, 98, 18, 163, 63, 1, 157, 0, 2, 0, 0, 0, 1, 222, 2, 1, 2, 125, 0, 46, 0, 8, 183, 2})
+	f.Add([]byte{202, 98, 215, 0, 91, 51, 26, 213, 116, 73, 1, 2, 245, 1, 2, 0, 1, 2, 1, 1, 1, 1, 143, 2, 96, 245, 145, 236, 142, 221, 0, 1, 2, 0, 32, 186, 7, 0, 146, 192, 0, 1, 123, 2, 189, 38, 163, 95, 1, 163, 0, 43, 197, 1, 2, 1, 45, 145, 198, 173, 43, 104, 241, 2, 2, 2, 3, 94, 0, 56, 2, 2, 0, 0, 0, 2, 187, 239, 161, 1, 1, 90, 1, 0, 66, 220, 1, 162, 2, 2, 2, 2, 0, 38, 2, 133, 116, 2, 135, 0, 74, 36, 1, 151, 1, 2, 2, 2, 17, 194, 231, 164, 2, 126, 32, 186, 144, 2, 158, 0, 116, 2, 30, 0, 2, 172, 1, 235, 30, 0, 207, 0, 0, 179, 1, 1, 2, 15, 1, 105, 245, 9, 1, 2, 189, 244, 104, 32, 255, 156, 1, 0, 0, 61, 2, 94, 1, 98, 0, 33, 203, 12, 119, 23, 234, 12, 222, 0, 2, 2, 0, 1, 2, 2, 0, 0, 238, 1, 86, 1, 1, 108})
 	cfgs := syncCfgs()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{b: data}
 		cfg := cfgs[r.next(len(cfgs))]
 		runs := make([][]Job, 1+r.next(4))
 		holds := make([][][2]int, len(runs))
+		stage := make([]bool, len(runs))
 		for i := range runs {
 			runs[i] = decodeUnit(r, cfg, fmt.Sprintf("r%d.", i), 0)
 			for range runs[i] {
 				holds[i] = append(holds[i], [2]int{r.next(4), r.next(64)})
 			}
+			stage[i] = r.next(2) == 1
 		}
 		a, b := newPatterned(cfg), newPatterned(cfg)
-		for pass := range 2 {
+		for pass := range 3 {
 			if pass > 0 {
 				a.Reset()
 				b.Reset()
+				a.BeginSlot(unitKey)
 			}
-			a.BeginSlot(unitKey)
 			var prev []Job
 			for i := range runs {
 				jobs := holdJobs(a, prev, runs[i], holds[i])
-				if err := a.Run(jobs...); err != nil {
+				run := a.Run
+				if stage[i] {
+					run = func(jobs ...Job) error { return a.RunSynced(SyncKey{Unit: 10 + i}, jobs...) }
+				}
+				if err := run(jobs...); err != nil {
 					t.Fatal(err)
 				}
 				if err := b.Run(jobs...); err != nil {
 					t.Fatal(err)
+				}
+				if stage[i] {
+					b.ClusterBarrier()
 				}
 				sameMachine(t, fmt.Sprintf("%s pass %d, Run %d", cfg.Name, pass, i), a, b)
 				prev = jobs

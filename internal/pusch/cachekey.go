@@ -50,13 +50,15 @@ func (c ChainConfig) CacheKey() (string, error) {
 		// construction (timecache additionally rejects stamped records).
 		return "", fmt.Errorf("pusch: cache key: analytic-timing slots are never cached")
 	}
+	var name [32]byte
 	layout := ""
 	if c.Layout.Pipelined() {
-		w, err := c.Layout.Wire()
-		if err != nil {
+		w, ok := c.Layout.appendSplit(name[:0])
+		if !ok {
+			_, err := c.Layout.Wire()
 			return "", fmt.Errorf("pusch: cache key: %w", err)
 		}
-		layout = w
+		layout = string(w) // stays on the stack with skel
 	}
 	skel := report.SlotRecord{
 		Kind:    "chain",

@@ -110,7 +110,8 @@ func TestKeysPinned(t *testing.T) {
 
 // TestCacheKeyAllocatesOnlyTheKey: CacheKey runs on every cached job of
 // a serve, so its only allocation is the key string, on the legacy and
-// the fading coordinate alike.
+// the fading coordinate alike, and on a pipelined one, whose layout
+// name is rendered without fmt.
 func TestCacheKeyAllocatesOnlyTheKey(t *testing.T) {
 	legacy := ChainConfig{
 		Cluster: arch.MemPool(),
@@ -122,12 +123,15 @@ func TestCacheKeyAllocatesOnlyTheKey(t *testing.T) {
 	}
 	tdl := legacy
 	tdl.Channel = channel.Spec{Profile: channel.TDLB, DopplerHz: 30, Seed: 7, TimeMs: 0.5}
-	for _, cfg := range []ChainConfig{legacy, tdl} {
+	pipe := legacy
+	pipe.NSymb = 14
+	pipe.Layout = StockPipelined(pipe.Cluster)
+	for _, cfg := range []ChainConfig{legacy, tdl, pipe} {
 		if _, err := cfg.CacheKey(); err != nil { // warms the fingerprint memo
 			t.Fatal(err)
 		}
 		if n := testing.AllocsPerRun(100, func() { _, _ = cfg.CacheKey() }); n != 1 {
-			t.Errorf("%s: CacheKey allocates %v times, want 1 (the key)", cfg.Channel.EffectiveProfile(), n)
+			t.Errorf("%s, %s: CacheKey allocates %v times, want 1 (the key)", cfg.Channel.EffectiveProfile(), cfg.Layout, n)
 		}
 	}
 }

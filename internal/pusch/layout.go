@@ -142,10 +142,24 @@ func (l Layout) String() string {
 	if !l.Pipelined() {
 		return "sequential"
 	}
-	if f, b, d, ok := l.split(); ok {
-		return fmt.Sprintf("pipe/f%d/b%d/d%d", f, b, d)
+	var buf [40]byte
+	if name, ok := l.appendSplit(buf[:0]); ok {
+		return string(name)
 	}
 	return "pipe/custom"
+}
+
+// appendSplit appends a canonical split's "pipe/f<F>/b<B>/d<D>" name to
+// dst, or reports false for any other layout.
+func (l Layout) appendSplit(dst []byte) ([]byte, bool) {
+	f, b, d, ok := l.split()
+	if !ok {
+		return dst, false
+	}
+	dst = strconv.AppendInt(append(dst, "pipe/f"...), int64(f), 10)
+	dst = strconv.AppendInt(append(dst, "/b"...), int64(b), 10)
+	dst = strconv.AppendInt(append(dst, "/d"...), int64(d), 10)
+	return dst, true
 }
 
 // split returns the core counts of a canonical three-way split
@@ -223,7 +237,15 @@ func (l Layout) validate(cluster *arch.Config, nsc int) error {
 	}{
 		{"fft", l.FFT, 1}, {"bf", l.BF, 2}, {"che", l.CHE, 3}, {"ne", l.NE, 0}, {"mimo", l.MIMO, 3},
 	}
-	owner := make([]int8, cluster.NumCores()) // core -> 1 + index of the partition claiming it
+	// owner maps a core to 1 + the index of the partition claiming it;
+	// both reference clusters fit the stack array.
+	var stack [1024]int8
+	var owner []int8
+	if n := cluster.NumCores(); n <= len(stack) {
+		owner = stack[:n]
+	} else {
+		owner = make([]int8, n)
+	}
 next:
 	for i, p := range parts {
 		if len(p.set) == 0 {

@@ -71,9 +71,9 @@ type Pipeline struct {
 	// mark is the one window snapshot every measured stage or beat
 	// refills.
 	mark engine.Mark
-	// key names the plans in the replay memo (memoKey): a sequential
-	// layout's stages, which runStage tells apart by Unit, or a pipelined
-	// layout's whole slot. The zero key turns the memo off.
+	// key names a sequential layout's stages in the replay memo
+	// (memoKeys), which runStage tells apart by Unit. The zero key turns
+	// the stage memo off.
 	key engine.SyncKey
 
 	// trace, when non-nil, receives one stage-level span per measured
@@ -90,7 +90,8 @@ func NewPipeline(m *engine.Machine, cfg ChainConfig) (*Pipeline, error) {
 		return nil, fmt.Errorf("pusch: pipeline machine is a %s, config wants %s", m.Cfg.Name, cfg.Cluster.Name)
 	}
 	pl := &Pipeline{cfg: cfg, m: m, lay: cfg.Layout, bufs: 2, stages: make(map[Stage]engine.Report), rxq: make([]fixed.C15, cfg.NSC)}
-	pl.key = memoKey(m, &cfg)
+	var slot engine.SyncKey
+	pl.key, slot = memoKeys(m, &cfg)
 	pipelined := cfg.Layout.Pipelined()
 	if pipelined {
 		pl.finFFT = make([]int64, cfg.NSymb)
@@ -104,11 +105,9 @@ func NewPipeline(m *engine.Machine, cfg ChainConfig) (*Pipeline, error) {
 	if err := pl.plan(); err != nil {
 		return nil, err
 	}
-	if pipelined {
-		// The slot's beats, through Drain, are one memo unit: a repeat on
-		// a Reset machine replays them (engine.Machine.BeginSlot).
-		m.BeginSlot(pl.key)
-	}
+	// The slot's stages or beats, through Drain, are one memo unit: a
+	// repeat on a Reset machine replays them (engine.Machine.BeginSlot).
+	m.BeginSlot(slot)
 	pl.start = m.Cycles()
 	return pl, nil
 }
@@ -146,33 +145,39 @@ const (
 	unitCHE
 )
 
-// memoKey returns the replay-memo key of a pipeline about to be planned
-// on m: the dimensions and options its plans are built from and the
-// allocator position they start at. A pipelined layout's key adds
-// NSymb, which sets the drain beats' jobs, and the canonical split.
+// memoKeys returns the replay-memo keys of a pipeline about to be
+// planned on m: stage, from which runStage keys the sequential stages,
+// and slot, the key of the whole slot. stage holds the dimensions and
+// options the plans are built from and the allocator position they
+// start at; slot adds NSymb, which sets the slot's Runs, and a
+// pipelined layout's canonical split. A coordinate re-planned with
+// another NSymb thus gets another slot key but the same stage keys.
 // Planning is deterministic, so equal keys lay out equal plans at equal
 // addresses, on this machine or after a Reset; a pipeline planned at
-// any other position never shares an entry. It returns the zero key,
-// which turns the memo off, when the position has no value
-// (tcdm.Mem.Position) or the layout is not a canonical split.
-func memoKey(m *engine.Machine, cfg *ChainConfig) engine.SyncKey {
+// any other position never shares an entry. Both keys are zero, which
+// turns the memo off, when the position has no value
+// (tcdm.Mem.Position); slot is zero as well when the layout is not a
+// canonical split.
+func memoKeys(m *engine.Machine, cfg *ChainConfig) (stage, slot engine.SyncKey) {
 	pos, ok := m.Mem.Position()
 	if !ok {
-		return engine.SyncKey{}
+		return engine.SyncKey{}, engine.SyncKey{}
 	}
 	interp := 0
 	if cfg.InterpolateChannel {
 		interp = 1
 	}
-	key := engine.SyncKey{Dims: [10]int{cfg.NSC, cfg.NR, cfg.NB, cfg.NL, cfg.NPilot, interp}, Arena: pos}
+	stage = engine.SyncKey{Dims: [10]int{cfg.NSC, cfg.NR, cfg.NB, cfg.NL, cfg.NPilot, interp}, Arena: pos}
+	slot = stage
+	slot.Dims[6] = cfg.NSymb
 	if cfg.Layout.Pipelined() {
 		f, b, d, ok := cfg.Layout.split()
 		if !ok {
-			return engine.SyncKey{}
+			return stage, engine.SyncKey{}
 		}
-		key.Dims[6], key.Dims[7], key.Dims[8], key.Dims[9] = cfg.NSymb, f, b, d
+		slot.Dims[7], slot.Dims[8], slot.Dims[9] = f, b, d
 	}
-	return key
+	return stage, slot
 }
 
 // plan lays out every kernel plan on its stage's partition, in the
@@ -343,10 +348,10 @@ func (pl *Pipeline) runSymbolSequential(s int) error {
 }
 
 // runStage runs one sequential stage — its jobs and the closing cluster
-// barrier — as the memo unit named by pl.key and unit, so a stage that
-// repeats from a recorded state replays instead of simulating again
-// (engine.Machine.RunSynced), and folds its window into the stage's
-// aggregate.
+// barrier — through engine.Machine.RunSynced under pl.key and unit, and
+// folds its window into the stage's aggregate. Inside a replayed slot
+// the stage replays as the slot's next Run; otherwise a stage that
+// repeats from a recorded state replays from its own memo entry.
 func (pl *Pipeline) runStage(stage Stage, name string, s, unit int, jobs ...engine.Job) error {
 	key := pl.key
 	if key != (engine.SyncKey{}) {
@@ -363,22 +368,21 @@ func (pl *Pipeline) runStage(stage Stage, name string, s, unit int, jobs ...engi
 // Drain flushes the software pipeline: after the last RunSymbol, the
 // beamforming of the final symbol and the detection of the final two
 // are still in flight. Sequential layouts have nothing in flight. On
-// either layout Drain ends the slot: RunSymbol errors after it. A
-// pipelined slot that ran all its symbols is committed to the replay
-// memo here; one drained early, or abandoned before Drain, commits
-// nothing. Drain is idempotent; RunChainOn calls it before scoring.
+// either layout Drain ends the slot: RunSymbol errors after it. A slot
+// that ran all its symbols is committed to the replay memo here; one
+// drained early, or abandoned before Drain, commits nothing. Drain is
+// idempotent; RunChainOn calls it before scoring.
 func (pl *Pipeline) Drain() error {
 	if pl.drained {
 		return nil
 	}
 	pl.drained = true
-	if !pl.cfg.Layout.Pipelined() {
-		return nil
-	}
-	last := pl.issued
-	for beat := last; beat < last+2; beat++ {
-		if err := pl.issueBeat(beat); err != nil {
-			return err
+	if pl.cfg.Layout.Pipelined() {
+		last := pl.issued
+		for beat := last; beat < last+2; beat++ {
+			if err := pl.issueBeat(beat); err != nil {
+				return err
+			}
 		}
 	}
 	return pl.m.EndSlot(pl.issued == pl.cfg.NSymb)

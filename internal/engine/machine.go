@@ -122,10 +122,18 @@ type Machine struct {
 	skipped bool
 }
 
+// tileICache is one tile's instruction cache: the resident kernels in
+// fill order, oldest first, and the lines they hold. It holds at most
+// ICache.LinesPerTile kernels, so a lookup scans it.
 type tileICache struct {
-	resident map[string]int // kernel -> lines
-	order    []string       // LRU order, oldest first
-	used     int
+	lru  []icLine
+	used int
+}
+
+// icLine is one resident kernel and the lines it fills.
+type icLine struct {
+	kernel string
+	lines  int
 }
 
 // NewMachine builds a machine and reserves the per-tile barrier counter
@@ -166,9 +174,6 @@ func NewMachine(cfg *arch.Config) *Machine {
 	}
 	m.procScratch.latReq = cfg.Lat.Req
 	m.procScratch.latResp = cfg.Lat.Resp
-	for t := range m.icache {
-		m.icache[t].resident = make(map[string]int)
-	}
 	for i := range m.allCores {
 		m.allCores[i] = i
 	}
@@ -212,8 +217,7 @@ func (m *Machine) Reset() {
 	}
 	for t := range m.icache {
 		ic := &m.icache[t]
-		clear(ic.resident)
-		ic.order = ic.order[:0]
+		ic.lru = ic.lru[:0]
 		ic.used = 0
 	}
 	clear(m.raceWriters)
@@ -269,21 +273,20 @@ func (m *Machine) raceCheckWrite(core int, addr arch.Addr) {
 // execute a kernel pays the refill; the shared cache then serves the rest.
 func (m *Machine) icacheCost(tile int, kernel string, lines int) int64 {
 	ic := &m.icache[tile]
-	if _, ok := ic.resident[kernel]; ok {
-		return 0
+	for i := range ic.lru {
+		if ic.lru[i].kernel == kernel {
+			return 0
+		}
 	}
 	cap := m.Cfg.ICache.LinesPerTile
 	if lines > cap {
 		lines = cap // a kernel larger than the cache thrashes; model as full refill
 	}
-	for ic.used+lines > cap && len(ic.order) > 0 {
-		victim := ic.order[0]
-		ic.order = ic.order[1:]
-		ic.used -= ic.resident[victim]
-		delete(ic.resident, victim)
+	for ic.used+lines > cap && len(ic.lru) > 0 {
+		ic.used -= ic.lru[0].lines
+		ic.lru = ic.lru[1:]
 	}
-	ic.resident[kernel] = lines
-	ic.order = append(ic.order, kernel)
+	ic.lru = append(ic.lru, icLine{kernel, lines})
 	ic.used += lines
 	return int64(lines) * m.Cfg.ICache.RefillLatency
 }

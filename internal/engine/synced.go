@@ -46,13 +46,12 @@ type syncMemo struct {
 	used uint64 // the memo clock at the entry's last use
 
 	// A stage's entry I$ state, one copy per distinct tile state: tile t
-	// is in state icOf[t], whose LRU order is icOrder[icEnd[s-1]:icEnd[s]]
-	// and footprints the matching icLines. A slot's entry state is the
-	// Reset state, so it keeps none.
-	icOf    []int32
-	icOrder []string
-	icLines []int
-	icEnd   []int
+	// is in state icOf[t], whose resident kernels are
+	// icLRU[icEnd[s-1]:icEnd[s]]. A slot's entry state is the Reset
+	// state, so it keeps none.
+	icOf  []int32
+	icLRU []icLine
+	icEnd []int
 
 	// The unit's Runs. Run r issued jobs[runs[r-1].end:runs[r].end], and
 	// job j listed the cores of cores[jobs[j-1].end:jobs[j].end]; each of
@@ -296,7 +295,7 @@ func (m *Machine) memoFind(key SyncKey, slot bool) *syncMemo {
 // begin empties r and its delta index for a new recording and returns
 // it.
 func (r *memoRec) begin() *memoRec {
-	r.icOf, r.icOrder, r.icLines, r.icEnd = r.icOf[:0], r.icOrder[:0], r.icLines[:0], r.icEnd[:0]
+	r.icOf, r.icLRU, r.icEnd = r.icOf[:0], r.icLRU[:0], r.icEnd[:0]
 	r.runs, r.jobs, r.cores, r.delta = r.runs[:0], r.jobs[:0], r.cores[:0], r.delta[:0]
 	if r.index == nil {
 		r.index = make(map[coreDelta]int32)
@@ -441,11 +440,8 @@ func (e *syncMemo) snapICache(icache []tileICache) {
 			lo = hi
 		}
 		if s == len(e.icEnd) {
-			for _, k := range ic.order {
-				e.icOrder = append(e.icOrder, k)
-				e.icLines = append(e.icLines, ic.resident[k])
-			}
-			e.icEnd = append(e.icEnd, len(e.icOrder))
+			e.icLRU = append(e.icLRU, ic.lru...)
+			e.icEnd = append(e.icEnd, len(e.icLRU))
 		}
 		e.icOf = append(e.icOf, int32(s))
 	}
@@ -465,26 +461,16 @@ func (e *syncMemo) matches(icache []tileICache) bool {
 	return true
 }
 
-// holds reports whether ic's LRU order and footprints are
-// icOrder[lo:hi] and icLines[lo:hi].
+// holds reports whether ic's resident kernels are icLRU[lo:hi].
 func (e *syncMemo) holds(ic *tileICache, lo, hi int) bool {
-	if !slices.Equal(ic.order, e.icOrder[lo:hi]) {
-		return false
-	}
-	for i, k := range ic.order {
-		if ic.resident[k] != e.icLines[lo+i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(ic.lru, e.icLRU[lo:hi])
 }
 
 // store copies the recording in s into e, each slice sized to fit once:
 // an evicted entry's storage is reused when it is large enough.
 func (e *syncMemo) store(s *syncMemo) {
 	e.icOf = refill(e.icOf, s.icOf)
-	e.icOrder = refill(e.icOrder, s.icOrder)
-	e.icLines = refill(e.icLines, s.icLines)
+	e.icLRU = refill(e.icLRU, s.icLRU)
 	e.icEnd = refill(e.icEnd, s.icEnd)
 	e.runs = refill(e.runs, s.runs)
 	e.jobs = refill(e.jobs, s.jobs)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -36,14 +35,14 @@ func newPatterned(cfg *arch.Config) *Machine {
 func copyICache(m *Machine) []tileICache {
 	out := make([]tileICache, len(m.icache))
 	for t, ic := range m.icache {
-		out[t] = tileICache{resident: maps.Clone(ic.resident), order: slices.Clone(ic.order), used: ic.used}
+		out[t] = tileICache{lru: slices.Clone(ic.lru), used: ic.used}
 	}
 	return out
 }
 
 func sameICache(a, b []tileICache) bool {
 	for t := range a {
-		if !slices.Equal(a[t].order, b[t].order) || !maps.Equal(a[t].resident, b[t].resident) || a[t].used != b[t].used {
+		if !slices.Equal(a[t].lru, b[t].lru) || a[t].used != b[t].used {
 			return false
 		}
 	}

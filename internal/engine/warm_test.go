@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -94,9 +93,9 @@ func TestRunWarmMatchesColdPass(t *testing.T) {
 			}
 			for tl := range cold.icache {
 				w, c := &warm.icache[tl], &cold.icache[tl]
-				if !slices.Equal(w.order, c.order) || !maps.Equal(w.resident, c.resident) || w.used != c.used {
+				if !slices.Equal(w.lru, c.lru) || w.used != c.used {
 					t.Fatalf("%s: tile %d I$ holds %v (%d lines), want %v (%d lines)",
-						where, tl, w.order, w.used, c.order, c.used)
+						where, tl, w.lru, w.used, c.lru, c.used)
 				}
 			}
 			// Every core's window and Stats, idle cores included.

@@ -229,7 +229,9 @@ func RunChain(cfg ChainConfig) (*ChainResult, error) {
 // cfg.Cluster adopts the machine's own configuration). Sweeps use it to
 // reuse one pooled Machine — and its multi-MiB TCDM arena — across many
 // scenario runs; a reused machine reproduces a fresh machine's cycle
-// counts exactly.
+// counts exactly. The slot's transmit side runs on a helper goroutine
+// beside planning and the engine; RunChainOn returns once it has
+// finished.
 func RunChainOn(m *engine.Machine, cfg ChainConfig) (*ChainResult, error) {
 	return runChainOn(m, cfg, nil)
 }
@@ -254,7 +256,12 @@ func RunChainTracedOn(m *engine.Machine, cfg ChainConfig, tr *obs.Trace) (*Chain
 	return runChainOn(m, cfg, tr)
 }
 
-func runChainOn(m *engine.Machine, cfg ChainConfig, tr *obs.Trace) (*ChainResult, error) {
+// runChainOn composes the three chain stages. The transmit side runs
+// on a helper goroutine (goSlotTX) while this one plans the kernels and
+// runs the engine, and RunSymbol(s) waits only for symbol s's samples.
+// Only TX draws from the slot's rng, in its serial order, so the
+// overlap moves no bit, noise sample or cycle.
+func runChainOn(m *engine.Machine, cfg ChainConfig, tr *obs.Trace) (res *ChainResult, err error) {
 	if cfg.Cluster == nil {
 		cfg.Cluster = m.Cfg
 	}
@@ -270,8 +277,6 @@ func runChainOn(m *engine.Machine, cfg ChainConfig, tr *obs.Trace) (*ChainResult
 		// stamped analytic — impossible by construction.
 		return nil, fmt.Errorf("pusch: analytic timing is resolved by the calibrated model (internal/timing), not the engine")
 	}
-	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15))
-
 	if tr != nil {
 		// Attach a private engine tracer for the run; the machine pool
 		// scrubs tracers on Get, so traced runs own their attachment.
@@ -279,24 +284,38 @@ func runChainOn(m *engine.Machine, cfg ChainConfig, tr *obs.Trace) (*ChainResult
 		m.Tracer = &engine.Tracer{}
 		defer func() { m.Tracer = prev }()
 	}
-	tx, err := NewSlotTX(&cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil {
-		// Host-side work carries no simulated cycles: an instant marker.
-		c := m.Cycles()
-		tr.Add("host", "slot-tx", c, c)
-	}
+	txr := goSlotTX(cfg)
+	// Every way out — a return, an error or an unwinding panic — waits
+	// for the helper first. TX ran before planning in the serial chain,
+	// so its error replaces this goroutine's, and its panic is re-raised.
+	defer func() {
+		if _, txErr := txr.wait(); txErr != nil {
+			res, err = nil, txErr
+		}
+	}()
+	start := m.Cycles()
 	pl, err := NewPipeline(m, cfg)
 	if err != nil {
 		return nil, err
 	}
+	if tr != nil {
+		// Host-side work carries no simulated cycles: an instant marker,
+		// at the slot's start and ahead of every stage span.
+		tr.Add("host", "slot-tx", start, start)
+	}
 	pl.trace = tr
-	for s := 0; s < cfg.NSymb; s++ {
-		if err := pl.RunSymbol(s, tx.RxTime[s]); err != nil {
+	for s := range cfg.NSymb {
+		rx, ok := <-txr.rows
+		if !ok {
+			break // TX failed; wait reports how
+		}
+		if err := pl.RunSymbol(s, rx); err != nil {
 			return nil, err
 		}
+	}
+	tx, err := txr.wait()
+	if err != nil {
+		return nil, err
 	}
 	if err := pl.Drain(); err != nil {
 		return nil, err
@@ -318,6 +337,54 @@ func runChainOn(m *engine.Machine, cfg ChainConfig, tr *obs.Trace) (*ChainResult
 		TimeMs:      float64(pl.Cycles()) / 1e6, // 1 GHz -> 1e6 cycles per ms
 		Stages:      pl.Stages(),
 	}, nil
+}
+
+// txRun is a slot's transmit side running on a helper goroutine: the
+// code of NewSlotTX, handing each symbol's received samples over as
+// soon as they are complete.
+type txRun struct {
+	cfg ChainConfig // the helper's own copy
+	// rows carries symbol s's RxTime as its s-th value and is closed
+	// when the helper returns. It holds all NSymb values, so no send
+	// blocks and the helper always finishes.
+	rows chan [][]complex128
+
+	// The helper's outcome, written before rows is closed.
+	tx       *SlotTX
+	err      error
+	panicked any
+}
+
+// goSlotTX starts the transmit side of the slot cfg describes on a
+// helper goroutine. The caller must wait for it.
+func goSlotTX(cfg ChainConfig) *txRun {
+	h := &txRun{cfg: cfg, rows: make(chan [][]complex128, cfg.NSymb)}
+	go h.run()
+	return h
+}
+
+// run is the helper goroutine. The slot's rng is its own: nothing else
+// draws from it, so bits and noise come out as in the serial chain.
+func (h *txRun) run() {
+	defer close(h.rows)
+	defer func() { h.panicked = recover() }()
+	seed := h.cfg.Seed
+	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+	h.tx, h.err = newSlotTX(&h.cfg, rng, h.rows)
+}
+
+// wait returns the helper's result once it has returned, discarding
+// any symbols not yet received. The first wait re-raises a panic on the
+// helper here, on the caller's goroutine; a later one, deferred while
+// that panic unwinds, returns.
+func (h *txRun) wait() (*SlotTX, error) {
+	for range h.rows {
+	}
+	if p := h.panicked; p != nil {
+		h.panicked = nil
+		panic(p)
+	}
+	return h.tx, h.err
 }
 
 // RunChainRecordOn executes the chain on a caller-supplied (fresh or

@@ -49,6 +49,13 @@ func pilotInit(seed uint64) uint32 {
 // MIMO channel and adds noise at the configured SNR. cfg must already be
 // defaulted and validated.
 func NewSlotTX(cfg *ChainConfig, rng *rand.Rand) (*SlotTX, error) {
+	return newSlotTX(cfg, rng, nil)
+}
+
+// newSlotTX is NewSlotTX, also sending each symbol's received samples
+// on rows, when it is not nil, as soon as they are complete. rows must
+// have room for cfg.NSymb values.
+func newSlotTX(cfg *ChainConfig, rng *rand.Rand, rows chan<- [][]complex128) (*SlotTX, error) {
 	tx := &SlotTX{Pilots: chainPilots(cfg)}
 	bps := cfg.Scheme.BitsPerSymbol()
 	nData := cfg.NSymb - cfg.NPilot
@@ -92,6 +99,9 @@ func NewSlotTX(cfg *ChainConfig, rng *rand.Rand) (*SlotTX, error) {
 			return nil, err
 		}
 		tx.RxTime[s] = rx
+		if rows != nil {
+			rows <- rx
+		}
 	}
 	return tx, nil
 }

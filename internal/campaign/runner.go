@@ -11,7 +11,8 @@ import (
 )
 
 // Runner executes scenario sets concurrently on the host. Scenarios are
-// fanned out across Workers goroutines by engine.Sharded.FanOut; each
+// fanned out across Workers goroutines by engine.Sharded.FanOut, whose
+// workers draw scenario indices from one atomic counter; each
 // worker owns one pool shard, so every worker reuses one simulator
 // machine (and its multi-MiB TCDM arena) per distinct cluster
 // configuration instead of reallocating per scenario. Seeding and

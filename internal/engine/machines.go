@@ -3,6 +3,7 @@ package engine
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/arch"
 )
@@ -162,8 +163,10 @@ func NewFanOut(workers, n int) *Sharded {
 // FanOut calls fn(pool, i) for every i in [0, n) across one goroutine
 // per shard (at most n), each owning its shard, so its Get/Put never
 // contends with another worker. With one goroutine every call runs
-// inline on the caller's goroutine in index order. Indices are handed
-// out in order but finish in any order, so fn must write only to
+// inline on the caller's goroutine in index order. The workers draw
+// indices from one atomic counter, so indices are handed out in
+// ascending order, each to one worker and with no hand-off between
+// goroutines, but finish in any order: fn must write only to
 // index-owned state for the result to be independent of the worker
 // count. A pool fanned out again keeps its shards and their machines,
 // so a caller that fans out in rounds builds each arena once.
@@ -175,21 +178,17 @@ func (s *Sharded) FanOut(n int, fn func(pool *Machines, i int)) {
 		}
 		return
 	}
-	idx := make(chan int)
+	var next atomic.Int64 // the next index to hand out
 	var wg sync.WaitGroup
 	for _, pool := range s.shards[:workers] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 				fn(pool, i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 }
 

@@ -101,7 +101,9 @@ func TestShardedConcurrent(t *testing.T) {
 // worker after clamping, and no shard builds a second machine for one
 // configuration, because each shard belongs to one goroutine that
 // returns its machine before the next call — also when the pool is
-// fanned out again, as a serve does once per window.
+// fanned out again, as a serve does once per window. The rows with far
+// more indices than workers keep the workers drawing from the shared
+// index counter at once, as a serve's window does.
 func TestFanOut(t *testing.T) {
 	cfg := tinyConfig()
 	for _, tc := range []struct{ workers, n, shards int }{
@@ -110,6 +112,8 @@ func TestFanOut(t *testing.T) {
 		{3, 5, 3},
 		{8, 5, 5},
 		{4, 0, 1},
+		{2, 10000, 2},
+		{8, 10000, 8},
 	} {
 		s := NewFanOut(tc.workers, tc.n)
 		if s.Shards() != tc.shards {

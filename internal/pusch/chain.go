@@ -161,6 +161,9 @@ func (c *ChainConfig) validate() error {
 	switch {
 	case c.NSC < 64 || c.NSC&(c.NSC-1) != 0 || c.NSC&0x55555555 == 0:
 		return fmt.Errorf("pusch: NSC %d must be a power of 4 >= 64", c.NSC)
+	case c.Taps < 0 || c.Taps > c.NSC/4:
+		// NSC/4 is the lag cap slotChannel puts on fading taps.
+		return fmt.Errorf("pusch: Taps %d must be in 0..%d (NSC/4)", c.Taps, c.NSC/4)
 	case c.NR%4 != 0 || c.NR <= 0:
 		return fmt.Errorf("pusch: NR %d must be a positive multiple of 4", c.NR)
 	case c.NR > c.Cluster.MemWords()/c.NSC:
@@ -179,6 +182,8 @@ func (c *ChainConfig) validate() error {
 		return fmt.Errorf("pusch: NSymb %d must exceed NPilot %d", c.NSymb, c.NPilot)
 	case c.NSymb > 14:
 		return fmt.Errorf("pusch: NSymb %d exceeds the 14 symbols of one NR slot", c.NSymb)
+	case c.Scheme < waveform.QPSK || c.Scheme > waveform.QAM64:
+		return fmt.Errorf("pusch: unknown Scheme %d", int(c.Scheme))
 	case c.Timing != TimingCycleAccurate && c.Timing != TimingAnalytic:
 		return fmt.Errorf("pusch: unknown timing mode %q", c.Timing)
 	case !finite(c.SNRdB) || !finite(c.DataAmp) || !finite(c.PilotAmp):

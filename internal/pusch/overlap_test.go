@@ -151,12 +151,12 @@ func checkSlotTXFirst(t *testing.T, state string, tr *obs.Trace) {
 	}
 }
 
-// TestChainOverlapErrorPaths: however a slot fails after its transmit
-// helper has started, RunChainOn returns or panics as the serial chain
-// did, and the helper does not outlive it. No valid configuration
-// makes TX fail or TX or planning panic, so the helper's panic comes
-// from an unknown scheme, which ChainConfig.validate does not reject,
-// and the caller's from a nil machine.
+// TestChainOverlapErrorPaths: however a slot fails, RunChainOn returns
+// or panics as the serial chain did, and the helper does not outlive
+// it. ChainConfig.validate rejects an unknown scheme before the helper
+// starts, ahead of the plan error of a machine built for another
+// cluster, so no library input now reaches a helper panic; the
+// caller's panic comes from a nil machine.
 func TestChainOverlapErrorPaths(t *testing.T) {
 	cfg := traceTestConfig()
 	tera := cfg
@@ -187,8 +187,8 @@ func TestChainOverlapErrorPaths(t *testing.T) {
 	}{
 		{"run on a replayed machine", replayed, cfg, "Reset the machine", ""},
 		{"plan on another cluster", fresh(cfg), tera, "config wants TeraPool", ""},
-		{"TX panic", fresh(cfg), badScheme, "", "unknown scheme 9"},
-		{"TX panic over plan error", fresh(cfg), badBoth, "", "unknown scheme 9"},
+		{"unknown scheme", fresh(cfg), badScheme, "unknown Scheme 9", ""},
+		{"unknown scheme over plan error", fresh(cfg), badBoth, "unknown Scheme 9", ""},
 		{"caller panic", func(*testing.T) *engine.Machine { return nil }, cfg, "", "nil pointer"},
 	}
 	for _, row := range rows {

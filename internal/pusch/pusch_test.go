@@ -2,6 +2,7 @@ package pusch
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -144,6 +145,34 @@ func TestChainConfigValidation(t *testing.T) {
 		if _, err := RunChain(cfg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+	// These panicked in the slot's TX (an unknown scheme, makeslice in
+	// the channel) before validation named the field; the cache key,
+	// which validates through Normalized, refuses them too.
+	for _, tc := range []struct {
+		field string
+		mut   func(*ChainConfig)
+	}{
+		{"Scheme", func(c *ChainConfig) { c.Scheme = waveform.Scheme(9) }},
+		{"Scheme", func(c *ChainConfig) { c.Scheme = -1 }},
+		{"Taps", func(c *ChainConfig) { c.Taps = -1 }},
+		{"Taps", func(c *ChainConfig) { c.Taps = base.NSC/4 + 1 }},
+		{"Taps", func(c *ChainConfig) { c.Taps = 1 << 62 }},
+	} {
+		cfg := base
+		tc.mut(&cfg)
+		if _, err := RunChain(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: error %v, want one naming %s", cfg, err, tc.field)
+		}
+		if _, err := cfg.CacheKey(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: CacheKey error %v, want one naming %s", cfg, err, tc.field)
+		}
+	}
+	// NSC/4 taps, the lag cap, is in range.
+	cfg := base
+	cfg.Taps = base.NSC / 4
+	if _, err := cfg.Normalized(); err != nil {
+		t.Errorf("Taps %d: %v", cfg.Taps, err)
 	}
 }
 

@@ -8,7 +8,9 @@ import "repro/internal/engine"
 // scheduler assigned it. All times are simulated cycles at the nominal
 // 1 GHz clock, on the same axis as the slot's own cycle counts.
 // AppendJSON writes its fields by hand: a field added here, in
-// SlotRecord or in SlotPhase goes there too.
+// SlotRecord or in SlotPhase goes there too, and one added to
+// SlotRecord or SlotPhase also goes to SlotRecord.same, SlotMemo's
+// equality.
 type JobRecord struct {
 	// Job is the job's index in arrival order; Name is the trace's label
 	// for it (generator name, campaign scenario, or the spec's name).
@@ -40,11 +42,21 @@ type JobRecord struct {
 // TestJobRecordWireCoversEveryField and FuzzJobRecordWire hold the two
 // encoders equal.
 func (r *JobRecord) AppendJSON(dst []byte) ([]byte, bool) {
+	return r.appendJSON(dst, nil)
+}
+
+// appendJSON is AppendJSON, taking the SlotRecord's members from m when
+// m is not nil.
+func (r *JobRecord) appendJSON(dst []byte, m *SlotMemo) ([]byte, bool) {
 	l := jsonLine{b: dst, ok: true}
 	l.int(`{"job":`, int64(r.Job))
 	l.optStr(`,"name":`, r.Name)
 	l.optInt(`,"cell":`, int64(r.Cell))
-	r.SlotRecord.appendJSON(&l)
+	if m != nil {
+		m.appendSlot(&l, &r.SlotRecord)
+	} else {
+		r.SlotRecord.appendJSON(&l)
+	}
 	l.int(`,"arrival_cycle":`, r.ArrivalCycle)
 	l.int(`,"start_cycle":`, r.StartCycle)
 	l.int(`,"finish_cycle":`, r.FinishCycle)

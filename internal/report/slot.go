@@ -1,6 +1,8 @@
 package report
 
 import (
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -143,6 +145,119 @@ func (p *SlotPhase) appendJSON(l *jsonLine) {
 	l.optFloat(`,"macs_per_cycle":`, p.MACsPerCycle)
 	l.b = append(l.b, '}')
 }
+
+// memoBits sets SlotMemo's size: 1<<memoBits sets of two entries,
+// picked by the top memoBits bits of a record's hash.
+const memoBits = 5
+
+// SlotMemo remembers the encoded bytes of the last SlotRecords a
+// JobRecord stream carried, so a record served again is copied, not
+// re-encoded: traffic served from the service-time cache or the
+// analytic model repeats a handful of records. It holds 64 records, in
+// 32 sets of two picked by a hash of the record's numeric fields, the
+// least recently used of a set's two making way for a new record; two
+// ways keep a pair of repeated records that share a set from evicting
+// each other. It holds its own copy of each record it remembers. The
+// zero value is empty and ready to use; a SlotMemo is not safe for
+// concurrent use.
+type SlotMemo struct {
+	sets [1 << memoBits]struct {
+		ways [2]memoEntry
+		mru  uint8 // the way hit or filled last
+	}
+}
+
+// memoEntry is one remembered record and appendJSON's bytes for it. An
+// empty body marks an empty entry (a record's body never is).
+type memoEntry struct {
+	rec    SlotRecord
+	phases []SlotPhase // rec.Phases' backing array, kept across records
+	body   []byte
+}
+
+// AppendJSON is r.AppendJSON(dst), byte for byte and accepting the same
+// records, with r's SlotRecord taken from m when m remembers an equal
+// one. A SlotRecord it has to encode replaces the least recently used
+// entry of its set, unless the line is declined. A hit allocates
+// nothing beyond growing dst.
+func (m *SlotMemo) AppendJSON(dst []byte, r *JobRecord) ([]byte, bool) {
+	return r.appendJSON(dst, m)
+}
+
+// appendSlot appends r's members as r.appendJSON does, copying a
+// remembered body when it can.
+func (m *SlotMemo) appendSlot(l *jsonLine, r *SlotRecord) {
+	set := &m.sets[r.memoHash()>>(64-memoBits)]
+	for w := range set.ways {
+		if e := &set.ways[w]; len(e.body) > 0 && e.rec.same(r) {
+			set.mru = uint8(w)
+			l.b = append(l.b, e.body...)
+			return
+		}
+	}
+	start := len(l.b)
+	r.appendJSON(l)
+	if !l.ok {
+		return
+	}
+	set.mru ^= 1
+	e := &set.ways[set.mru]
+	e.rec = *r
+	if r.Phases != nil {
+		e.phases = append(e.phases[:0], r.Phases...)
+		if e.phases == nil {
+			e.phases = []SlotPhase{} // r's phases are empty, not nil
+		}
+		e.rec.Phases = e.phases
+	}
+	e.body = append(e.body[:0], l.b[start:]...)
+}
+
+// memoHash mixes the numeric fields that tell served records apart:
+// equal records (by same) hash alike, since floats enter by bit pattern.
+func (r *SlotRecord) memoHash() uint64 {
+	h := uint64(len(r.Phases))<<8 | uint64(len(r.Timing))
+	for _, v := range [...]uint64{
+		uint64(r.TotalCycles), uint64(r.PayloadBits), uint64(r.Cores), uint64(r.UEs),
+		math.Float64bits(r.BER), math.Float64bits(r.SigmaEst),
+		r.ChannelSeed, math.Float64bits(r.ChannelTimeMs),
+	} {
+		h = bits.RotateLeft64((h^v)*0x9e3779b97f4a7c15, 29)
+	}
+	return h * 0x9e3779b97f4a7c15
+}
+
+// same reports whether r and o encode to the same bytes because every
+// field agrees: floats by bit pattern (so -0 differs from 0 and a NaN
+// equals itself), and nil Phases differ from empty ones, as null from
+// []. A field added to SlotRecord or SlotPhase goes here too;
+// TestSlotMemoCoversEveryField fails until it does.
+func (r *SlotRecord) same(o *SlotRecord) bool {
+	if r.TotalCycles != o.TotalCycles || r.PayloadBits != o.PayloadBits ||
+		r.Cores != o.Cores || r.UEs != o.UEs || r.CholPerRound != o.CholPerRound ||
+		r.SerialCycles != o.SerialCycles || r.ChannelSeed != o.ChannelSeed ||
+		!sameBits(r.TimeMs, o.TimeMs) || !sameBits(r.ThroughputGbps, o.ThroughputGbps) ||
+		!sameBits(r.Speedup, o.Speedup) || !sameBits(r.BER, o.BER) ||
+		!sameBits(r.EVMdB, o.EVMdB) || !sameBits(r.SigmaEst, o.SigmaEst) ||
+		!sameBits(r.DopplerHz, o.DopplerHz) || !sameBits(r.RicianK, o.RicianK) ||
+		!sameBits(r.ChannelTimeMs, o.ChannelTimeMs) ||
+		r.Kind != o.Kind || r.Cluster != o.Cluster || r.Scheme != o.Scheme ||
+		r.Channel != o.Channel || r.Layout != o.Layout || r.Timing != o.Timing ||
+		(r.Phases == nil) != (o.Phases == nil) || len(r.Phases) != len(o.Phases) {
+		return false
+	}
+	for i := range r.Phases {
+		p, q := &r.Phases[i], &o.Phases[i]
+		if p.Name != q.Name || p.PerPass != q.PerPass || p.Passes != q.Passes || p.Cycles != q.Cycles ||
+			!sameBits(p.Share, q.Share) || !sameBits(p.IPC, q.IPC) || !sameBits(p.MACsPerCycle, q.MACsPerCycle) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBits reports whether a and b have one bit pattern.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // Key returns the stable identity used to match slot records across
 // runs: kind, cluster (name and core count), UE count, Cholesky

@@ -33,14 +33,6 @@ func fill(t *testing.T, v reflect.Value, src source) {
 			continue
 		}
 		switch {
-		case f.Kind() == reflect.String:
-			f.SetString(src.str())
-		case f.Kind() == reflect.Int || f.Kind() == reflect.Int64:
-			f.SetInt(src.int())
-		case f.Kind() == reflect.Uint64:
-			f.SetUint(src.uint())
-		case f.Kind() == reflect.Float64:
-			f.SetFloat(src.float())
 		case f.Kind() == reflect.Struct:
 			fill(t, f, src)
 		case f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Struct:
@@ -50,10 +42,28 @@ func fill(t *testing.T, v reflect.Value, src source) {
 					fill(t, f.Index(j), src)
 				}
 			}
-		default:
+		case !setField(f, src):
 			t.Fatalf("%s.%s is a %s: teach JobRecord.AppendJSON and this test to encode it", v.Type(), sf.Name, f.Type())
 		}
 	}
+}
+
+// setField sets the string, integer or float field f from src and
+// reports whether f is of one of those kinds.
+func setField(f reflect.Value, src source) bool {
+	switch f.Kind() {
+	case reflect.String:
+		f.SetString(src.str())
+	case reflect.Int, reflect.Int64:
+		f.SetInt(src.int())
+	case reflect.Uint64:
+		f.SetUint(src.uint())
+	case reflect.Float64:
+		f.SetFloat(src.float())
+	default:
+		return false
+	}
+	return true
 }
 
 // encodeJSON returns what json.Encoder writes for r, or its error.
@@ -121,47 +131,62 @@ func (s *fuzzSource) uint() uint64   { return s.bits() }
 func (s *fuzzSource) float() float64 { return math.Float64frombits(s.bits()) }
 func (s *fuzzSource) phases() int    { return int(s.shape%5) - 1 }
 
+// fuzzWords is 64 words of v's bits: a fuzzSource whose numeric fields
+// all read v.
+func fuzzWords(v float64) []byte {
+	var b []byte
+	for range 64 {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// fuzzPlain is a fuzzSource's strings that encoding/json writes verbatim.
+var fuzzPlain = []byte("\x05chain\x07MemPool\x04qpsk\x04ofdm\x02bf\x03che\x02ne\x04mimo")
+
+// checkWire fails t unless got and ok, returned by an encoder that
+// appended r's line to prefix, are what AppendJSON must return: it
+// accepts exactly the records encoding/json writes without an escape,
+// a non-ASCII byte or an error, and then appends encoding/json's bytes;
+// otherwise it appends nothing.
+func checkWire(t *testing.T, r *JobRecord, prefix string, got []byte, ok bool) {
+	t.Helper()
+	want, err := encodeJSON(r)
+	verbatim := err == nil && !bytes.ContainsAny(want, `\`) && !bytes.ContainsFunc(want, func(c rune) bool { return c >= utf8.RuneSelf })
+	if string(got[:len(prefix)]) != prefix {
+		t.Fatalf("encoder overwrote its destination: %q", got)
+	}
+	got = got[len(prefix):]
+	switch {
+	case ok != verbatim:
+		t.Fatalf("encoder accepted %v, want %v (encoding/json: %q, %v)", ok, verbatim, want, err)
+	case ok && !bytes.Equal(got, want):
+		t.Fatalf("encoder:\n%q\nencoding/json:\n%q", got, want)
+	case !ok && len(got) != 0:
+		t.Fatalf("encoder declined but appended %q", got)
+	}
+}
+
 // FuzzJobRecordWire holds AppendJSON to encoding/json: it accepts
 // exactly the records encoding/json writes without an escape, a
 // non-ASCII byte or an error, and then appends encoding/json's bytes.
 func FuzzJobRecordWire(f *testing.F) {
-	words := func(v float64) []byte {
-		var b []byte
-		for range 64 {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
-		return b
-	}
-	plain := []byte("\x05chain\x07MemPool\x04qpsk\x04ofdm\x02bf\x03che\x02ne\x04mimo")
 	for i, v := range []float64{
 		0, math.Copysign(0, -1), 1, -123.456, 0.1, 1e-7, 5e-324, 1e300,
 		1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0), -1e21,
 		math.NaN(), math.Inf(1), math.Inf(-1),
 	} {
-		f.Add(words(v), plain, uint8(i))
+		f.Add(fuzzWords(v), fuzzPlain, uint8(i))
 	}
 	for i, s := range []string{"<", ">", "&", `"`, `\`, "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\xff"} {
-		f.Add(words(2.5), append([]byte{byte(len(s))}, s...), uint8(i))
+		f.Add(fuzzWords(2.5), append([]byte{byte(len(s))}, s...), uint8(i))
 	}
 	f.Add([]byte{}, []byte{}, uint8(0))
 	f.Fuzz(func(t *testing.T, words, strs []byte, shape uint8) {
 		var r JobRecord
 		fill(t, reflect.ValueOf(&r).Elem(), &fuzzSource{words: words, strs: strs, shape: shape})
-		want, err := encodeJSON(&r)
-		verbatim := err == nil && !bytes.ContainsAny(want, `\`) && !bytes.ContainsFunc(want, func(c rune) bool { return c >= utf8.RuneSelf })
 		const prefix = "line 0\n"
 		got, ok := r.AppendJSON([]byte(prefix))
-		if string(got[:len(prefix)]) != prefix {
-			t.Fatalf("AppendJSON overwrote its destination: %q", got)
-		}
-		got = got[len(prefix):]
-		switch {
-		case ok != verbatim:
-			t.Fatalf("AppendJSON accepted %v, want %v (encoding/json: %q, %v)", ok, verbatim, want, err)
-		case ok && !bytes.Equal(got, want):
-			t.Fatalf("AppendJSON:\n%q\nencoding/json:\n%q", got, want)
-		case !ok && len(got) != 0:
-			t.Fatalf("AppendJSON declined but appended %q", got)
-		}
+		checkWire(t, &r, prefix, got, ok)
 	})
 }

@@ -66,9 +66,10 @@
 // byte-reproducible: the same trace, seed and service discipline
 // produce identical JSONL, across runs and across worker counts.
 // Encoder writes that JSONL: each served line through
-// report.JobRecord.AppendJSON, without reflection, and through
-// encoding/json whatever AppendJSON declines, so the bytes are
-// encoding/json's either way.
+// report.JobRecord.AppendJSON, without reflection, with the bytes of a
+// slot record the stream carried recently copied from its
+// report.SlotMemo, and through encoding/json whatever AppendJSON
+// declines, so the bytes are encoding/json's either way.
 //
 // A job's timing path follows its ChainConfig.Timing, decided by
 // campaign.Resolve, the resolution path campaigns share: cycle-accurate

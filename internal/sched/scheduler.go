@@ -95,9 +95,10 @@ func (s *Scheduler) serve(jobs []Job, emit func(*JobResult) error) (report.Servi
 // served job, then the summary lines. It makes one Write per line, as
 // json.Encoder does.
 type Encoder struct {
-	w   io.Writer
-	enc *json.Encoder
-	buf []byte // the last hand-encoded line, reused for the next
+	w    io.Writer
+	enc  *json.Encoder
+	buf  []byte          // the last hand-encoded line, reused for the next
+	memo report.SlotMemo // the served records' encoded bodies
 }
 
 // NewEncoder returns an Encoder that writes to w.
@@ -107,14 +108,16 @@ func NewEncoder(w io.Writer) *Encoder {
 
 // WriteServed writes r's JobRecord as one JSON line when r was served,
 // and nothing otherwise. The line is report.JobRecord.AppendJSON's,
-// byte for byte what encoding/json writes; a record it declines
-// (escaped strings, non-finite floats) goes through encoding/json
-// itself, whose bytes or *json.UnsupportedValueError it returns.
+// byte for byte what encoding/json writes, with a SlotRecord the
+// stream carried recently copied from the encoder's report.SlotMemo; a
+// record AppendJSON declines (escaped strings, non-finite floats) goes
+// through encoding/json itself, whose bytes or
+// *json.UnsupportedValueError it returns.
 func (e *Encoder) WriteServed(r *JobResult) error {
 	if r.Outcome != Served {
 		return nil
 	}
-	b, ok := r.Record.AppendJSON(e.buf[:0])
+	b, ok := e.memo.AppendJSON(e.buf[:0], &r.Record)
 	if !ok {
 		return e.enc.Encode(&r.Record)
 	}

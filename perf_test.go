@@ -1,12 +1,12 @@
 // Host-performance benchmarks: unlike bench_test.go, which regenerates
 // the paper's simulated metrics, these measure the host machine's cost
 // of running the simulator — the service-time cache's cold/warm gap on
-// a repeated-coordinate trace, a warm multi-window fleet stream, the
-// allocation footprint of the engine hot path, a slot replayed whole
-// beside the same slot's golden arithmetic, and the Fig. 3 table
-// rendering. Run with
+// a repeated-coordinate trace, warm and fading multi-window fleet
+// streams, the allocation footprint of the engine hot path, a slot
+// replayed whole beside the same slot's golden arithmetic, and the
+// Fig. 3 table rendering. Run with
 //
-//	go test -bench='SchedulerTrace|FleetWarmStream|MachineRun|ChainReplayedSlot|PhySlotArithmetic|Fig3Table' -benchmem
+//	go test -bench='SchedulerTrace|FleetWarmStream|FleetFadingStream|MachineRun|ChainReplayedSlot|PhySlotArithmetic|Fig3Table' -benchmem
 package repro
 
 import (
@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/campaign"
+	"repro/internal/channel"
 	"repro/internal/engine"
 	"repro/internal/fixed"
 	"repro/internal/fleet"
@@ -84,23 +85,12 @@ func BenchmarkSchedulerTraceWarm(b *testing.B) {
 // homogeneous MemPool cells of 2 servers route least-queue, measured
 // by 2 workers, and WriteJSONL encodes every line to io.Discard. What
 // it times is the serving loop: resolution, replay, routing and JSON
-// encoding, with measurement overlapping the replay.
+// encoding, with measurement overlapping the replay. Its 4096 lines
+// carry 6 distinct slot records, so the encoder's record memo hits.
 func BenchmarkFleetWarmStream(b *testing.B) {
-	const jobs, cells = 4 * 1024, 3
-	model, err := timing.Load(timing.DefaultPath)
-	if err != nil {
-		b.Fatal(err)
-	}
 	base := ipusch.ChainConfig{NSC: 256, NR: 16, NB: 8, NL: 4, NSymb: 6, NPilot: 2, SNRdB: 20}
 	mix := sched.TableIMix(&base)
-	trace := sched.MixedTracePop(mix, jobs, 200, 1, fleet.Population(cells))
-	for i := range trace {
-		c := &trace[i].Chain
-		c.Seed = 1
-		if i%2 == 1 {
-			c.Timing = ipusch.TimingAnalytic
-		}
-	}
+	trace := streamTrace(mix, func(i int) bool { return i%2 == 1 })
 	cache := timecache.New(0)
 	pool := engine.NewMachines()
 	for _, e := range mix {
@@ -110,8 +100,51 @@ func BenchmarkFleetWarmStream(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	benchFleetStream(b, trace, cache)
+}
+
+// BenchmarkFleetFadingStream is BenchmarkFleetWarmStream's serve with
+// every job analytic and the Table I mix on mobile UEs: TDL-B at 30 Hz,
+// each UE with its own fading seed and each slot stamped with its
+// arrival time on the UE's channel. No two of its records are equal, so
+// every lookup in the encoder's record memo misses: it prices the memo
+// for traffic that never repeats a record.
+func BenchmarkFleetFadingStream(b *testing.B) {
+	base := sched.Mobile(ipusch.ChainConfig{NSC: 256, NR: 16, NB: 8, NL: 4, NSymb: 6, NPilot: 2, SNRdB: 20}, channel.TDLB, 30, 0)
+	trace := streamTrace(sched.TableIMix(&base), func(int) bool { return true })
+	benchFleetStream(b, trace, nil)
+}
+
+// Both fleet stream benchmarks serve streamJobs jobs on streamCells
+// cells.
+const streamJobs, streamCells = 4 * 1024, 3
+
+// streamTrace draws the fleet stream benchmarks' trace from mix: 200
+// slots/ms over the cells' UE population, payload seed pinned to 1, and
+// the jobs analytic picks on the analytic timing path.
+func streamTrace(mix []sched.MixEntry, analytic func(i int) bool) []sched.Job {
+	trace := sched.MixedTracePop(mix, streamJobs, 200, 1, fleet.Population(streamCells))
+	for i := range trace {
+		c := &trace[i].Chain
+		c.Seed = 1
+		if analytic(i) {
+			c.Timing = ipusch.TimingAnalytic
+		}
+	}
+	return trace
+}
+
+// benchFleetStream times WriteJSONL of trace to io.Discard on
+// streamCells homogeneous MemPool cells of 2 servers, least-queue, 2
+// measurement workers, the committed calibration and cache (nil for
+// none), and fails if a job fails or misses the cache.
+func benchFleetStream(b *testing.B, trace []sched.Job, cache *timecache.Cache) {
+	model, err := timing.Load(timing.DefaultPath)
+	if err != nil {
+		b.Fatal(err)
+	}
 	f := &fleet.Fleet{Cfg: fleet.Config{
-		Cells:   fleet.Homogeneous(cells, fleet.Cell{Cluster: arch.MemPool(), Servers: 2}),
+		Cells:   fleet.Homogeneous(streamCells, fleet.Cell{Cluster: arch.MemPool(), Servers: 2}),
 		Policy:  fleet.LeastQueue,
 		Workers: 2,
 		Cache:   cache,
@@ -124,11 +157,11 @@ func BenchmarkFleetWarmStream(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if sum.Served+sum.Dropped != jobs || sum.Failed != 0 || sum.Host.CacheMisses != 0 {
-			b.Fatalf("served %d, dropped %d, failed %d of %d jobs with %d cache misses", sum.Served, sum.Dropped, sum.Failed, jobs, sum.Host.CacheMisses)
+		if sum.Served+sum.Dropped != len(trace) || sum.Failed != 0 || sum.Host.CacheMisses != 0 {
+			b.Fatalf("served %d, dropped %d, failed %d of %d jobs with %d cache misses", sum.Served, sum.Dropped, sum.Failed, len(trace), sum.Host.CacheMisses)
 		}
 	}
-	b.ReportMetric(float64(b.N*jobs)/b.Elapsed().Seconds(), "jobs/s")
+	b.ReportMetric(float64(b.N*len(trace))/b.Elapsed().Seconds(), "jobs/s")
 }
 
 // BenchmarkMachineRun measures the host cost of one cycle-accurate

@@ -37,27 +37,55 @@ var errNoModel = errors.New("campaign: analytic timing requested but no calibrat
 // and unkeyable-but-valid ones are simply measured every time. Only a
 // successful measurement is added to the cache.
 func Resolve(pool *engine.Machines, cfg pusch.ChainConfig, cache *timecache.Cache, model *timing.Model, measure MeasureFunc) (report.SlotRecord, error) {
-	if cfg.Timing == pusch.TimingAnalytic {
-		if model == nil {
-			return report.SlotRecord{}, errNoModel
-		}
-		return model.Predict(cfg)
+	var r resolution
+	if cache != nil || cfg.Timing == pusch.TimingAnalytic {
+		r.derive(&cfg, model)
 	}
-	key := ""
-	if cache != nil {
-		if k, err := cfg.CacheKey(); err == nil {
-			key = k
-			if rec, ok := cache.Lookup(key); ok {
-				return rec, nil
-			}
+	return r.finish(pool, &cfg, cache, measure)
+}
+
+// resolution is what Resolve derives from a configuration alone, before
+// any cache traffic or measurement: an analytic slot's prediction (or
+// error), or a cycle-accurate slot's cache key ("" bypasses the cache).
+type resolution struct {
+	analytic bool
+	rec      report.SlotRecord
+	err      error
+	key      string
+}
+
+// derive sets r to cfg's resolution against model. A cycle-accurate
+// slot's key is derived whether or not a cache will be consulted.
+func (r *resolution) derive(cfg *pusch.ChainConfig, model *timing.Model) {
+	*r = resolution{analytic: cfg.Timing == pusch.TimingAnalytic}
+	switch {
+	case !r.analytic:
+		r.key, _ = cfg.CacheKey() // an error leaves the key empty
+	case model == nil:
+		r.err = errNoModel
+	default:
+		r.rec, r.err = model.Predict(*cfg)
+	}
+}
+
+// finish resolves cfg from r: an analytic slot returns its prediction;
+// a keyed one is looked up in cache, and measured and added on a miss;
+// an unkeyed one is measured.
+func (r *resolution) finish(pool *engine.Machines, cfg *pusch.ChainConfig, cache *timecache.Cache, measure MeasureFunc) (report.SlotRecord, error) {
+	if r.analytic {
+		return r.rec, r.err
+	}
+	if r.key != "" {
+		if rec, ok := cache.Lookup(r.key); ok {
+			return rec, nil
 		}
 	}
 	if measure == nil {
 		measure = measureChain(nil)
 	}
-	rec, err := measure(pool, cfg)
-	if key != "" && err == nil {
-		cache.Add(key, rec)
+	rec, err := measure(pool, *cfg)
+	if r.key != "" && err == nil {
+		cache.Add(r.key, rec)
 	}
 	return rec, err
 }

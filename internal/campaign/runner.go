@@ -82,7 +82,7 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 		base = 1
 	}
 	results := make([]Result, len(scenarios))
-	engine.NewFanOut(r.Workers, len(scenarios)).FanOut(len(scenarios), func(pool *engine.Machines, i int) {
+	engine.NewFanOut(r.Workers, len(scenarios)).FanOut(len(scenarios), func(pool *engine.Machines, _, i int) {
 		results[i] = scenarios[i].run(pool, DeriveSeed(base, i), r.Cache, r.Model, r.trace(i, scenarios))
 	})
 	return results

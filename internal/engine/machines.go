@@ -160,32 +160,35 @@ func NewFanOut(workers, n int) *Sharded {
 	return NewSharded(min(workers, n))
 }
 
-// FanOut calls fn(pool, i) for every i in [0, n) across one goroutine
-// per shard (at most n), each owning its shard, so its Get/Put never
-// contends with another worker. With one goroutine every call runs
-// inline on the caller's goroutine in index order. The workers draw
+// FanOut calls fn(pool, w, i) for every i in [0, n) across one
+// goroutine per shard (at most n): worker w owns shard w (pool), so its
+// Get/Put never contends with another worker, and a caller may keep
+// other per-worker state indexed by w, which only one goroutine at a
+// time touches. With one goroutine every call runs inline on the
+// caller's goroutine in index order, as worker 0. The workers draw
 // indices from one atomic counter, so indices are handed out in
 // ascending order, each to one worker and with no hand-off between
 // goroutines, but finish in any order: fn must write only to
-// index-owned state for the result to be independent of the worker
-// count. A pool fanned out again keeps its shards and their machines,
-// so a caller that fans out in rounds builds each arena once.
-func (s *Sharded) FanOut(n int, fn func(pool *Machines, i int)) {
+// index-owned or worker-owned state for the result to be independent
+// of the worker count. A pool fanned out again keeps its shards and
+// their machines, so a caller that fans out in rounds builds each
+// arena once.
+func (s *Sharded) FanOut(n int, fn func(pool *Machines, w, i int)) {
 	workers := min(len(s.shards), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(s.shards[0], i)
+			fn(s.shards[0], 0, i)
 		}
 		return
 	}
 	var next atomic.Int64 // the next index to hand out
 	var wg sync.WaitGroup
-	for _, pool := range s.shards[:workers] {
+	for w, pool := range s.shards[:workers] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				fn(pool, i)
+				fn(pool, w, i)
 			}
 		}()
 	}

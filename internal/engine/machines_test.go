@@ -3,6 +3,7 @@ package engine
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/arch"
@@ -97,8 +98,9 @@ func TestShardedConcurrent(t *testing.T) {
 	}
 }
 
-// TestFanOut: every index runs exactly once, the pool has one shard per
-// worker after clamping, and no shard builds a second machine for one
+// TestFanOut: every index runs exactly once, on the shard of the worker
+// it names, with no two calls of one worker at once; the pool has one
+// shard per worker after clamping, and no shard builds a second machine for one
 // configuration, because each shard belongs to one goroutine that
 // returns its machine before the next call — also when the pool is
 // fanned out again, as a serve does once per window. The rows with far
@@ -121,9 +123,18 @@ func TestFanOut(t *testing.T) {
 		}
 		for round := 1; round <= 2; round++ {
 			seen := make([]int, tc.n)
-			s.FanOut(tc.n, func(pool *Machines, i int) {
+			busy := make([]atomic.Int32, tc.shards)
+			s.FanOut(tc.n, func(pool *Machines, w, i int) {
+				if w < 0 || w >= tc.shards || pool != s.Shard(w) {
+					t.Errorf("FanOut(%d, %d): index %d ran as worker %d on another shard", tc.workers, tc.n, i, w)
+					return
+				}
+				if busy[w].Add(1) != 1 {
+					t.Errorf("FanOut(%d, %d): worker %d ran two calls at once", tc.workers, tc.n, w)
+				}
 				seen[i]++
 				pool.Put(pool.Get(cfg))
+				busy[w].Add(-1)
 			})
 			for i, c := range seen {
 				if c != 1 {

@@ -42,9 +42,9 @@ type Cell struct {
 	QueueDepth int
 }
 
-// apply resolves a routed job's serving coordinates against the cell:
-// unpinned coordinates inherit the cell's, pinned ones win.
-func (c *Cell) apply(cfg pusch.ChainConfig) pusch.ChainConfig {
+// apply resolves a routed job's serving coordinates against the cell,
+// in place: unpinned coordinates inherit the cell's, pinned ones win.
+func (c *Cell) apply(cfg *pusch.ChainConfig) {
 	if cfg.Cluster == nil {
 		cfg.Cluster = c.Cluster
 	}
@@ -54,7 +54,6 @@ func (c *Cell) apply(cfg pusch.ChainConfig) pusch.ChainConfig {
 	if cfg.Timing == pusch.TimingCycleAccurate {
 		cfg.Timing = c.Timing
 	}
-	return cfg
 }
 
 // classKey is the cell's serving-class identity: two cells with equal

@@ -2,10 +2,13 @@ package sched
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/campaign"
+	"repro/internal/engine"
 	"repro/internal/pusch"
 	"repro/internal/report"
 	"repro/internal/timecache"
@@ -166,5 +169,49 @@ func TestCacheKeyCoordinates(t *testing.T) {
 	// Same config twice: identical key (the memo must actually hit).
 	if key(base) != ref {
 		t.Error("identical configs produced different keys")
+	}
+}
+
+// TestServeMemoMatchesResolve: each job of a trace three windows long
+// that repeats six coordinates, the Table I mix on the analytic model
+// and from a warm cache, is served with what campaign.Resolve returns
+// for its chain, at 1, 2 and 3 workers, each resolving through its own
+// memo across the windows; and the cache counts one hit per
+// cycle-accurate job, as it would without the memos.
+func TestServeMemoMatchesResolve(t *testing.T) {
+	model := analyticModel(t)
+	trace := cacheTestTrace(t, 2*window+300)
+	cached := 0
+	for i := range trace {
+		if i%2 == 1 {
+			trace[i].Chain.Timing = pusch.TimingAnalytic
+		} else {
+			cached++
+		}
+		if i > 0 && trace[i].Arrival < trace[i-1].Arrival {
+			t.Fatal("the trace is not in arrival order")
+		}
+	}
+	cache := timecache.New(0)
+	pool := engine.NewMachines()
+	want := make([]report.SlotRecord, len(trace))
+	for i := range trace {
+		rec, err := campaign.Resolve(pool, trace[i].Chain, cache, model, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rec
+	}
+	for _, workers := range []int{1, 2, 3} {
+		s := &Scheduler{Cfg: Config{Servers: len(trace), Workers: workers, Cache: cache, Model: model}}
+		results, sum := s.Serve(trace)
+		if sum.Served != len(trace) || sum.Host.CacheHits != int64(cached) || sum.Host.CacheMisses != 0 {
+			t.Fatalf("workers=%d: served %d of %d jobs, %d cache hits and %d misses, want %d hits", workers, sum.Served, len(trace), sum.Host.CacheHits, sum.Host.CacheMisses, cached)
+		}
+		for _, r := range results {
+			if !reflect.DeepEqual(r.Record.SlotRecord, want[r.Job]) {
+				t.Fatalf("workers=%d: job %d served %+v, Resolve returns %+v", workers, r.Job, r.Record.SlotRecord, want[r.Job])
+			}
+		}
 	}
 }

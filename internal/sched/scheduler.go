@@ -130,10 +130,11 @@ func (e *Encoder) WriteServed(r *JobResult) error {
 // lines, written once per serve.
 func (e *Encoder) Encode(v any) error { return e.enc.Encode(v) }
 
-// Class is a serving class: the coordinates a cell stamps onto a job's
-// chain before it is resolved (nil keeps the chain as it is). Every job
-// is measured once per class, however many cells share the class.
-type Class func(pusch.ChainConfig) pusch.ChainConfig
+// Class is a serving class: it stamps a cell's coordinates onto a job's
+// chain in place before the chain is resolved (nil keeps the chain as
+// it is). Every job is measured once per class, however many cells
+// share the class.
+type Class func(*pusch.ChainConfig)
 
 // Queue is one cell of a serve: the index of its serving class and its
 // service discipline, defaulted as in Config (Servers <= 0 means 1;
@@ -186,7 +187,8 @@ var stopped func()
 //
 //  1. measures the window's jobs under every serving class across
 //     cfg.Workers goroutines over a sharded machine pool built once per
-//     serve (engine.Sharded.FanOut), each through campaign.Resolve
+//     serve (engine.Sharded.FanOut), each through its worker's
+//     campaign.Memo, which resolves as campaign.Resolve does
 //     (cfg.Model, cfg.Cache, then measure; nil measure runs the chain);
 //  2. replays the window's arrivals serially in virtual time: at each
 //     arrival every cell completes its work up to that instant, route
@@ -246,25 +248,30 @@ func ServeCells(cfg Config, measure MeasureFunc, jobs []Job, classes []Class, ce
 		return err
 	}
 	pool := engine.NewFanOut(cfg.Workers, len(classes)*len(jobs))
-	// fill measures the window at lo into meas. A job that does not pin
-	// its payload seed gets one derived from cfg.Seed and its
-	// arrival-order position, the same in every class.
+	workers := make([]worker, pool.Shards())
+	// fill measures the window at lo into meas. Each measurement copies
+	// its job's chain once, into its worker's own copy, which the class
+	// and the seed stamp in place. A job that does not pin its payload
+	// seed gets one derived from cfg.Seed and its arrival-order
+	// position, the same in every class.
 	fill := func(meas [][]measured, lo int) {
 		n := min(window, len(jobs)-lo)
-		pool.FanOut(len(classes)*n, func(pool *engine.Machines, k int) {
+		pool.FanOut(len(classes)*n, func(pool *engine.Machines, w, k int) {
 			if stop.Load() {
 				return
 			}
 			cls, pos := k/n, lo+k%n
-			chain := jobs[order[pos]].Chain
+			wk := &workers[w]
+			chain := &wk.chain
+			*chain = jobs[order[pos]].Chain
 			if classes[cls] != nil {
-				chain = classes[cls](chain)
+				classes[cls](chain)
 			}
 			if chain.Seed == 0 {
 				chain.Seed = jobSeed(base, pos)
 			}
-			rec, err := campaign.Resolve(pool, chain, cfg.Cache, cfg.Model, measure)
-			meas[cls][k%n] = measured{rec: rec, err: err}
+			m := &meas[cls][k%n]
+			m.rec, m.err = wk.memo.Resolve(pool, chain, cfg.Cache, cfg.Model, measure)
 		})
 	}
 	r := newReplay(cells, len(classes), min(window, len(jobs)))
@@ -330,6 +337,14 @@ func ServeCells(cfg Config, measure MeasureFunc, jobs []Job, classes []Class, ce
 	}
 	run.Host = &host
 	return run, nil
+}
+
+// worker is one measurement worker's own state, which only the
+// goroutine running as that worker touches: the chain of the job it
+// resolves and its resolution memo, kept across the serve's windows.
+type worker struct {
+	chain pusch.ChainConfig
+	memo  campaign.Memo
 }
 
 // arrivalOrder returns job indices sorted by arrival cycle, stable in

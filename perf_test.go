@@ -85,8 +85,11 @@ func BenchmarkSchedulerTraceWarm(b *testing.B) {
 // homogeneous MemPool cells of 2 servers route least-queue, measured
 // by 2 workers, and WriteJSONL encodes every line to io.Discard. What
 // it times is the serving loop: resolution, replay, routing and JSON
-// encoding, with measurement overlapping the replay. Its 4096 lines
-// carry 6 distinct slot records, so the encoder's record memo hits.
+// encoding, with measurement overlapping the replay. Its 4096 jobs
+// repeat 6 coordinates, so each worker's resolution memo misses only
+// on its first job of each (12 of 4096 lookups with 2 workers), and
+// their lines carry 6 distinct slot records, so the encoder's record
+// memo hits too.
 func BenchmarkFleetWarmStream(b *testing.B) {
 	base := ipusch.ChainConfig{NSC: 256, NR: 16, NB: 8, NL: 4, NSymb: 6, NPilot: 2, SNRdB: 20}
 	mix := sched.TableIMix(&base)
@@ -106,9 +109,10 @@ func BenchmarkFleetWarmStream(b *testing.B) {
 // BenchmarkFleetFadingStream is BenchmarkFleetWarmStream's serve with
 // every job analytic and the Table I mix on mobile UEs: TDL-B at 30 Hz,
 // each UE with its own fading seed and each slot stamped with its
-// arrival time on the UE's channel. No two of its records are equal, so
-// every lookup in the encoder's record memo misses: it prices the memo
-// for traffic that never repeats a record.
+// arrival time on the UE's channel. No two of its jobs' coordinates or
+// records are equal, so every lookup in the workers' resolution memos
+// and in the encoder's record memo misses: it prices both memos for
+// traffic that never repeats.
 func BenchmarkFleetFadingStream(b *testing.B) {
 	base := sched.Mobile(ipusch.ChainConfig{NSC: 256, NR: 16, NB: 8, NL: 4, NSymb: 6, NPilot: 2, SNRdB: 20}, channel.TDLB, 30, 0)
 	trace := streamTrace(sched.TableIMix(&base), func(int) bool { return true })

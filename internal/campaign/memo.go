@@ -31,13 +31,15 @@ const memoBits = 4
 //
 // It holds 32 configurations in 16 sets of two, picked by a hash of the
 // numeric fields, so a lookup compares at most two. A configuration is
-// remembered the second time running that it misses its set: each set
-// keeps the hash of the last configuration that missed it, and a match
-// makes the configuration replace the least recently used of the set's
-// two. So traffic that never repeats a configuration, such as a fading
-// trace whose channel time moves every slot, writes no entry and pays a
-// hash per lookup. Configurations are equal when every field is: floats
-// by bit pattern (so -0 and +0 differ), the cluster by value (an equal
+// remembered when it misses its set again while it is still one of the
+// set's last two misses: each set keeps the hashes of the last two
+// configurations that missed it, and a match makes the configuration
+// replace the least recently used of the set's two. So two
+// configurations that alternate in one set are both kept, while traffic
+// that never repeats a configuration, such as a fading trace whose
+// channel time moves every slot, writes no entry and pays a hash per
+// lookup. Configurations are equal when every field is: floats by bit
+// pattern (so -0 and +0 differ), the cluster by value (an equal
 // arch.Config behind another pointer is equal) and each layout
 // partition element by element (so a nil and an empty CoreSet, which
 // resolution reads alike, are equal). A Memo keeps its own copy of the
@@ -47,8 +49,8 @@ const memoBits = 4
 type Memo struct {
 	sets [1 << memoBits]struct {
 		ways [2]memoEntry
-		mru  uint8  // the way hit or filled last
-		seen uint64 // the hash of the last configuration that missed
+		mru  uint8     // the way hit or filled last
+		seen [2]uint64 // the hashes of the last two configurations that missed, newest first
 	}
 	spare resolution // the last resolution the memo did not keep
 }
@@ -76,8 +78,8 @@ func (m *Memo) Resolve(pool *engine.Machines, cfg *pusch.ChainConfig, cache *tim
 }
 
 // lookup returns the resolution of cfg against model: the memo's own
-// when it holds it, and otherwise derived now and remembered if cfg
-// missed its set last, too.
+// when it holds it, and otherwise derived now and remembered if cfg is
+// one of its set's last two misses, too.
 func (m *Memo) lookup(cfg *pusch.ChainConfig, model *timing.Model) *resolution {
 	h := configHash(cfg)
 	set := &m.sets[h>>(64-memoBits)]
@@ -87,8 +89,8 @@ func (m *Memo) lookup(cfg *pusch.ChainConfig, model *timing.Model) *resolution {
 			return &e.res
 		}
 	}
-	if set.seen != h {
-		set.seen = h
+	if h != set.seen[0] && h != set.seen[1] {
+		set.seen = [2]uint64{h, set.seen[0]}
 		m.spare.derive(cfg, model)
 		return &m.spare
 	}

@@ -118,8 +118,8 @@ func fullConfig(t *testing.T) pusch.ChainConfig {
 	return cfg
 }
 
-// remember looks cfg up in m until m keeps it (a configuration is kept
-// on its second miss running) and returns the kept resolution.
+// remember looks cfg up in m until m keeps it (a configuration that
+// misses twice in a row is kept) and returns the kept resolution.
 func remember(m *Memo, cfg *pusch.ChainConfig, model *timing.Model) *resolution {
 	m.lookup(cfg, model)
 	return m.lookup(cfg, model)
@@ -133,7 +133,7 @@ func checkMemo(t *testing.T, name string, a, b pusch.ChainConfig, ma, mb *timing
 	var m Memo
 	ra := remember(&m, &a, ma)
 	if ra == &m.spare {
-		t.Fatalf("%s: a configuration missed twice running is not kept", name)
+		t.Fatalf("%s: a configuration missed twice in a row is not kept", name)
 	}
 	if got := sameConfig(&a, &b); got != hit && ma == mb {
 		t.Errorf("%s: sameConfig = %v, want %v", name, got, hit)
@@ -229,10 +229,11 @@ func TestResolveMemoCoversEveryField(t *testing.T) {
 	}
 }
 
-// TestResolveMemoKeepsOnlyRepeats: a configuration is kept the second
-// time running that it misses its set, so a stream in which none
-// repeats, as a fading trace's channel time never does, keeps none, and
-// a configuration looked up twice is kept.
+// TestResolveMemoKeepsOnlyRepeats: a configuration is kept when it
+// misses its set again while it is one of the set's last two misses, so
+// a stream in which none repeats, as a fading trace's channel time never
+// does, keeps none, a configuration looked up twice is kept, and so are
+// two configurations that alternate in one set.
 func TestResolveMemoKeepsOnlyRepeats(t *testing.T) {
 	model := analyticModel(t)
 	kept := func(m *Memo) int {
@@ -260,6 +261,22 @@ func TestResolveMemoKeepsOnlyRepeats(t *testing.T) {
 	if n := kept(&m); n != 1 {
 		t.Errorf("a configuration looked up twice: the memo keeps %d, want 1", n)
 	}
+
+	a, b := analyticBase(), analyticBase()
+	set := func(c *pusch.ChainConfig) uint64 { return configHash(c) >> (64 - memoBits) }
+	for b.Seed = 1; set(&b) != set(&a); b.Seed++ {
+	}
+	var alt Memo
+	for range 2 {
+		alt.lookup(&a, model)
+		alt.lookup(&b, model)
+	}
+	if n := kept(&alt); n != 2 {
+		t.Errorf("two configurations alternating in one set: the memo keeps %d, want 2", n)
+	}
+	if alt.lookup(&a, model) == &alt.spare || alt.lookup(&b, model) == &alt.spare {
+		t.Error("two configurations alternating in one set: a lookup after both are kept misses")
+	}
 }
 
 // TestResolveMemoHitAllocatesNothing: a memo hit served by the model or
@@ -276,7 +293,7 @@ func TestResolveMemoHitAllocatesNothing(t *testing.T) {
 	}
 	var m Memo
 	for _, cfg := range []*pusch.ChainConfig{&analytic, &cached} {
-		for range 2 { // kept on its second miss
+		for range 2 { // kept on its second miss in a row
 			if _, err := m.Resolve(nil, cfg, cache, model, stubMeasure); err != nil {
 				t.Fatal(err)
 			}

@@ -342,6 +342,9 @@ func ServeCells(cfg Config, measure MeasureFunc, jobs []Job, classes []Class, ce
 // worker is one measurement worker's own state, which only the
 // goroutine running as that worker touches: the chain of the job it
 // resolves and its resolution memo, kept across the serve's windows.
+// The chain lives here rather than in the fill closure's frame because
+// a Class is a func value: one that took the address of a local would
+// move that local to the heap on every job.
 type worker struct {
 	chain pusch.ChainConfig
 	memo  campaign.Memo

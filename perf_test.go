@@ -87,7 +87,8 @@ func BenchmarkSchedulerTraceWarm(b *testing.B) {
 // it times is the serving loop: resolution, replay, routing and JSON
 // encoding, with measurement overlapping the replay. Its 4096 jobs
 // repeat 6 coordinates, so each worker's resolution memo misses only
-// on its first job of each (12 of 4096 lookups with 2 workers), and
+// on its first two jobs of each (about 24 of 4096 lookups with 2
+// workers), and
 // their lines carry 6 distinct slot records, so the encoder's record
 // memo hits too.
 func BenchmarkFleetWarmStream(b *testing.B) {
